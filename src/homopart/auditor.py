@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, link
 from .partitions import LayeredPartition
 from .rng import generator
@@ -48,7 +47,6 @@ class HomogeneityReport:
     first read.
     """
 
-    kind: str
     eps: float
     passed: bool
     mass: int
@@ -67,7 +65,7 @@ class HomogeneityReport:
         return tuple(r for r in self.rows if not r[2])
 
     def _scalars(self) -> tuple:
-        return (self.kind, self.eps, self.passed, self.mass,
+        return (self.eps, self.passed, self.mass,
                 self.normalized_mass, self.weighted)
 
     def __eq__(self, other):
@@ -85,8 +83,8 @@ class HomogeneityReport:
         return hash(self._scalars())
 
 
-def homogeneity_audit(h, partition: LayeredPartition, eps: float,
-                      kind: str = "block") -> HomogeneityReport:
+def homogeneity_audit(h, partition: LayeredPartition,
+                      eps: float) -> HomogeneityReport:
     """Check every block tuple for density in [0, eps] or [1-eps, 1].
 
     Exceptional blocks take part like any other: they are blocks of
@@ -119,7 +117,6 @@ def homogeneity_audit(h, partition: LayeredPartition, eps: float,
     total = tensor.size
     normalized = mass / total if total else 0.0
     return HomogeneityReport(
-        kind=kind,
         eps=eps,
         passed=normalized <= eps + 1e-12,
         mass=mass,
@@ -431,27 +428,20 @@ def slicewise_vc(h: KPartiteHypergraph, *, cap: int = 8) -> dict:
 
     For every vertex of every part, the remaining bipartite link is
     measured in both orientations; the report maps each part to its
-    maximum and carries the overall value under the key "max". Links
-    are processed with ordered_map, so thread count cannot change the
-    result.
+    maximum and carries the overall value under the key "max".
     """
     if h.k != 3:
         raise ValueError("slicewise VC is defined for tripartite input")
-
-    def one(task):
-        part, v = task
-        adj = link(h, ((part, v),)).to_dense()
-        a = vc_dimension(adj, cap=cap)
-        b = vc_dimension(adj.T, cap=cap)
-        return max(a.dim, b.dim), a.at_cap or b.at_cap
-
     out = {}
     at_cap = False
     for part in range(3):
-        tasks = [(part, v) for v in range(h.part_sizes[part])]
-        results = ordered_map(one, tasks)
-        out[part] = max(r[0] for r in results) if results else 0
-        at_cap = at_cap or any(r[1] for r in results)
+        out[part] = 0
+        for v in range(h.part_sizes[part]):
+            adj = link(h, ((part, v),)).to_dense()
+            for res in (vc_dimension(adj, cap=cap),
+                        vc_dimension(adj.T, cap=cap)):
+                out[part] = max(out[part], res.dim)
+                at_cap = at_cap or res.at_cap
     out["max"] = max(out[p] for p in range(3))
     out["at_cap"] = at_cap
     return out

@@ -82,7 +82,7 @@ def _cmd_gen(args) -> int:
         hio.write_links(path, table, spec.r, digest=digest)
         outputs["instance.links"] = path
     _finish(args, man, t0, outputs)
-    print(f"gen {args.family} n={n} edges={int(inst.h.to_dense().sum())} "
+    print(f"gen {args.family} n={n} edges={inst.h.edge_count} "
           f"exact_links={inst.exact_links}")
     return 0
 
@@ -99,8 +99,7 @@ def _cmd_homogenize(args) -> int:
         inputs["links"] = args.links
     man = RunManifest(
         command="homogenize",
-        params={"eps": eps, "eps_prime": args.eps_prime, "r": args.r,
-                "max_anchors": args.max_anchors},
+        params={"eps": eps, "r": args.r, "max_anchors": args.max_anchors},
         seed=args.seed, mode=mode,
         inputs={role: file_digest(path) for role, path in inputs.items()},
     )
@@ -111,10 +110,7 @@ def _cmd_homogenize(args) -> int:
         table, r = hio.read_links(args.links)
         oracle = FileOracle(table, r)
     else:
-        eps_prime = args.eps_prime
-        if eps_prime is None:
-            eps_prime = eps ** 2 / (8.0 * h.k)
-        oracle = GreedyOracle(h, eps_prime, args.r)
+        oracle = GreedyOracle(h, eps ** 2 / (8.0 * h.k), args.r)
     partition, report = homogeneous_partition(
         h, oracle, eps, args.seed, mode=mode, max_anchors=args.max_anchors,
     )
@@ -138,7 +134,7 @@ def _cmd_audit(args) -> int:
     eps = args.eps if args.eps is not None else 0.2
     inputs = {"graph": args.graph, "partition": args.partition}
     man = RunManifest(
-        command="audit", params={"eps": eps, "kind": args.kind},
+        command="audit", params={"eps": eps},
         seed=args.seed, mode="-",
         inputs={role: file_digest(path) for role, path in inputs.items()},
     )
@@ -149,12 +145,12 @@ def _cmd_audit(args) -> int:
     else:
         h = hio.read_khg(args.graph)
     partition = hio.read_part(args.partition)
-    report = homogeneity_audit(h, partition, eps, kind=args.kind)
+    report = homogeneity_audit(h, partition, eps)
     path = _out_path(args, "report.audit")
     hio.write_audit(path, report, digest=digest)
     _finish(args, man, t0, {"report.audit": path})
     verdict = "pass" if report.passed else "fail"
-    print(f"audit {args.kind} eps={eps} mass={report.mass} "
+    print(f"audit block eps={eps} mass={report.mass} "
           f"normalized={report.normalized_mass:.6g} {verdict}")
     return 0 if report.passed else 1
 
@@ -293,8 +289,7 @@ def _cmd_gowers_cascade(args) -> int:
     inputs = {}
     if args.candidate:
         inputs["candidate"] = args.candidate
-    man = _gowers_manifest(args, "gowers-cascade", mode,
-                           extra={"search_draws": args.search_draws})
+    man = _gowers_manifest(args, "gowers-cascade", mode)
     man.inputs = {role: file_digest(path) for role, path in inputs.items()}
     digest = man.digest()
     t0 = time.perf_counter()
@@ -305,10 +300,7 @@ def _cmd_gowers_cascade(args) -> int:
         candidate = LayeredPartition([
             PartPartition.trivial(args.n, part=i) for i in range(3)
         ])
-    report = refinement_cascade(
-        build, candidate, eps=args.eps, search_draws=args.search_draws,
-        seed=args.seed,
-    )
+    report = refinement_cascade(build, candidate, eps=args.eps)
     rows = [f"cascade eps={report.eps!r} betas={' '.join(repr(b) for b in report.betas)}"]
     n_witnesses = 0
     for level in report.levels:
@@ -400,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the partition pipeline on a .khg instance")
     p.add_argument("instance")
     p.add_argument("--links", help="oracle sidecar; greedy splits otherwise")
-    p.add_argument("--eps-prime", type=float)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--max-anchors", type=int, default=512)
     p.set_defaults(func=_cmd_homogenize)
@@ -409,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="audit a partition against a graph")
     p.add_argument("graph", help=".khg or .w3g input")
     p.add_argument("partition", help=".part input")
-    p.add_argument("--kind", default="block")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("vc", parents=[common],
@@ -446,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("cascade", parents=[gcommon],
                         help="run the refinement cascade against a candidate")
     p.add_argument("--candidate", help=".part candidate; trivial otherwise")
-    p.add_argument("--search-draws", type=int, default=500)
     p.set_defaults(func=_cmd_gowers_cascade)
 
     p = sub.add_parser("bench", parents=[common],

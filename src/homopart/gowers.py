@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auditor import RegularityWitness, bipartite_regularity_witness, verify_witness, weak_regularity_witness
+from .auditor import RegularityWitness, bipartite_regularity_witness, verify_witness
 from .errors import DivisibilityError, FamilyRejectionError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, _frozen
 from .partitions import LayeredPartition, PartPartition, beta_refines, common_refinement
@@ -212,9 +212,11 @@ def _item1_violations(side: np.ndarray) -> int:
 
 
 def _agreement_counts(side: np.ndarray) -> np.ndarray:
-    # float matmul so BLAS carries the M x M product; counts stay exact
-    s = side.astype(np.float64)
-    z = s.T @ s + (1.0 - s).T @ (1.0 - s)
+    # one +-1 float matmul so BLAS carries the M x M product: S.T @ S is
+    # agreements minus disagreements, so (m + S.T @ S) / 2 counts the
+    # agreements, and every term is a small exact integer
+    s = 2.0 * side - 1.0
+    z = (side.shape[0] + s.T @ s) / 2.0
     return np.rint(z).astype(np.int64)
 
 
@@ -801,8 +803,7 @@ class CascadeWitness:
     The complete and empty sub-boxes live inside the candidate blocks
     (s, u, ell); their weighted densities differ by exactly 2^-level.
     ``complete`` and ``empty`` are the two sub-triples as verifiable
-    witnesses against the block base density; ``search`` is whatever
-    the generic sampled witness search found on the same blocks.
+    witnesses against the block base density.
     """
 
     level: int
@@ -815,7 +816,6 @@ class CascadeWitness:
     complete: RegularityWitness
     empty: RegularityWitness
     gap: float
-    search: RegularityWitness | None
 
 
 @dataclass(frozen=True)
@@ -844,7 +844,7 @@ class CascadeReport:
 
 
 def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
-                     prev_other, side, search_draws, seed):
+                     prev_other, side):
     """Walk the failed-refinement proof and return a witness, or None.
 
     ``side`` names which interval family the fine partition refines;
@@ -953,13 +953,6 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
             deviation=abs(d_empty - base),
             exact=True,
         )
-        search = weak_regularity_witness(
-            build.weighted,
-            blocks,
-            eps,
-            draws=search_draws,
-            seed=derive(seed, f"cascade/level{r}/{side}{int(s)}"),
-        ) if search_draws else None
         return CascadeWitness(
             level=r,
             side=side,
@@ -971,13 +964,12 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
             complete=complete,
             empty=empty,
             gap=d_complete - d_empty,
-            search=search,
         )
     return None
 
 
 def refinement_cascade(build: GowersBuild, candidate: LayeredPartition,
-                       eps=None, *, search_draws=500, seed=0) -> CascadeReport:
+                       eps=None) -> CascadeReport:
     """Walk the interval levels checking 7^r-scaled refinement.
 
     The candidate must cover all three parts with nonempty blocks of
@@ -986,8 +978,9 @@ def refinement_cascade(build: GowersBuild, candidate: LayeredPartition,
     levels with beta_r at or above 1/2 cannot even be tested and are
     flagged, those above 1/72 are flagged as outside the sound
     schedule but still tested. Where refinement fails and the previous
-    level matched, a witness is extracted and re-verified against the
-    weight tensor.
+    level matched, a witness is extracted: a complete and an empty
+    sub-box, both re-sliced from the weight tensor, whose densities
+    differ by exactly 2^-r and so certify the failure without a search.
     """
     if candidate.k != 3:
         raise ValueError("the cascade runs on a three-part candidate")
@@ -1033,14 +1026,14 @@ def refinement_cascade(build: GowersBuild, candidate: LayeredPartition,
             if not a_rep.refines:
                 wit = _extract_witness(
                     build, candidate, r, betas[r - 1], eps,
-                    prev_a, a_rep, prev_b, "A", search_draws, seed,
+                    prev_a, a_rep, prev_b, "A",
                 )
                 if wit is not None:
                     witnesses.append(wit)
             if not b_rep.refines and not witnesses:
                 wit = _extract_witness(
                     build, candidate, r, betas[r - 1], eps,
-                    prev_b, b_rep, prev_a, "B", search_draws, seed,
+                    prev_b, b_rep, prev_a, "B",
                 )
                 if wit is not None:
                     witnesses.append(wit)

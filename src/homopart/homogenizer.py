@@ -67,17 +67,15 @@ class ToleranceParams:
     """Tolerance cascade tying the target homogeneity to the oracle's.
 
     ``gamma`` is the similarity tolerance handed to the bipartite
-    stage, ``gamma_prime`` the homogeneity that stage expects of its
-    input partition, and ``eps_prime`` the homogeneity the link oracle
-    must provide. In paper mode both derived values follow the fixed
-    formulas; practical mode may override ``eps_prime``.
+    stage and ``gamma_prime`` the homogeneity that stage expects of its
+    input partition, which is also what the link oracle must provide.
+    Both follow the fixed formulas in every mode.
     """
 
     eps: float
     k: int
     r: int
     mode: str = "practical"
-    eps_prime: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps < 0.5:
@@ -88,10 +86,6 @@ class ToleranceParams:
             raise InfeasibleParamsError(f"r={self.r} must be at least 1")
         if self.mode not in MODES:
             raise InfeasibleParamsError(f"unknown mode {self.mode!r}")
-        if self.mode == "paper" and self.eps_prime is not None:
-            raise InfeasibleParamsError("paper mode fixes eps_prime by formula")
-        if self.eps_prime is None:
-            object.__setattr__(self, "eps_prime", self.gamma**3 / 48.0)
 
     @property
     def gamma(self) -> float:
@@ -549,7 +543,6 @@ def homogeneous_partition(
     seed: int,
     *,
     mode: str = "practical",
-    eps_prime: float | None = None,
     max_anchors: int = 512,
 ) -> tuple[LayeredPartition, PipelineReport]:
     """Equipartition of every part, homogeneous at tolerance eps.
@@ -566,9 +559,7 @@ def homogeneous_partition(
         raise InfeasibleParamsError(f"eps={eps} outside (0, 1/2)")
     k = h.k
     inner_eps = eps**2 / (8.0 * k)
-    params = ToleranceParams(
-        eps=inner_eps, k=k, r=oracle.r, mode=mode, eps_prime=eps_prime
-    )
+    params = ToleranceParams(eps=inner_eps, k=k, r=oracle.r, mode=mode)
     passes = []
     neighborhoods = []
     for target in range(k):

@@ -17,8 +17,10 @@ Formats:
   cell with w a decimal in [0, 1]; absent cells are weight 0.
 * ``.part``  header ``part k``, then per part one line of block
   labels (label 0 is the exceptional block when flagged).
-* ``.audit`` header ``audit <kind> <eps> <pass|fail> <mass>``, then
-  per block tuple ``labels... density pass|fail``.
+* ``.audit`` header ``audit block <eps> <pass|fail> <mass>``, then
+  per block tuple ``labels... density pass|fail``. Readers require
+  the second field but ignore its value, which older files may spell
+  differently.
 * ``.links`` header ``links <r>``, then one stored partition per
   line: ``<pins> <side> <nblocks> <exceptional> <equitable> <part>``
   followed by the labels, where ``<pins>`` is ``-`` or
@@ -63,7 +65,8 @@ def write_text(path, text: str, *, digest=None):
 
 
 def _content_lines(path):
-    """(byte offset, text) per non-comment, non-blank line."""
+    """(byte offset, text) per non-blank line, comments included;
+    ``_data_lines`` drops the comments."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
@@ -74,9 +77,7 @@ def _content_lines(path):
     offset = 0
     for chunk in raw.split(b"\n"):
         text = chunk.decode("ascii").rstrip("\r")
-        if text and not text.startswith("#"):
-            lines.append((offset, text))
-        elif text.startswith("#"):
+        if text:
             lines.append((offset, text))
         offset += len(chunk) + 1
     return lines
@@ -246,7 +247,7 @@ def read_part(path) -> LayeredPartition:
 def write_audit(path, report: HomogeneityReport, *, digest=None):
     verdict = "pass" if report.passed else "fail"
     rows = [
-        f"audit {report.kind} {float(report.eps)!r} {verdict} {report.mass}",
+        f"audit block {float(report.eps)!r} {verdict} {report.mass}",
         f"#normalized {float(report.normalized_mass)!r}",
         f"#weighted {int(report.weighted)}",
     ]
@@ -265,8 +266,7 @@ def read_audit(path) -> HomogeneityReport:
     offset, header = data[0]
     tokens = header.split()
     if tokens[0] != "audit" or len(tokens) != 5:
-        raise FormatError(offset, "expected header 'audit kind eps verdict mass'")
-    kind = tokens[1]
+        raise FormatError(offset, "expected header 'audit block eps verdict mass'")
     try:
         eps = float(tokens[2])
     except ValueError:
@@ -302,7 +302,6 @@ def read_audit(path) -> HomogeneityReport:
         oks.append(tokens[-1] == "pass")
     width = len(labels[0]) if labels else 0
     return HomogeneityReport(
-        kind=kind,
         eps=eps,
         passed=passed,
         mass=mass,

@@ -1,7 +1,6 @@
 """Auditor tests, each checked against a from-scratch recomputation."""
 
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -449,21 +448,3 @@ class TestSlicewiseVC:
             values.append(slicewise_vc(generate(spec).h)["max"])
         assert values == sorted(values)
         assert values[-1] >= 2
-
-    def test_thread_count_does_not_change_result(self):
-        spec = InstanceSpec(
-            k=3, n=(8, 8, 8), family="uniform-random", r=2, eps_prime=0.0, seed=3
-        )
-        inst = generate(spec)
-        old = os.environ.get("HOMOPART_THREADS")
-        try:
-            os.environ["HOMOPART_THREADS"] = "1"
-            one = slicewise_vc(inst.h)
-            os.environ["HOMOPART_THREADS"] = "4"
-            four = slicewise_vc(inst.h)
-        finally:
-            if old is None:
-                os.environ.pop("HOMOPART_THREADS", None)
-            else:
-                os.environ["HOMOPART_THREADS"] = old
-        assert one == four

@@ -34,6 +34,7 @@ from homopart import (
     sample_unweighted,
     verify_certificate,
     verify_witness,
+    weak_regularity_witness,
 )
 from homopart.errors import (
     DivisibilityError,
@@ -628,8 +629,14 @@ class TestRefinementCascade:
         assert verify_witness(toy_build.weighted, wit.complete) == wit.complete.sub_density
         assert verify_witness(toy_build.weighted, wit.empty) == wit.empty.sub_density
         assert wit.complete.base_density == 0.1875
-        assert wit.search is not None
-        assert wit.search.deviation > 0.0
+        # the trivial candidate's blocks are whole parts; the generic
+        # search on them must find irregularity too
+        blocks = tuple(np.arange(8) for _ in range(3))
+        search = weak_regularity_witness(
+            toy_build.weighted, blocks, toy_build.params.eps)
+        assert search is not None
+        assert search.base_density == wit.complete.base_density
+        assert search.deviation > 0.0
 
     def test_witness_respects_blocks(self, toy_build):
         rep = refinement_cascade(toy_build, _trivial_candidate(8))

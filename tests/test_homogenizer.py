@@ -88,14 +88,6 @@ class TestToleranceParams:
         p = ToleranceParams(eps=0.2, k=3, r=2)
         assert p.gamma == pytest.approx(0.2 / 18.0)
         assert p.gamma_prime == pytest.approx(p.gamma**3 / 48.0)
-        # default oracle tolerance follows the same cube rule
-        assert p.eps_prime == pytest.approx((0.2 / 18.0) ** 3 / 48.0)
-
-    def test_paper_mode_fixes_eps_prime(self):
-        with pytest.raises(InfeasibleParamsError):
-            ToleranceParams(eps=0.2, k=3, r=2, mode="paper", eps_prime=0.1)
-        p = ToleranceParams(eps=0.2, k=3, r=2, eps_prime=0.05)
-        assert p.eps_prime == 0.05
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -121,6 +121,23 @@ def test_audit_round_trip_failing_report(tmp_path):
     assert hio.read_audit(path) == report
 
 
+def test_audit_reader_ignores_old_kind_field(tmp_path):
+    # older writers put a free-form kind where the literal "block" is now
+    h = random_hypergraph((4, 4, 4), seed=6)
+    report = homogeneity_audit(h, LayeredPartition([
+        PartPartition.intervals(4, 2, part=i) for i in range(3)
+    ]), 0.2)
+    path = tmp_path / "r.audit"
+    hio.write_audit(path, report)
+    text = path.read_text()
+    assert text.startswith("audit block ")
+    path.write_text(text.replace("audit block ", "audit tuple ", 1))
+    assert hio.read_audit(path) == report
+    path.write_text(text.replace("audit block ", "audit ", 1))
+    with pytest.raises(FormatError):
+        hio.read_audit(path)
+
+
 def test_links_round_trip(tmp_path):
     table = {
         ((), 0): PartPartition([0, 1, 0, 1], part=0, equitable=True),
@@ -434,6 +451,16 @@ def test_cli_usage_error(capsys):
     assert run_cli([]) == 2
 
 
+def test_cli_removed_options_are_usage_errors(tmp_path, capsys):
+    out = ["--out", tmp_path / "out"]
+    assert run_cli(["audit", "g.khg", "p.part", "--kind", "x", *out]) == 2
+    assert run_cli(["homogenize", "g.khg", "--eps-prime", 0.1, *out]) == 2
+    assert run_cli(["gowers", "cascade", "--toy", "--n", 8,
+                    "--search-draws", 5, *out]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments") == 3
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_infeasible_params(tmp_path, capsys):
     code = run_cli(["gowers", "build", "--toy", "--t", 3, "--n", 121,
                     "--out", tmp_path / "out"])
@@ -504,9 +531,8 @@ def artifact_bytes(directory):
     return out
 
 
-def test_cli_rerun_byte_identical(tmp_path, monkeypatch):
-    for threads, label in ((1, "a"), (4, "b")):
-        monkeypatch.setenv("HOMOPART_THREADS", str(threads))
+def test_cli_rerun_byte_identical(tmp_path):
+    for label in ("a", "b"):
         gen_out = tmp_path / f"gen-{label}"
         run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--seed", 5,
                  "--out", gen_out])
@@ -518,7 +544,7 @@ def test_cli_rerun_byte_identical(tmp_path, monkeypatch):
     for stage in ("gen", "hom", "links"):
         a = artifact_bytes(tmp_path / f"{stage}-a")
         b = artifact_bytes(tmp_path / f"{stage}-b")
-        assert a == b, f"{stage} artifacts differ between thread counts"
+        assert a == b, f"{stage} artifacts differ between reruns"
 
 
 def test_manifest_core_identical_across_reruns(tmp_path):
