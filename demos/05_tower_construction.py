@@ -83,7 +83,9 @@ print(f"sampled graph: full box within 3 sigma: "
 # the sign families behind the levels: rejection-sampled so that no
 # two members agree on more than 3/4 of the rows
 fam = orthogonal_family(120, 1000, seed=3)
+signs = 2.0 * fam.x_side - 1.0
+agree = (fam.m + signs.T @ signs) / 2.0  # rows on which two members agree
 off = ~np.eye(fam.M, dtype=bool)
 print(f"family (m=120, M=1000): accepted after {fam.attempts} attempt(s), "
-      f"worst off-diagonal agreement {int(fam.z_counts[off].max())} "
+      f"worst off-diagonal agreement {int(agree[off].max())} "
       f"<= {0.75 * fam.m:.0f}")

@@ -1,8 +1,11 @@
 """Verification side of the pipeline.
 
-Everything here recomputes its verdicts from first principles: block
-densities by one counting pass over every cell, disagreement pairs by
-exact counting, regularity witnesses by subset search, and VC dimension
+Everything here recomputes its verdicts from first principles. Block
+densities and disagreement pairs are read off ``partitions.block_sums``,
+one counting pass over every cell. Regularity witnesses come from one
+subset search: ``_mask_chunks`` enumerates the subsets of the small
+side (or random draws stand in for them), a matmul scores them, and
+``_prefix_scan`` optimizes the remaining side. VC dimension is found
 by shattering. The audit functions accept weighted tensors as well;
 weighted verdicts are flagged as the extension they are.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, link
-from .partitions import LayeredPartition
+from .partitions import LayeredPartition, PartPartition, block_sums, homogeneous
 from .rng import generator
 
 
@@ -91,28 +94,18 @@ def homogeneity_audit(h, partition: LayeredPartition,
     the partition, and hiding them would understate the mass. Empty
     blocks contribute nothing.
 
-    All block-tuple weight sums come from one ``np.bincount`` over the
-    cells, keyed by each cell's combined block labels; volumes are the
-    products of the per-part block sizes, and a density is sum over
-    volume. On 0/1 input every sum is an exact integer, so the
-    densities equal the per-block means bit for bit. On weighted input
-    the sums are taken in cell order, so for non-dyadic weights a
-    density can differ in its last bit from a mean summed in another
-    order.
+    The block-tuple sums and volumes come from ``block_sums`` and a
+    density is sum over volume. On 0/1 input every sum is an exact
+    integer, so the densities equal the per-block means bit for bit.
+    On weighted input the sums are taken in cell order, so for
+    non-dyadic weights a density can differ in its last bit from a
+    mean summed in another order.
     """
     tensor, weighted = _as_tensor(h)
-    k = tensor.ndim
-    parts = [partition[i] for i in range(k)]
-    shape = tuple(p.n_blocks for p in parts)
-    cell_blocks = np.ravel_multi_index(np.ix_(*[p.labels for p in parts]),
-                                       shape)
-    sums = np.bincount(cell_blocks.ravel(), weights=tensor.ravel(),
-                       minlength=math.prod(shape)).reshape(shape)
-    volumes = functools.reduce(np.multiply.outer,
-                               [p.sizes() for p in parts])
+    sums, volumes = block_sums(tensor, [partition[i] for i in range(tensor.ndim)])
     audited = volumes > 0
     densities = sums[audited] / volumes[audited]
-    ok = (densities <= eps) | (densities >= 1.0 - eps)
+    ok = homogeneous(densities, eps)
     mass = int(volumes[audited][~ok].sum())
     total = tensor.size
     normalized = mass / total if total else 0.0
@@ -140,23 +133,19 @@ def disagreement_pairs(h, partition: LayeredPartition) -> tuple:
     The coordinate-i count is the number of pairs (e, e') with e an
     edge, e' a non-edge, agreeing outside coordinate i, and with their
     two part-i vertices in one block of the part-i partition. Within a
-    fixed line segment that is (#edges) * (#non-edges).
+    fixed line segment that is (#edges) * (#non-edges), read off
+    ``block_sums`` with singleton blocks on every other coordinate.
     """
     tensor, _ = _as_tensor(h)
     if not ((tensor == 0) | (tensor == 1)).all():
         raise ValueError("disagreement pairs need a 0/1 tensor")
-    k = tensor.ndim
     counts = []
-    for i in range(k):
-        moved = np.moveaxis(tensor, i, -1)
-        p = partition[i]
-        total = 0
-        for b in range(p.n_blocks):
-            seg = moved[..., p.block_indices(b)]
-            ones = seg.sum(axis=-1)
-            zeros = seg.shape[-1] - ones
-            total += int((ones * zeros).sum())
-        counts.append(total)
+    for i in range(tensor.ndim):
+        parts = [partition[i] if j == i else PartPartition.singletons(n)
+                 for j, n in enumerate(tensor.shape)]
+        ones, volumes = block_sums(tensor, parts)
+        ones = ones.astype(np.int64)  # exact: sums of 0/1 cells
+        counts.append(int((ones * (volumes - ones)).sum()))
     return tuple(counts)
 
 
@@ -169,27 +158,6 @@ class RegularityWitness:
     base_density: float
     deviation: float
     exact: bool
-
-
-def _prefix_extreme(per_vertex: np.ndarray, base: float, scale: float,
-                    min_size: int = 1):
-    """Best subset of one coordinate by sorted prefix scan.
-
-    Among subsets of the scored vertices with at least ``min_size``
-    elements, the deviation |sum(scores)/ (scale*j) - base| is
-    maximized by a prefix of the score ranking, from one end or the
-    other; returns (indices, sub_density, deviation).
-    """
-    order = np.argsort(per_vertex, kind="stable")
-    best = None
-    for direction in (order, order[::-1]):
-        csum = np.cumsum(per_vertex[direction])
-        for j in range(min_size, len(direction) + 1):
-            d = csum[j - 1] / (scale * j)
-            dev = abs(d - base)
-            if best is None or dev > best[2] + 1e-15:
-                best = (direction[:j], d, dev)
-    return best
 
 
 def weak_regularity_witness(
@@ -205,53 +173,54 @@ def weak_regularity_witness(
 
     ``blocks`` is one index array per part. When the two smallest
     blocks fit in ``exact_bits`` bits together the search is exact:
-    their subsets are enumerated and the third side is optimized by a
-    prefix scan, which loses nothing. Otherwise ``draws`` random
-    subset pairs are tried the same way. Returns None when no witness
+    every subset of the second-smallest block is scored against one
+    subset of the smallest at a time, and the third side is optimized
+    by a prefix scan, which loses nothing. Otherwise ``draws`` random
+    subset pairs are scored the same way. Returns None when no witness
     is found (a certificate of weak eps-regularity only in exact mode).
     """
     tensor, _ = _as_tensor(h)
     if tensor.ndim != 3:
         raise ValueError("weak regularity runs on tripartite input")
     blocks = tuple(np.asarray(b, dtype=np.int64) for b in blocks)
+    sizes = [b.size for b in blocks]
+    if min(sizes) == 0:
+        return None
     sub = tensor[np.ix_(*blocks)]
     base = float(sub.mean())
-    sizes = [b.size for b in blocks]
     order = np.argsort(sizes, kind="stable")
     a, b, c = order[0], order[1], order[2]
     exact = sizes[a] + sizes[b] <= exact_bits
 
-    def candidates():
-        if exact:
-            for mask_a in range(1, 2 ** sizes[a]):
-                ia = np.flatnonzero([(mask_a >> t) & 1 for t in range(sizes[a])])
-                for mask_b in range(1, 2 ** sizes[b]):
-                    ib = np.flatnonzero(
-                        [(mask_b >> t) & 1 for t in range(sizes[b])]
-                    )
-                    yield ia, ib
-        else:
-            rng = generator(seed, "weak-witness")
-            for _ in range(draws):
-                ia = np.flatnonzero(rng.random(sizes[a]) < 0.5)
-                ib = np.flatnonzero(rng.random(sizes[b]) < 0.5)
-                if ia.size and ib.size:
-                    yield ia, ib
-
     moved = np.moveaxis(sub, (a, b, c), (0, 1, 2))
+    n_a, n_b, n_c = moved.shape
+    flat = moved.reshape(n_a, n_b * n_c)
+    if exact:
+        ys = next(_mask_chunks(n_b, 1, chunk_bits=n_b))
+        pairs = ((x, ys) for chunk in _mask_chunks(n_a, 1) for x in chunk)
+    else:
+        # row r holds draw r's A coins, then its B coins: the same
+        # stream, in the same order, as separate A and B draws
+        rng = generator(seed, "weak-witness")
+        coins = (rng.random((draws, n_a + n_b)) < 0.5).astype(np.float64)
+        coins = coins[coins[:, :n_a].any(axis=1) & coins[:, n_a:].any(axis=1)]
+        pairs = ((row[:n_a], row[None, n_a:]) for row in coins)
+
     best = None
-    for ia, ib in candidates():
-        per_c = moved[np.ix_(ia, ib)].sum(axis=(0, 1))
-        hit = _prefix_extreme(per_c, base, float(ia.size * ib.size))
-        if hit and (best is None or hit[2] > best[0][2]):
-            best = (hit, ia, ib)
+    for x, ys in pairs:
+        # third-side sums of x times every ys row, by one matmul
+        scores = ys @ (x @ flat).reshape(n_b, n_c)
+        hit = _prefix_scan(scores, base, x.sum() * ys.sum(axis=1), 1)
+        if hit and (best is None or hit[2] > best[2]):
+            row, ic, dev, d = hit
+            best = (x, ys[row], dev, d, ic)
     if best is None:
         return None
-    (ic, d, dev), ia, ib = best
+    x, y, dev, d, ic = best
     if dev <= eps:
         return None
     picks = [None, None, None]
-    picks[a], picks[b], picks[c] = ia, ib, np.sort(ic)
+    picks[a], picks[b], picks[c] = np.flatnonzero(x), np.flatnonzero(y), ic
     subsets = tuple(blocks[i][picks[i]] for i in range(3))
     return RegularityWitness(
         subsets=subsets,
@@ -283,8 +252,8 @@ def _mask_chunks(n: int, min_size: int, chunk_bits: int = 16):
             yield patterns[keep]
 
 
-def _bulk_prefix_extreme(scores: np.ndarray, base: float, scales: np.ndarray,
-                         min_size: int):
+def _prefix_scan(scores: np.ndarray, base: float, scales: np.ndarray,
+                 min_size: int):
     """Prefix-scan response for many candidate subsets at once.
 
     Row r of ``scores`` holds per-column sums for candidate r; the best
@@ -365,7 +334,7 @@ def bipartite_regularity_witness(
     for patterns in masks_iter:
         scales = patterns.sum(axis=1)
         per_b = patterns @ adj  # (chunk, n_b) column scores per subset
-        hit = _bulk_prefix_extreme(per_b, base, scales, min_b)
+        hit = _prefix_scan(per_b, base, scales, min_b)
         if hit and (best is None or hit[2] > best[2] + 1e-15):
             row, ib, dev, d = hit[0], hit[1], hit[2], hit[3]
             best = (np.flatnonzero(patterns[row] > 0), ib, dev, d)

@@ -24,10 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auditor import RegularityWitness, bipartite_regularity_witness, verify_witness
+from .auditor import RegularityWitness, _mask_chunks, bipartite_regularity_witness
 from .errors import DivisibilityError, FamilyRejectionError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, _frozen
-from .partitions import LayeredPartition, PartPartition, beta_refines, common_refinement
+from .partitions import (
+    LayeredPartition,
+    PartPartition,
+    beta_refines,
+    block_sums,
+    common_refinement,
+)
 from .rng import derive, generator
 
 MODES = ("paper", "toy")
@@ -169,17 +175,17 @@ class OrthogonalFamily:
     """Accepted two-coloring family over [M], one partition per index.
 
     ``x_side[i, j]`` says element j sits on the X side of partition i.
-    ``z_counts[j, j']`` is the number of indices on which j and j'
-    agree; the acceptance event bounds every off-diagonal entry by
-    3m/4. ``item1_checked`` records whether the size and intersection
-    bands were in scope for this M, and ``construction`` how the sides
-    were drawn: ``"coins"`` or ``"code"`` (see ``orthogonal_family``).
+    The acceptance event bounds by 3m/4 the number of indices on which
+    any two distinct elements agree; ``_agreement_counts(x_side)``
+    recomputes that M x M table. ``item1_checked`` records whether the
+    size and intersection bands were in scope for this M, and
+    ``construction`` how the sides were drawn: ``"coins"`` or
+    ``"code"`` (see ``orthogonal_family``).
     """
 
     m: int
     M: int
     x_side: np.ndarray
-    z_counts: np.ndarray
     item1_checked: bool
     attempts: int
     construction: str = "coins"
@@ -326,7 +332,6 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
                 m=m,
                 M=M,
                 x_side=_frozen(side),
-                z_counts=_frozen(z),
                 item1_checked=check_item1,
                 attempts=attempt + 1,
                 construction=construction,
@@ -615,24 +620,19 @@ class CertificateCheck:
     witness: RegularityWitness | None = None
 
 
-def _link_matrix(build: GowersBuild, part: int, v: int) -> np.ndarray:
-    w = build.weighted.weights
-    if part == 0:
-        return w[v]
-    if part == 1:
-        return w[:, v, :]
-    return w[:, :, v]
-
-
 def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
                        delta=None, draws=2000, seed=0) -> CertificateCheck:
     """Check a certificate against the actual link weights.
 
     Constant-boxes and layer-constant claims are exact: every certified
-    block pair must carry a single weight value. Quasirandom claims are
-    checked one-sidedly, by the quasirandomness audit plus a sampled
-    witness search on the level graph; ``ok`` then means no witness
-    surfaced within the budget.
+    block pair must carry a single weight value, which holds exactly
+    when every cell equals its block pair's mean from ``block_sums``
+    (exact on the dyadic weights ``build_weighted`` makes). ``worst``
+    is the first failing pair in (a, b) order with its least and
+    greatest weight. Quasirandom claims are checked one-sidedly, by
+    the quasirandomness audit plus a sampled witness search on the
+    level graph; ``ok`` then means no witness surfaced within the
+    budget.
     """
     if cert.kind == "quasirandom":
         lay = build.layering
@@ -655,24 +655,16 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
             witness=wit,
         )
 
-    link = _link_matrix(build, cert.part, cert.vertex)
+    link = np.take(build.weighted.weights, cert.vertex, axis=cert.part)
     left, right = cert.partitions[0], cert.partitions[1]
+    sums, volumes = block_sums(link, (left, right))
+    means = sums / np.maximum(volumes, 1)
+    off = link != means[np.ix_(left.labels, right.labels)]
     worst = None
-    for a in range(left.n_blocks):
-        ai = left.block_indices(a)
-        if not ai.size:
-            continue
-        for b in range(right.n_blocks):
-            bi = right.block_indices(b)
-            if not bi.size:
-                continue
-            sub = link[np.ix_(ai, bi)]
-            lo, hi = float(sub.min()), float(sub.max())
-            if hi - lo > 0.0:
-                worst = ((a, b), lo, hi)
-                break
-        if worst:
-            break
+    if off.any():
+        a, b = np.argwhere(block_sums(off, (left, right))[0] > 0)[0]
+        box = link[np.ix_(left.block_indices(a), right.block_indices(b))]
+        worst = ((int(a), int(b)), float(box.min()), float(box.max()))
     return CertificateCheck(
         kind=cert.kind, exact=True, ok=worst is None, worst=worst
     )
@@ -735,22 +727,12 @@ def quasirandomness_audit(g, delta, *, b_intervals=None, level_M=None,
         mode = "exact"
         min_size = max(1, math.ceil(delta * n - 1e-9))
         worst = -math.inf
-        condition2 = True
-        bit = np.arange(n, dtype=np.uint64)
-        step = 1 << min(16, n)
-        for start in range(0, 1 << n, step):
-            masks = np.arange(start, min(start + step, 1 << n), dtype=np.uint64)
-            pat = ((masks[:, None] >> bit[None, :]) & 1).astype(np.float64)
+        for pat in _mask_chunks(n, min_size):
             sizes = pat.sum(axis=1)
-            keep = sizes >= min_size
-            if not keep.any():
-                continue
-            pat, sizes = pat[keep], sizes[keep]
             s = ((pat @ f) * pat).sum(axis=1)
             margin = s - (delta ** 3 / 2.0) * n * sizes ** 2
             worst = max(worst, float(margin.max()))
-            if worst >= 0.0:
-                condition2 = False
+        condition2 = worst < 0.0
         condition2_worst = worst
     else:
         if b_intervals is None:

@@ -26,8 +26,15 @@ import numpy as np
 
 from . import bitops
 from .errors import CoverageError, InfeasibleParamsError
-from .hypercore import BipartiteGraph, KPartiteHypergraph, VertexSet, link, neighborhood
-from .partitions import LayeredPartition, PartPartition, common_refinement, equalize
+from .hypercore import BipartiteGraph, KPartiteHypergraph, link, neighborhood
+from .partitions import (
+    LayeredPartition,
+    PartPartition,
+    block_sums,
+    common_refinement,
+    equalize,
+    homogeneous,
+)
 from .rng import generator
 
 MODES = ("paper", "practical")
@@ -170,26 +177,12 @@ def similarity_partition(
 
     # good/bad classification of left blocks by the mass of right
     # blocks forming a non-homogeneous pair with them
-    bad = []
-    bad_mass = 0
-    for b in range(left.n_blocks):
-        mass = 0
-        bx = left.block_indices(b)
-        if bx.size == 0:
-            continue
-        for c in range(right.n_blocks):
-            cy = right.block_indices(c)
-            if cy.size == 0:
-                continue
-            d = g.density(
-                left=VertexSet.from_indices(bx, n_x),
-                right=VertexSet.from_indices(cy, n_y),
-            )
-            if not (d <= gamma_prime or d >= 1.0 - gamma_prime):
-                mass += int(cy.size)
-        if mass > (gamma**2 / 16.0) * n_y:
-            bad.append(b)
-            bad_mass += int(bx.size)
+    sums, volumes = block_sums(g.to_dense(), (left, right))
+    mixed = (volumes > 0) & ~homogeneous(sums / np.maximum(volumes, 1),
+                                         gamma_prime)
+    mass = mixed.astype(np.int64) @ right.sizes()
+    bad = [int(b) for b in np.flatnonzero(mass > (gamma**2 / 16.0) * n_y)]
+    bad_mass = int(left.sizes()[bad].sum())
 
     evict_threshold = gamma * n_y / 2.0
     rng = generator(seed, "similarity/representatives")

@@ -11,7 +11,9 @@ Types
     axis so that fiber neighborhoods and their symmetric differences are
     word-parallel popcounts.
 ``WeightedTripartite``
-    Dense [0, 1] weight tensor over three parts.
+    Dense [0, 1] weight tensor over three parts. A vertex link of it
+    is a plain slice, ``np.take(weights, v, axis=part)``; ``link``
+    below builds links of unweighted hypergraphs only.
 
 All objects freeze their arrays after construction; the kernels below
 (`density`, `link`, `neighborhood`, `partite_cover`) are pure functions
@@ -212,9 +214,6 @@ class BipartiteGraph:
         edges = int(bitops.popcount(words))
         return edges / (n_l * n_r)
 
-    def weights_matrix(self) -> np.ndarray:
-        return self.to_dense().astype(np.float64)
-
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
@@ -229,36 +228,6 @@ class BipartiteGraph:
 
     def __repr__(self):
         return f"BipartiteGraph({self.n_left}x{self.n_right}, edges={self.edge_count})"
-
-
-class WeightedBipartite:
-    """Bipartite graph with real weights in [0, 1], used for link slices."""
-
-    __slots__ = ("n_left", "n_right", "weights")
-
-    def __init__(self, weights):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValueError("weight matrix must be 2-d")
-        if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        self.n_left, self.n_right = weights.shape
-        self.weights = _frozen(weights)
-
-    def density(self, left: VertexSet | None = None, right: VertexSet | None = None) -> float:
-        li = np.arange(self.n_left) if left is None else left.indices()
-        ri = np.arange(self.n_right) if right is None else right.indices()
-        if li.size == 0:
-            raise EmptySubsetError(0)
-        if ri.size == 0:
-            raise EmptySubsetError(1)
-        return float(self.weights[np.ix_(li, ri)].mean())
-
-    def weights_matrix(self) -> np.ndarray:
-        return self.weights
-
-    def __repr__(self):
-        return f"WeightedBipartite({self.n_left}x{self.n_right})"
 
 
 class KPartiteHypergraph:
@@ -370,23 +339,6 @@ class WeightedTripartite:
     @property
     def k(self) -> int:
         return 3
-
-    def weight(self, e) -> float:
-        return float(self.weights[tuple(int(v) for v in e)])
-
-    def link(self, part, v) -> WeightedBipartite:
-        """Weighted bipartite link of vertex ``v`` of the given part.
-
-        Sides keep the natural order of the two remaining parts.
-        """
-        v = int(v)
-        if part == 0:
-            return WeightedBipartite(self.weights[v])
-        if part == 1:
-            return WeightedBipartite(self.weights[:, v, :])
-        if part == 2:
-            return WeightedBipartite(self.weights[:, :, v])
-        raise PinError(f"part {part} out of range for a tripartite graph")
 
     def __repr__(self):
         sizes = "x".join(str(s) for s in self.part_sizes)

@@ -104,6 +104,15 @@ def _ints(offset, tokens, count=None):
         raise FormatError(offset, f"bad integer: {exc}") from None
 
 
+def _comment_value(offset, text, parse):
+    """The value of a ``#key value`` comment line, parsed."""
+    tokens = text.split()
+    try:
+        return parse(tokens[1])
+    except (IndexError, ValueError):
+        raise FormatError(offset, f"bad {tokens[0]} line") from None
+
+
 def write_khg(path, h: KPartiteHypergraph, *, digest=None):
     sizes = " ".join(str(s) for s in h.part_sizes)
     rows = [f"khg {h.k} {sizes}"]
@@ -280,9 +289,9 @@ def read_audit(path) -> HomogeneityReport:
     weighted = False
     for o, text in lines:
         if text.startswith("#normalized"):
-            normalized = float(text.split()[1])
+            normalized = _comment_value(o, text, float)
         elif text.startswith("#weighted"):
-            weighted = bool(int(text.split()[1]))
+            weighted = bool(_comment_value(o, text, int))
 
     labels, densities, oks = [], [], []
     for offset, text in data[1:]:
@@ -327,7 +336,7 @@ def _parse_pins(offset, token):
         part, sep, vertex = piece.partition(":")
         if not sep:
             raise FormatError(offset, f"bad pin {piece!r}, expected part:vertex")
-        pins.append((int(part), int(vertex)))
+        pins.append(tuple(_ints(offset, [part, vertex])))
     return tuple(pins)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleParamsError, PinError
 from .hypercore import KPartiteHypergraph, link
-from .partitions import PartPartition
+from .partitions import PartPartition, block_sums, homogeneous
 
 
 class LinkPartitionOracle:
@@ -58,19 +58,6 @@ class PlantedOracle(LinkPartitionOracle):
             return self.side_partitions[side]
         except KeyError:
             raise PinError(f"no planted partition for part {side}") from None
-
-
-def _pair_stats(adj: np.ndarray, left_blocks, right_blocks):
-    """Density and mass of every block pair of a bipartite partition."""
-    d = np.zeros((len(left_blocks), len(right_blocks)))
-    mass = np.zeros_like(d)
-    for a, bx in enumerate(left_blocks):
-        row = adj[bx]
-        for b, cy in enumerate(right_blocks):
-            m = bx.size * cy.size
-            mass[a, b] = m
-            d[a, b] = row[:, cy].sum() / m if m else 0.0
-    return d, mass
 
 
 class GreedyOracle(LinkPartitionOracle):
@@ -113,8 +100,12 @@ class GreedyOracle(LinkPartitionOracle):
         blocks_hi = [np.arange(g.n_right)]
         eps = self.eps_prime
         while True:
-            d, mass = _pair_stats(adj, blocks_lo, blocks_hi)
-            viol = (d > eps) & (d < 1.0 - eps)
+            sums, mass = block_sums(adj, (
+                PartPartition.from_blocks(blocks_lo, g.n_left),
+                PartPartition.from_blocks(blocks_hi, g.n_right),
+            ))
+            d = sums / mass
+            viol = ~homogeneous(d, eps)
             if not viol.any():
                 break
             order = np.argsort(-(mass * viol).ravel(), kind="stable")

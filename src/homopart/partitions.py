@@ -9,10 +9,18 @@ Conventions used throughout the package:
   uniformly);
 * an ``equitable`` partition has all non-exceptional blocks of equal
   size.
+
+``block_sums`` is the one kernel that builds a block-tuple density
+table: the homogeneity audit, disagreement counts, the similarity
+stage's good/bad classification, the greedy link oracle and the exact
+certificate checks all read their densities from it, and
+``homogeneous`` is the one verdict on a density.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,3 +290,28 @@ def beta_refines(fine: PartPartition, coarse: PartPartition, beta: float) -> Ref
         unmatched_fraction=float(frac),
         refines=bool(frac <= beta),
     )
+
+
+def block_sums(tensor, parts) -> tuple:
+    """(sums, volumes): weight sum and cell count of every block tuple.
+
+    ``parts`` holds one ``PartPartition`` per axis of ``tensor``; both
+    results are indexed by block labels, one axis per part. The sums
+    come from one ``np.bincount`` over the cells, keyed by each cell's
+    combined block labels, and the volumes are the products of the
+    block sizes. Empty blocks give zero sums and zero volumes. On 0/1
+    or dyadic input every sum is exact, so sum over volume equals the
+    block's mean bit for bit; on other weights the sums are taken in
+    cell order and may differ in the last bit from another order.
+    """
+    shape = tuple(p.n_blocks for p in parts)
+    keys = np.ravel_multi_index(np.ix_(*[p.labels for p in parts]), shape)
+    sums = np.bincount(keys.ravel(), weights=np.ravel(tensor),
+                       minlength=math.prod(shape)).reshape(shape)
+    volumes = functools.reduce(np.multiply.outer, [p.sizes() for p in parts])
+    return sums, volumes
+
+
+def homogeneous(d, eps):
+    """Density at most ``eps`` or at least ``1 - eps`` (elementwise)."""
+    return (d <= eps) | (d >= 1.0 - eps)

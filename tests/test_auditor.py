@@ -201,6 +201,8 @@ class TestDisagreementPairs:
         layers = interval_layers((4, 4, 4), 2)
         got = disagreement_pairs(inst.h, layers)
         assert got == brute_disagreement(inst.h.to_dense(), layers)
+        # the repr enters the determinism blob: Python ints, not np.int64
+        assert all(type(c) is int for c in got)
 
     @pytest.mark.parametrize("eps", [0.2, 0.25])
     def test_failed_audit_forces_pairs(self, eps):

@@ -41,7 +41,7 @@ from homopart.errors import (
     FamilyRejectionError,
     InfeasibleParamsError,
 )
-from homopart.gowers import GowersParams
+from homopart.gowers import GowersParams, _agreement_counts
 
 
 def brute_box_graph(n, family):
@@ -191,7 +191,7 @@ class TestOrthogonalFamily:
     def test_trivial_split(self):
         fam = orthogonal_family(1, 2, seed=0)
         assert int(fam.x_side.sum()) == 1
-        assert fam.z_counts[0, 1] == 0
+        assert _agreement_counts(fam.x_side)[0, 1] == 0
         assert not fam.item1_checked
 
     def test_band_example(self, wide_family):
@@ -228,10 +228,11 @@ class TestOrthogonalFamily:
 
     def test_agreement_counts_match_brute(self):
         fam = orthogonal_family(6, 3, seed=5, max_attempts=256)
+        z = _agreement_counts(fam.x_side)
         for j in range(3):
             for jp in range(3):
-                assert fam.z_counts[j, jp] == brute_agreement(fam.x_side, j, jp)
-        off = fam.z_counts[~np.eye(3, dtype=bool)]
+                assert z[j, jp] == brute_agreement(fam.x_side, j, jp)
+        off = z[~np.eye(3, dtype=bool)]
         assert off.max() <= 0.75 * 6
 
     def test_infeasible_pair_raises(self):
@@ -252,9 +253,10 @@ class TestOrthogonalFamily:
         assert fam.construction == "code"
         assert fam.item1_checked
         assert len({col.tobytes() for col in fam.x_side.T}) == 2000
+        z = _agreement_counts(fam.x_side)
         for j, jp in ((0, 1), (5, 1999), (700, 1300)):
-            assert fam.z_counts[j, jp] == brute_agreement(fam.x_side, j, jp)
-        assert fam.z_counts[~np.eye(2000, dtype=bool)].max() <= 22
+            assert z[j, jp] == brute_agreement(fam.x_side, j, jp)
+        assert z[~np.eye(2000, dtype=bool)].max() <= 22
 
     @pytest.mark.parametrize("m,M", [(12, 128), (24, 256), (28, 1000), (60, 1000)])
     def test_code_words_meet_cap(self, m, M):
@@ -262,7 +264,7 @@ class TestOrthogonalFamily:
         assert fam.construction == "code"
         side = fam.x_side.astype(np.int64)
         agree = side.T @ side + (1 - side).T @ (1 - side)
-        assert np.array_equal(agree, fam.z_counts)
+        assert np.array_equal(agree, _agreement_counts(fam.x_side))
         assert agree[~np.eye(M, dtype=bool)].max() <= 0.75 * m
 
     def test_coin_regime_keeps_coins(self, wide_family):
@@ -285,9 +287,10 @@ class TestOrthogonalFamily:
     @given(m=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
     def test_accepted_families_satisfy_event(self, m, seed):
         fam = orthogonal_family(m, 2, seed=seed, max_attempts=256)
+        table = _agreement_counts(fam.x_side)
         for j, jp in itertools.permutations(range(2), 2):
             z = brute_agreement(fam.x_side, j, jp)
-            assert z == fam.z_counts[j, jp]
+            assert z == table[j, jp]
             assert z <= 0.75 * m
 
 
@@ -509,7 +512,17 @@ class TestLinkCertificate:
         fake = dataclasses.replace(cert, partitions=coarse)
         check = verify_certificate(toy_build, fake)
         assert not check.ok
-        assert check.worst is not None
+        assert check.worst == ((0, 0), 0.0, 0.5)
+        # the link is 0.5 on rows 0-3 x cols 0-3, 0.5 on rows 4-7 x
+        # cols 4-7 and 0 elsewhere; block 0 of the left side is empty,
+        # pair (1, 0) is constant, and (1, 1) is the first that is not
+        left = PartPartition(np.repeat([1, 2], 4), n_blocks=3)
+        right = PartPartition(np.repeat([0, 1], [3, 5]))
+        fake = dataclasses.replace(cert, partitions=LayeredPartition([left, right]))
+        check = verify_certificate(toy_build, fake)
+        assert not check.ok
+        assert check.worst == ((1, 1), 0.0, 0.5)
+        assert all(type(i) is int for i in check.worst[0])
 
 
 class TestQuasirandomnessAudit:

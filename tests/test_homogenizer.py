@@ -200,6 +200,24 @@ class TestSimilarityPartition:
             brute_block_checks(dense, res, 0.3)
 
 
+    def test_bad_blocks_are_python_ints(self):
+        # half-density blocks are non-homogeneous against the whole
+        # right side, so both left blocks are bad; bad_blocks enters
+        # the determinism blob by repr, where np.int64 prints otherwise
+        dense = np.random.default_rng(0).random((120, 120)) < 0.5
+        res = similarity_partition(
+            BipartiteGraph.from_dense(dense),
+            PartPartition.intervals(120, 2, part=0),
+            PartPartition.trivial(120, part=1),
+            0.3,
+            2,
+        )
+        assert res.bad_blocks == (0, 1)
+        assert all(type(b) is int for b in res.bad_blocks)
+        assert res.bad_mass == 120 and type(res.bad_mass) is int
+        assert not res.contract_met
+
+
 class TestTuplePartition:
     def test_product_two_anchors_cover_everything(self):
         spec = InstanceSpec(

@@ -1,4 +1,7 @@
-"""Partition algebra: common refinement, equalize, beta-refinement."""
+"""Partition algebra: common refinement, equalize, beta-refinement,
+and the block-sum kernel."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from homopart import (
     common_refinement,
     equalize,
 )
+from homopart.partitions import block_sums, homogeneous
 
 
 # ---------------------------------------------------------------- oracles
@@ -206,6 +210,55 @@ def test_zero_refinement_transitive():
     assert beta_refines(fine, mid, 0.0).refines
     assert beta_refines(mid, coarse, 0.0).refines
     assert beta_refines(fine, coarse, 0.0).refines
+
+
+# -------------------------------------------------------------- block sums
+
+
+def brute_block_sums(tensor, parts):
+    """Sum and count per block tuple, one cell at a time."""
+    sums = np.zeros(tuple(p.n_blocks for p in parts))
+    volumes = np.zeros(sums.shape, dtype=np.int64)
+    for cell in itertools.product(*[range(n) for n in tensor.shape]):
+        key = tuple(int(p.labels[v]) for p, v in zip(parts, cell))
+        sums[key] += tensor[cell]
+        volumes[key] += 1
+    return sums, volumes
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (4, 3, 6)])
+def test_block_sums_match_brute(shape):
+    rng = np.random.default_rng(len(shape))
+    # every part has an empty exceptional block 0, and part 0 also
+    # leaves label 2 empty
+    parts = []
+    for i, n in enumerate(shape):
+        labels = rng.integers(1, 4, n)
+        if i == 0:
+            labels[labels == 2] = 3
+        labels[:2] = [1, 3]
+        parts.append(PartPartition(labels, part=i, n_blocks=4,
+                                   has_exceptional=True))
+    edges = rng.random(shape) < 0.5
+    sums, volumes = block_sums(edges, parts)
+    want_sums, want_volumes = brute_block_sums(edges, parts)
+    assert np.array_equal(sums, want_sums)
+    assert np.array_equal(volumes, want_volumes)
+    assert volumes[0].sum() == 0 and volumes[:, 0].sum() == 0
+    assert volumes[2].sum() == 0 and sums[2].sum() == 0
+    assert volumes.sum() == edges.size
+
+    weights = rng.random(shape)  # non-dyadic: sums agree up to rounding
+    sums, volumes = block_sums(weights, parts)
+    want_sums, want_volumes = brute_block_sums(weights, parts)
+    assert np.allclose(sums, want_sums, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(volumes, want_volumes)
+
+
+def test_homogeneous_boundaries():
+    d = np.array([0.0, 0.2, 0.21, 0.5, 0.79, 0.8, 1.0])
+    assert homogeneous(d, 0.2).tolist() == [True, True, False, False,
+                                            False, True, True]
 
 
 # ------------------------------------------------------------ constructors

@@ -189,6 +189,24 @@ def test_digest_embedding(tmp_path):
 # --- format errors carry byte offsets ------------------------------------
 
 
+@pytest.mark.parametrize("line", [b"#normalized", b"#normalized x",
+                                  b"#weighted", b"#weighted yes"])
+def test_audit_bad_comment_value_offset(tmp_path, line):
+    path = tmp_path / "r.audit"
+    path.write_bytes(b"audit block 0.2 pass 0\n" + line + b"\n")
+    with pytest.raises(FormatError) as err:
+        hio.read_audit(path)
+    assert err.value.offset == 23
+
+
+def test_links_bad_pin_offset(tmp_path):
+    path = tmp_path / "t.links"
+    path.write_bytes(b"links 2\n0:x 1 1 0 0 1 0 0\n")
+    with pytest.raises(FormatError) as err:
+        hio.read_links(path)
+    assert err.value.offset == 8
+
+
 def test_khg_bad_vertex_offset(tmp_path):
     path = tmp_path / "g.khg"
     path.write_bytes(b"khg 2 3 3\n0 0\n9 1\n")
@@ -444,6 +462,19 @@ def test_cli_malformed_file_offset(tmp_path, capsys):
                     "--out", tmp_path / "out"])
     assert code == 2
     assert "byte 12" in capsys.readouterr().err
+
+
+def test_cli_malformed_links_pin(tmp_path, capsys):
+    gen_out = tmp_path / "gen"
+    run_cli(["gen", "--family", "planted-boxes", "--n", 8, "--seed", 3,
+             "--out", gen_out])
+    links = tmp_path / "bad.links"
+    links.write_bytes(b"links 2\n0:x 1 1 0 0 1 0 0 0 0 0 0 0 0\n")
+    code = run_cli(["homogenize", gen_out / "instance.khg",
+                    "--links", links, "--eps", 0.2,
+                    "--out", tmp_path / "out"])
+    assert code == 2
+    assert "byte 8" in capsys.readouterr().err
 
 
 def test_cli_usage_error(capsys):
