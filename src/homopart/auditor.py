@@ -6,14 +6,18 @@ one counting pass over every cell. Regularity witnesses come from one
 subset search: ``_mask_chunks`` enumerates the subsets of the small
 side (or random draws stand in for them), a matmul scores them, and
 ``_prefix_scan`` optimizes the remaining side. VC dimension is found
-by shattering. The audit functions accept weighted tensors as well;
-weighted verdicts are flagged as the extension they are.
+by hereditary search: the shattered d-sets are grown only from
+shattered (d-1)-sets whose every (d-1)-subset is shattered, each
+tested with one ``np.bincount`` of per-row codes, and the search stops
+at the first d with fewer distinct rows than 2^d. The witness is the
+lexicographically first shattered set of the largest size. The audit
+functions accept weighted tensors as well; weighted verdicts are
+flagged as the extension they are.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -363,33 +367,109 @@ class VCResult:
         return self.dim
 
 
+# Row codes that vc_dimension scores at once; candidates beyond that
+# are scored in chunks, which bounds its memory on wide inputs.
+_VC_CHUNK_CODES = 1 << 20
+
+
+def _vc_lookup(keys: list, subsets: np.ndarray, n_b: int) -> np.ndarray:
+    """Index of each row of ``subsets`` (sorted column sets of one
+    size) among the shattered sets of that size, or -1.
+
+    ``keys[t]`` lists the shattered t-sets in lex order, each as
+    (index of its (t-1)-prefix) * n_b + last column, which makes it
+    sorted; a missed prefix (-1) makes every later key negative.
+    """
+    index = np.zeros(len(subsets), dtype=np.intp)
+    for t in range(subsets.shape[1]):
+        level = keys[t + 1]
+        query = index * n_b + subsets[:, t]
+        pos = np.minimum(np.searchsorted(level, query), len(level) - 1)
+        index = np.where(level[pos] == query, pos, -1)
+    return index
+
+
 def vc_dimension(g, *, cap: int = 8) -> VCResult:
     """VC dimension of the left-neighborhood set system over the right
-    vertices, by exhaustive shattering up to ``cap``.
+    vertices, up to ``cap``.
 
-    Stops as soon as no set of the current size is shattered; when
-    every size up to ``cap`` is shattered the result is flagged as a
-    lower bound with ``at_cap``.
+    Shattering is hereditary, so the search grows level by level: the
+    candidate d-sets are the shattered (d-1)-sets, each extended by a
+    larger column, and an extension is tested only when every one of
+    its (d-1)-subsets was shattered too. Each candidate carries one
+    code per row (``code * 2 + bit`` over its columns in order) and is
+    shattered when one ``np.bincount`` of those codes leaves none of
+    the 2^d values empty. The search stops at the first size with no
+    shattered set, or before it, at the first d with fewer distinct
+    rows than 2^d (Sauer-Shelah). Extending a lex-ordered level in
+    increasing column order keeps each level in lex order, so the
+    witness is the lexicographically first shattered set of the
+    largest size. When every size up to ``cap`` is shattered the
+    result is flagged as a lower bound with ``at_cap``.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     if isinstance(g, BipartiteGraph):
         rows = g.to_dense()
     else:
         rows = np.asarray(g, dtype=bool)
-    n_b = rows.shape[1]
-    if rows.shape[0] == 0 or n_b == 0:
+    if rows.shape[0] == 0 or rows.shape[1] == 0:
         return VCResult(0, False, ())
-    dim, witness = 0, ()
-    for d in range(1, min(cap, n_b) + 1):
-        found = None
-        for combo in itertools.combinations(range(n_b), d):
-            patterns = np.unique(rows[:, combo], axis=0)
-            if patterns.shape[0] == 2**d:
-                found = combo
-                break
-        if found is None:
-            return VCResult(dim, False, witness)
-        dim, witness = d, found
-    return VCResult(dim, dim == cap, witness)
+    rows = np.unique(rows, axis=0)
+    n_rows, n_b = rows.shape
+    bits = rows.T.astype(np.intp)
+    # A code below 2^d <= n_rows fits the smallest type holding n_rows.
+    code_type = np.min_scalar_type(n_rows)
+    # The shattered 1-sets are the non-constant columns. Each level
+    # holds its shattered sets in lex order, their row codes, the
+    # index of each set's prefix in the level below, and its key.
+    single = np.flatnonzero(bits.any(axis=1) & ~bits.all(axis=1))
+    if single.size == 0:
+        return VCResult(0, False, ())
+    sets = single[:, None]
+    codes = bits[single].astype(code_type)
+    prefix = np.zeros(single.size, dtype=np.intp)
+    keys = [None, single]
+    chunk = max(1, _VC_CHUNK_CODES // n_rows)
+    for d in range(2, min(cap, n_b) + 1):
+        if n_rows < 2**d:
+            break
+        # Set i extends by the last column of each later set j with
+        # the same prefix, so two of its (d-1)-subsets are shattered.
+        count = (np.searchsorted(prefix, prefix, side="right")
+                 - np.arange(len(sets)) - 1)
+        ends = np.cumsum(count)
+        found = []
+        start = 0
+        while start < len(sets):
+            base = ends[start] - count[start]
+            stop = max(start + 1,
+                       int(np.searchsorted(ends, base + chunk, side="right")))
+            runs = count[start:stop]
+            parent = np.repeat(np.arange(start, stop), runs)
+            sibling = (parent + 1 + np.arange(parent.size)
+                       - np.repeat(np.cumsum(runs) - runs, runs))
+            col = sets[sibling, -1]
+            cand = np.column_stack([sets[parent], col])
+            for drop in range(d - 2):
+                sub = np.delete(cand, drop, axis=1)
+                keep = _vc_lookup(keys, sub, n_b) >= 0
+                parent, col, cand = parent[keep], col[keep], cand[keep]
+            cand_codes = codes[parent].astype(np.intp) * 2 + bits[col]
+            offsets = np.arange(len(cand))[:, None] << d
+            counts = np.bincount((cand_codes + offsets).ravel(),
+                                 minlength=len(cand) << d)
+            hit = counts.reshape(len(cand), 2**d).all(axis=1)
+            found.append((cand[hit], cand_codes[hit].astype(code_type),
+                          parent[hit], parent[hit] * n_b + col[hit]))
+            start = stop
+        if not any(len(f[0]) for f in found):
+            break
+        sets, codes, prefix, level = (np.concatenate(part)
+                                      for part in zip(*found))
+        keys.append(level)
+    dim = sets.shape[1]
+    return VCResult(dim, dim == cap, tuple(int(c) for c in sets[0]))
 
 
 def slicewise_vc(h: KPartiteHypergraph, *, cap: int = 8) -> dict:
@@ -401,6 +481,8 @@ def slicewise_vc(h: KPartiteHypergraph, *, cap: int = 8) -> dict:
     """
     if h.k != 3:
         raise ValueError("slicewise VC is defined for tripartite input")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     out = {}
     at_cap = False
     for part in range(3):

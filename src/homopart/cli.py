@@ -362,6 +362,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -405,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vc", parents=[common],
                        help="VC dimension of a bipartite or tripartite instance")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_vc)
 
     gowers = sub.add_parser("gowers", help="tower-type construction tools")

@@ -24,6 +24,7 @@ from homopart import (
     verify_witness,
     weak_regularity_witness,
 )
+from homopart import auditor
 
 
 def interval_layers(sizes, blocks):
@@ -367,6 +368,37 @@ def brute_vc(rows):
     return best
 
 
+def reference_vc(rows, cap):
+    """The exhaustive search: every column subset of every size in
+    ``itertools.combinations`` order, one ``np.unique`` per subset."""
+    rows = np.asarray(rows, dtype=bool)
+    n_b = rows.shape[1]
+    if rows.shape[0] == 0 or n_b == 0:
+        return (0, False, ())
+    dim, witness = 0, ()
+    for d in range(1, min(cap, n_b) + 1):
+        found = None
+        for combo in itertools.combinations(range(n_b), d):
+            if np.unique(rows[:, combo], axis=0).shape[0] == 2**d:
+                found = combo
+                break
+        if found is None:
+            return (dim, False, witness)
+        dim, witness = d, found
+    return (dim, dim == cap, witness)
+
+
+def vc_triple(rows, cap):
+    res = vc_dimension(rows, cap=cap)
+    return (res.dim, res.at_cap, res.witness)
+
+
+def cube(d):
+    return np.array(
+        [[(m >> j) & 1 for j in range(d)] for m in range(2**d)], dtype=bool
+    )
+
+
 class TestVCDimension:
     def test_constant_graphs(self):
         assert vc_dimension(BipartiteGraph.complete(6, 6)).dim == 0
@@ -388,9 +420,7 @@ class TestVCDimension:
             assert brute_shattered(rows, res.witness)
 
     def test_at_cap_flag(self):
-        rows = np.array(
-            [[(m >> j) & 1 for j in range(4)] for m in range(16)], dtype=bool
-        )
+        rows = cube(4)
         res = vc_dimension(rows, cap=2)
         assert res.dim == 2 and res.at_cap
         full = vc_dimension(rows, cap=8)
@@ -402,6 +432,76 @@ class TestVCDimension:
         rng = np.random.default_rng(seed)
         rows = rng.random((5, 5)) < rng.uniform(0.2, 0.8)
         assert vc_dimension(rows).dim == brute_vc(rows)
+
+    def test_matches_reference_search(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            shape = (int(rng.integers(1, 41)), int(rng.integers(1, 13)))
+            rows = rng.random(shape) < rng.uniform(0.1, 0.9)
+            cap = int(rng.integers(1, 9))
+            assert vc_triple(rows, cap) == reference_vc(rows, cap), (rows, cap)
+
+    @pytest.mark.parametrize("rows", [
+        np.ones((1, 7), dtype=bool),
+        np.array([[1, 0, 1, 0, 0, 1]], dtype=bool),
+        np.array([[1], [0], [1]], dtype=bool),
+        np.ones((4, 1), dtype=bool),
+        np.zeros((0, 5), dtype=bool),
+        np.zeros((5, 0), dtype=bool),
+        np.eye(4, dtype=bool),
+        # 6 rows shatter pairs of 40 columns but can never shatter 3.
+        np.random.default_rng(3).random((6, 40)) < 0.5,
+        cube(3)[np.arange(7)],
+        np.repeat(cube(3), 3, axis=0),
+    ], ids=["1-row-full", "1-row", "1-col", "1-col-const", "0-rows",
+            "0-cols", "eye", "6x40", "cube-minus-one", "repeated-cube"])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 8])
+    def test_edge_shapes_match_reference(self, rows, cap):
+        assert vc_triple(rows, cap) == reference_vc(rows, cap)
+
+    @pytest.mark.parametrize("cap", [2, 8])
+    def test_full_cube_matches_reference(self, cap):
+        rows = cube(4)
+        assert vc_triple(rows, cap) == reference_vc(rows, cap)
+        assert vc_triple(rows, cap) == (
+            (2, True, (0, 1)) if cap == 2 else (4, False, (0, 1, 2, 3))
+        )
+
+    def test_chunked_levels_match_reference(self, monkeypatch):
+        # One candidate per chunk: every level is scored piecewise.
+        monkeypatch.setattr(auditor, "_VC_CHUNK_CODES", 1)
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            rows = rng.random((int(rng.integers(4, 33)), 9)) < 0.5
+            cap = int(rng.integers(1, 9))
+            assert vc_triple(rows, cap) == reference_vc(rows, cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            vc_dimension(np.eye(4, dtype=bool), cap=cap)
+        with pytest.raises(ValueError, match="cap"):
+            slicewise_vc(KPartiteHypergraph.empty((2, 2, 2)), cap=cap)
+
+
+def benchmark_instance(family, n):
+    return generate(InstanceSpec(
+        k=3, n=(n, n, n), family=family, r=3, eps_prime=0.1, seed=5
+    )).h
+
+
+def brute_slicewise(h):
+    """Uncapped per-part maximum of brute_vc over every link, both
+    orientations."""
+    dense = h.to_dense()
+    return {
+        part: max(
+            max(brute_vc(slab), brute_vc(slab.T))
+            for slab in (np.take(dense, v, axis=part)
+                         for v in range(h.part_sizes[part]))
+        )
+        for part in range(3)
+    }
 
 
 class TestSlicewiseVC:
@@ -450,3 +550,23 @@ class TestSlicewiseVC:
             values.append(slicewise_vc(generate(spec).h)["max"])
         assert values == sorted(values)
         assert values[-1] >= 2
+
+    @pytest.mark.parametrize("family,n", [
+        ("uniform-random", 10), ("planted-boxes", 18),
+    ])
+    def test_benchmark_sizes_match_brute(self, family, n):
+        h = benchmark_instance(family, n)
+        expect = brute_slicewise(h)
+        sv = slicewise_vc(h)
+        assert {part: sv[part] for part in range(3)} == expect
+        assert sv["max"] == max(expect.values())
+        assert sv["at_cap"] == (sv["max"] >= 8)
+
+    def test_cap_one_sets_at_cap(self):
+        h = benchmark_instance("uniform-random", 10)
+        expect = brute_slicewise(h)
+        sv = slicewise_vc(h, cap=1)
+        assert {part: sv[part] for part in range(3)} == {
+            part: min(expect[part], 1) for part in range(3)
+        }
+        assert sv["max"] == 1 and sv["at_cap"]

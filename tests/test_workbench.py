@@ -492,6 +492,14 @@ def test_cli_removed_options_are_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-1", "x"])
+def test_cli_vc_cap_below_one_is_usage_error(tmp_path, capsys, cap):
+    out = tmp_path / "out"
+    assert run_cli(["vc", "g.khg", "--cap", cap, "--out", out]) == 2
+    assert "--cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_infeasible_params(tmp_path, capsys):
     code = run_cli(["gowers", "build", "--toy", "--t", 3, "--n", 121,
                     "--out", tmp_path / "out"])
