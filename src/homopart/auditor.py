@@ -180,8 +180,9 @@ def weak_regularity_witness(
     every subset of the second-smallest block is scored against one
     subset of the smallest at a time, and the third side is optimized
     by a prefix scan, which loses nothing. Otherwise ``draws`` random
-    subset pairs are scored the same way. Returns None when no witness
-    is found (a certificate of weak eps-regularity only in exact mode).
+    subset pairs are scored the same way, and ``draws < 1`` is a
+    ``ValueError``. Returns None when no witness is found (a
+    certificate of weak eps-regularity only in exact mode).
     """
     tensor, _ = _as_tensor(h)
     if tensor.ndim != 3:
@@ -203,6 +204,8 @@ def weak_regularity_witness(
         ys = next(_mask_chunks(n_b, 1, chunk_bits=n_b))
         pairs = ((x, ys) for chunk in _mask_chunks(n_a, 1) for x in chunk)
     else:
+        if draws < 1:
+            raise ValueError(f"a sampled search needs draws >= 1, got {draws}")
         # row r holds draw r's A coins, then its B coins: the same
         # stream, in the same order, as separate A and B draws
         rng = generator(seed, "weak-witness")
@@ -301,7 +304,8 @@ def bipartite_regularity_witness(
     deviating from the base by more than delta.
 
     One side's subsets are enumerated exactly when it fits in
-    ``exact_bits`` bits (random otherwise); the other side is always
+    ``exact_bits`` bits; otherwise ``draws`` random subsets are tried,
+    and ``draws < 1`` is a ``ValueError``. The other side is always
     optimized exactly by prefix scan under its size floor.
     """
     if isinstance(g, BipartiteGraph):
@@ -329,6 +333,8 @@ def bipartite_regularity_witness(
     if exact:
         masks_iter = _mask_chunks(n_a, min_a)
     else:
+        if draws < 1:
+            raise ValueError(f"a sampled search needs draws >= 1, got {draws}")
         rng = generator(seed, "bipartite-witness")
         draws_m = (rng.random((draws, n_a)) < 0.5)
         draws_m = draws_m[draws_m.sum(axis=1) >= min_a]

@@ -362,14 +362,32 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a number in (0, 1]."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = 0.0
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
     return value
 
 
@@ -435,13 +453,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = gsub.add_parser("links", parents=[gcommon],
                         help="emit and verify one link certificate per vertex")
-    p.add_argument("--draws", type=int, default=2000)
+    p.add_argument("--draws", type=_positive_int, default=2000)
     p.set_defaults(func=_cmd_gowers_links)
 
     p = gsub.add_parser("sample", parents=[gcommon],
                         help="draw an unweighted instance and check concentration")
-    p.add_argument("--boxes", type=int, default=100)
-    p.add_argument("--fraction", type=float, default=0.5)
+    p.add_argument("--boxes", type=_nonnegative_int, default=100)
+    p.add_argument("--fraction", type=_fraction, default=0.5)
     p.set_defaults(func=_cmd_gowers_sample)
 
     p = gsub.add_parser("cascade", parents=[gcommon],

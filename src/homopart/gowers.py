@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .auditor import RegularityWitness, _mask_chunks, bipartite_regularity_witness
+from .bitops import extract_bit
 from .errors import DivisibilityError, FamilyRejectionError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, _frozen
 from .partitions import (
@@ -306,7 +307,10 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
     intersection bands are checked only when M >= ln^3(4 m^2); the
     agreement event is always checked. When the code is too small for
     M, the coins run anyway and the attempt cap triggers with the
-    failing statistics attached.
+    failing statistics attached. An attempt counts the pairs over the
+    cap from one Gram matrix of the +-1 sides; the worst agreement and
+    the other statistics are worked out only once the last attempt
+    has failed.
     """
     m, M = int(m), int(M)
     if m < 1:
@@ -316,7 +320,7 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
     check_item1 = M >= math.log(4.0 * m * m) ** 3
     cap = 0.75 * m
     construction = _family_construction(m, M)
-    stats = {}
+    gram = None
     for attempt in range(int(max_attempts)):
         rng = generator(seed, f"orthogonal/{m}x{M}/attempt{attempt}")
         if construction == "code":
@@ -324,9 +328,12 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
         else:
             side = rng.random((m, M)) < 0.5
         item1_bad = _item1_violations(side) if check_item1 else 0
-        z = _agreement_counts(side)
-        off = z[~np.eye(M, dtype=bool)]
-        event_bad = int((off > cap).sum())
+        # agreements are (m + gram) / 2 (see _agreement_counts), so a pair
+        # is over the cap exactly when gram > 2 cap - m; the diagonal
+        # (gram = m) always is, and every entry is a small exact integer
+        s = 2.0 * side - 1.0
+        gram = s.T @ s
+        event_bad = int((gram > 2.0 * cap - m).sum()) - M
         if item1_bad == 0 and event_bad == 0:
             return OrthogonalFamily(
                 m=m,
@@ -336,13 +343,17 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
                 attempts=attempt + 1,
                 construction=construction,
             )
+    stats = {}
+    if gram is not None:
+        # the last attempt's statistics; -m sits below every pair's entry
+        np.fill_diagonal(gram, -m)
         stats = {
             "m": m,
             "M": M,
             "construction": construction,
             "item1_violations": item1_bad,
             "agreement_violations": event_bad // 2,
-            "worst_agreement": int(off.max()),
+            "worst_agreement": int(m + gram.max()) // 2,
             "agreement_cap": cap,
         }
     raise FamilyRejectionError(int(max_attempts), stats)
@@ -453,6 +464,9 @@ class GowersBuild:
     n: int
     weighted: WeightedTripartite
     layering: IntervalLayering
+    # (audit, witness) per (level, delta, draws, seed), filled by
+    # verify_certificate: every quasirandom vertex of a level shares them
+    _quasirandom: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _level_dense(n: int, family: OrthogonalFamily) -> np.ndarray:
@@ -594,10 +608,8 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
 
     # first- or second-part vertex: the other interval side is atomized
     # by the per-level neighborhoods, the layer side is kept as is
-    neighborhoods = []
-    for g in lay.graphs:
-        adj = g.to_dense()
-        neighborhoods.append(adj[v] if part == 0 else adj[:, v])
+    neighborhoods = [g.neighborhood(v) if part == 0 else extract_bit(g.rows, v)
+                     for g in lay.graphs]
     atoms = common_refinement(n, neighborhoods)
     layer_part = PartPartition(lay.c_layers.labels, n_blocks=params.t)
     return LinkCertificate(
@@ -632,20 +644,27 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
     greatest weight. Quasirandom claims are checked one-sidedly, by
     the quasirandomness audit plus a sampled witness search on the
     level graph; ``ok`` then means no witness surfaced within the
-    budget.
+    budget of ``draws`` subsets, which must be at least 1 when the
+    search is sampled. Both depend only on the level, so they run once per
+    (level, delta, draws, seed) on a build, and every later quasirandom
+    certificate on that level gets the same audit and witness objects.
     """
     if cert.kind == "quasirandom":
         lay = build.layering
         r = cert.level
-        g = lay.graphs[r - 1]
         d = build.params.delta if delta is None else float(delta)
-        audit = quasirandomness_audit(
-            g,
-            d,
-            b_intervals=lay.b_levels[r - 1],
-            level_M=build.params.ratio(r),
-        )
-        wit = bipartite_regularity_witness(g, d, draws=draws, seed=seed)
+        key = (r, d, draws, seed)
+        if key not in build._quasirandom:
+            g = lay.graphs[r - 1]
+            audit = quasirandomness_audit(
+                g,
+                d,
+                b_intervals=lay.b_levels[r - 1],
+                level_M=build.params.ratio(r),
+            )
+            wit = bipartite_regularity_witness(g, d, draws=draws, seed=seed)
+            build._quasirandom[key] = (audit, wit)
+        audit, wit = build._quasirandom[key]
         return CertificateCheck(
             kind=cert.kind,
             exact=False,
@@ -1050,13 +1069,10 @@ class SampleResult:
     report: ConcentrationReport
 
 
-def _box_check(weights, sampled, idx) -> BoxCheck:
-    sub_w = weights[np.ix_(*idx)]
-    sub_s = sampled[np.ix_(*idx)]
-    cells = sub_w.size
-    expected = float(sub_w.mean())
-    observed = float(sub_s.mean())
-    sigma = float(np.sqrt((sub_w * (1.0 - sub_w)).sum()) / cells)
+def _box_verdict(weight_sum, sampled_sum, variance_sum, cells) -> BoxCheck:
+    expected = float(weight_sum) / cells
+    observed = float(sampled_sum) / cells
+    sigma = math.sqrt(variance_sum) / cells
     within = abs(observed - expected) <= 3.0 * sigma + 1e-12
     return BoxCheck(expected=expected, observed=observed, sigma=sigma, within=within)
 
@@ -1071,23 +1087,49 @@ def sample_unweighted(weighted: WeightedTripartite, seed=0, *, boxes=100,
     report compares sampled against expected density on the full box
     and on ``boxes`` random sub-boxes holding a ``box_fraction`` of
     each part, with a three-sigma band from the exact Bernoulli-sum
-    variance of each box.
+    variance of each box. ``boxes`` must be nonnegative and
+    ``box_fraction`` in (0, 1].
+
+    All sub-boxes are summed in one pass: each part gets a 0/1 matrix
+    saying which of its vertices every box holds. For each first-part
+    vertex, one matmul sums the weights, the sampled cells and the
+    variances of its n x n slice over every box's third-part vertices,
+    and the second- and first-part matrices finish the sums. On the
+    dyadic weights of ``build_weighted`` every partial sum is exact, so
+    the report equals a cell-by-cell gather of each box bit for bit; on
+    other weights the sums agree to rounding.
     """
+    boxes = int(boxes)
+    if boxes < 0:
+        raise ValueError(f"box count must be nonnegative, got boxes={boxes}")
+    if not 0.0 < box_fraction <= 1.0:
+        raise ValueError(f"box_fraction={box_fraction} out of range (0, 1]")
     w = weighted.weights
-    u = generator(seed, "sample/cells").random(w.shape)
-    dense = u < w
+    dense = generator(seed, "sample/cells").random(w.shape) < w
     graph = KPartiteHypergraph.from_dense(dense)
 
-    full = _box_check(w, dense, tuple(np.arange(s) for s in w.shape))
+    variance = 1.0 - w  # w (1 - w) in place: one n^3 temporary, not two
+    variance *= w
+    full = _box_verdict(w.sum(), np.count_nonzero(dense), variance.sum(), w.size)
+    del variance
+
     rng = generator(seed, "sample/boxes")
-    checks = []
-    for _ in range(int(boxes)):
-        idx = tuple(
-            np.sort(rng.choice(s, size=max(1, math.ceil(box_fraction * s)),
-                               replace=False))
-            for s in w.shape
-        )
-        checks.append(_box_check(w, dense, idx))
+    sizes = [max(1, math.ceil(box_fraction * s)) for s in w.shape]
+    members = [np.zeros((s, boxes)) for s in w.shape]
+    for b in range(boxes):
+        for axis, s in enumerate(w.shape):
+            members[axis][rng.choice(s, size=sizes[axis], replace=False), b] = 1.0
+    # per box: sums of the weights, the sampled cells and the variances,
+    # one first-part vertex at a time so the temporaries stay small
+    n0, n1, n2 = w.shape
+    by_vertex = np.empty((3, n0, boxes))
+    for i in range(n0):
+        stack = np.stack([w[i], dense[i], w[i] * (1.0 - w[i])])
+        by_row = (stack.reshape(-1, n2) @ members[2]).reshape(3, n1, boxes)
+        by_vertex[:, i] = (by_row * members[1]).sum(axis=1)
+    sums = (by_vertex * members[0]).sum(axis=1)
+    cells = math.prod(sizes)
+    checks = [_box_verdict(*sums[:, b], cells) for b in range(boxes)]
     n_within = sum(1 for c in checks if c.within)
     report = ConcentrationReport(
         full=full,

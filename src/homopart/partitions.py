@@ -212,8 +212,15 @@ def common_refinement(n: int, sets, part=None) -> PartPartition:
             if col.shape != (n,):
                 raise ValueError(f"set {j} has shape {col.shape}, expected ({n},)")
             table[:, j] = col
-    _, labels = np.unique(table, axis=0, return_inverse=True)
-    return PartPartition(labels.astype(np.int64), part=part)
+    # sort the signatures with the first set as the primary key, then
+    # number the runs of equal rows
+    order = np.lexsort(table.T[::-1])
+    rows = table[order]
+    new_atom = np.ones(n, dtype=bool)
+    new_atom[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.cumsum(new_atom) - 1
+    return PartPartition(labels, part=part)
 
 
 def equalize(p: PartPartition, m: int) -> PartPartition:

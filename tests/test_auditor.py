@@ -276,6 +276,16 @@ class TestWeakRegularityWitness:
         assert wit.deviation > 0.2
         assert verify_witness(h, wit) == pytest.approx(wit.sub_density)
 
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_sampled_mode_needs_a_draw(self, draws):
+        g = np.zeros((30, 30), dtype=bool)
+        g[:15, :] = True
+        h = KPartiteHypergraph.from_dense(np.repeat(g[:, :, None], 30, axis=2))
+        with pytest.raises(ValueError, match="draws"):
+            weak_regularity_witness(h, self.blocks(30), 0.2, draws=draws)
+        # the exact search draws nothing, so the count does not matter
+        assert weak_regularity_witness(h, self.blocks(4), 0.2, draws=draws) is None
+
 
 def powerset(items):
     items = list(items)

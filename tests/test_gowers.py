@@ -3,8 +3,9 @@
 Oracles here rebuild the structures from their verbal descriptions:
 the level graph from the two-complete-boxes picture (not the side
 agreement formula the implementation uses), agreement counts from
-per-pair loops, and the quasirandomness conditions from a powerset
-sweep. Expected values frozen below were computed from those oracles
+per-pair loops, the quasirandomness conditions from a powerset
+sweep, and the sampler's box report from a gather of each box's
+cells. Expected values frozen below were computed from those oracles
 or by hand from the defining arithmetic.
 """
 
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from homopart import (
     LayeredPartition,
     PartPartition,
+    WeightedTripartite,
+    bipartite_regularity_witness,
     build_sequence,
     build_weighted,
     coupling_threshold,
@@ -41,7 +44,13 @@ from homopart.errors import (
     FamilyRejectionError,
     InfeasibleParamsError,
 )
-from homopart.gowers import GowersParams, _agreement_counts
+from homopart.gowers import (
+    BoxCheck,
+    GowersParams,
+    _agreement_counts,
+    _item1_violations,
+)
+from homopart.rng import generator
 
 
 def brute_box_graph(n, family):
@@ -82,6 +91,43 @@ def brute_agreement(x_side, j, jp):
     return sum(1 for row in x_side if bool(row[j]) == bool(row[jp]))
 
 
+def reference_box_check(weights, sampled, idx):
+    """One box's report from a gather of its cells."""
+    sub_w = weights[np.ix_(*idx)]
+    sub_s = sampled[np.ix_(*idx)]
+    cells = sub_w.size
+    expected = float(sub_w.mean())
+    observed = float(sub_s.mean())
+    sigma = float(np.sqrt((sub_w * (1.0 - sub_w)).sum()) / cells)
+    within = abs(observed - expected) <= 3.0 * sigma + 1e-12
+    return BoxCheck(expected=expected, observed=observed, sigma=sigma, within=within)
+
+
+def reference_sample(weights, seed, boxes, box_fraction):
+    """(sampled cells, full-box check, sub-box checks), box by box."""
+    sampled = generator(seed, "sample/cells").random(weights.shape) < weights
+    full = reference_box_check(
+        weights, sampled, tuple(np.arange(s) for s in weights.shape))
+    rng = generator(seed, "sample/boxes")
+    checks = []
+    for _ in range(boxes):
+        idx = tuple(
+            np.sort(rng.choice(s, size=max(1, math.ceil(box_fraction * s)),
+                               replace=False))
+            for s in weights.shape
+        )
+        checks.append(reference_box_check(weights, sampled, idx))
+    return sampled, full, tuple(checks)
+
+
+def same_witness(a, b):
+    if a is None or b is None:
+        return a is b
+    return (all(np.array_equal(x, y) for x, y in zip(a.subsets, b.subsets))
+            and (a.sub_density, a.base_density, a.deviation, a.exact)
+            == (b.sub_density, b.base_density, b.deviation, b.exact))
+
+
 def brute_quasirandom(adj, delta):
     """(cond1, violations, cond2, worst margin) by full enumeration."""
     adj = adj.astype(np.float64)
@@ -115,6 +161,14 @@ def shallow_threshold_build():
     # vertices get quasirandom certificates
     params = build_sequence(1e-18, 0.5, mode="toy", t=2, growth=2, s0=2, seed=7)
     return build_weighted(params, 8)
+
+
+@pytest.fixture(scope="module")
+def sampled_search_build():
+    # the quasirandom level graph is 48 x 48, past the exact subset
+    # search, so the witness search draws random subsets
+    params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4, seed=1)
+    return build_weighted(params, 48)
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +299,29 @@ class TestOrthogonalFamily:
         assert err.attempts == 3
         assert err.stats["agreement_violations"] > 0
         assert "3 attempts" in str(err)
+
+    def test_rejection_stats_match_brute(self):
+        with pytest.raises(FamilyRejectionError) as info:
+            orthogonal_family(8, 2000, seed=1, max_attempts=3)
+        # the statistics describe the last attempt, whose sides are coins
+        rng = generator(1, "orthogonal/8x2000/attempt2")
+        side = rng.random((8, 2000)) < 0.5
+        z = _agreement_counts(side)
+        off = z[~np.eye(2000, dtype=bool)]
+        assert info.value.stats == {
+            "m": 8,
+            "M": 2000,
+            "construction": "coins",
+            "item1_violations": _item1_violations(side),
+            "agreement_violations": int((off > 6).sum()) // 2,
+            "worst_agreement": int(off.max()),
+            "agreement_cap": 6.0,
+        }
+
+    def test_no_attempts_carry_no_stats(self):
+        with pytest.raises(FamilyRejectionError) as info:
+            orthogonal_family(8, 64, seed=0, max_attempts=0)
+        assert info.value.stats == {}
 
     def test_code_beyond_coin_regime(self):
         # fair coins break the cap ~5e3 times per attempt at (30, 2000);
@@ -463,6 +540,51 @@ class TestLinkCertificate:
         assert check.ok and not check.exact
         assert check.witness is None
         assert check.audit is not None
+
+    def test_quasirandom_checks_shared_per_level(self, sampled_search_build):
+        build = sampled_search_build
+        layer = build.layering.layer_indices(3)
+        checks = []
+        for c in layer:
+            cert = link_certificate(build, 2, int(c))
+            assert cert.kind == "quasirandom" and cert.level == 3
+            checks.append(verify_certificate(build, cert, delta=0.1))
+        assert checks[0].witness is not None
+        for check in checks[1:]:
+            assert check.audit is checks[0].audit
+            assert check.witness is checks[0].witness
+
+    @pytest.mark.parametrize("variant", [
+        {"draws": 50}, {"seed": 3}, {"delta": 0.2},
+    ])
+    def test_other_search_settings_not_served_cached_pair(self, variant):
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=1)
+        build = build_weighted(params, 48)
+        cert = link_certificate(build, 2, 40)
+        base = verify_certificate(build, cert, delta=0.1)
+        kwargs = {"delta": 0.1, **variant}
+        check = verify_certificate(build, cert, **kwargs)
+        fresh = verify_certificate(build_weighted(params, 48), cert, **kwargs)
+        assert check.audit == fresh.audit
+        assert same_witness(check.witness, fresh.witness)
+        assert check.ok == fresh.ok
+        # the variant's search finds another witness, so a stale pair shows
+        assert not same_witness(check.witness, base.witness)
+
+    @pytest.mark.parametrize("draws", [0, -5])
+    def test_sampled_search_needs_a_draw(self, sampled_search_build, draws):
+        build = sampled_search_build
+        cert = link_certificate(build, 2, 40)
+        with pytest.raises(ValueError, match="draws"):
+            verify_certificate(build, cert, draws=draws)
+        graph = build.layering.graphs[2]
+        with pytest.raises(ValueError, match="draws"):
+            bipartite_regularity_witness(graph, 0.5, draws=draws)
+        # an exact search draws nothing, so the count does not matter
+        small = graph.to_dense()[:20, :20]
+        assert same_witness(bipartite_regularity_witness(small, 0.5, draws=draws),
+                            bipartite_regularity_witness(small, 0.5))
 
     def test_ab_vertex_layer_constant(self, toy_build):
         w = toy_build.weighted.weights
@@ -701,6 +823,47 @@ class TestRefinementCascade:
 
 
 class TestSampleUnweighted:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_box_sums_equal_reference_on_dyadic_weights(self, seed):
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=seed)
+        weights = build_weighted(params, 48).weighted.weights
+        result = sample_unweighted(WeightedTripartite(weights), seed=seed)
+        sampled, full, boxes = reference_sample(weights, seed, 100, 0.5)
+        assert np.array_equal(result.graph.to_dense(), sampled)
+        assert result.report.full == full
+        assert result.report.boxes == boxes
+        assert result.report.n_within == sum(c.within for c in boxes)
+
+    @pytest.mark.parametrize("shape,fraction", [
+        ((17, 9, 12), 0.5), ((30, 31, 29), 0.3), ((5, 6, 7), 1.0),
+    ])
+    def test_box_sums_match_reference_on_random_weights(self, shape, fraction):
+        weights = np.random.default_rng(len(shape) + shape[0]).random(shape)
+        result = sample_unweighted(WeightedTripartite(weights), seed=4,
+                                   boxes=40, box_fraction=fraction)
+        sampled, full, boxes = reference_sample(weights, 4, 40, fraction)
+        assert np.array_equal(result.graph.to_dense(), sampled)
+        assert result.report.full == full
+        for got, ref in zip(result.report.boxes, boxes, strict=True):
+            assert got.within == ref.within
+            assert got.observed == ref.observed
+            assert got.expected == pytest.approx(ref.expected, rel=1e-12)
+            assert got.sigma == pytest.approx(ref.sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"boxes": -1}, {"box_fraction": 0.0}, {"box_fraction": -0.5},
+        {"box_fraction": 1.5}, {"box_fraction": float("nan")},
+    ])
+    def test_bad_box_settings_rejected(self, toy_build, kwargs):
+        with pytest.raises(ValueError):
+            sample_unweighted(toy_build.weighted, seed=0, **kwargs)
+
+    def test_no_boxes(self, toy_build):
+        rep = sample_unweighted(toy_build.weighted, seed=0, boxes=0).report
+        assert rep.boxes == ()
+        assert rep.n_within == 0 and rep.fraction_within == 1.0
+
     def test_degenerate_weights(self):
         from homopart import WeightedTripartite
         w = np.zeros((2, 2, 2))

@@ -500,6 +500,42 @@ def test_cli_vc_cap_below_one_is_usage_error(tmp_path, capsys, cap):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("draws", ["0", "-5", "x"])
+def test_cli_gowers_links_draws_below_one_is_usage_error(tmp_path, capsys, draws):
+    # n=48 puts the quasirandom level past the exact search, so a draw
+    # count of 0 would otherwise pass every certificate without a search
+    out = tmp_path / "out"
+    code = run_cli(["gowers", "links", "--toy", "--t", 3, "--s0", 4, "--n", 48,
+                    "--draws", draws, "--out", out])
+    assert code == 2
+    assert "--draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--boxes", "-1"), ("--boxes", "x"),
+    ("--fraction", "1.5"), ("--fraction", "0"), ("--fraction", "-0.5"),
+    ("--fraction", "nan"),
+])
+def test_cli_gowers_sample_bad_box_settings_are_usage_errors(tmp_path, capsys,
+                                                             flag, value):
+    out = tmp_path / "out"
+    code = run_cli(["gowers", "sample", "--toy", "--t", 2, "--n", 24,
+                    flag, value, "--out", out])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gowers_sample_edge_box_settings(tmp_path, capsys):
+    base = ["gowers", "sample", "--toy", "--t", 2, "--n", 24]
+    assert run_cli([*base, "--boxes", 0, "--out", tmp_path / "none"]) == 0
+    assert "within=0/0" in capsys.readouterr().out
+    assert run_cli([*base, "--fraction", 1, "--boxes", 3,
+                    "--out", tmp_path / "whole"]) == 0
+    assert "within=3/3" in capsys.readouterr().out
+
+
 def test_cli_infeasible_params(tmp_path, capsys):
     code = run_cli(["gowers", "build", "--toy", "--t", 3, "--n", 121,
                     "--out", tmp_path / "out"])
