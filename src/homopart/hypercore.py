@@ -262,14 +262,34 @@ class KPartiteHypergraph:
 
     @classmethod
     def from_edges(cls, part_sizes, edges):
-        tensor = np.zeros(tuple(part_sizes), dtype=bool)
-        for e in edges:
-            tensor[tuple(e)] = True
-        return cls.from_dense(tensor)
+        """Hypergraph with the given edges, set bit by bit in the packed
+        words. ``edges`` is an (E, k) integer array or any iterable of
+        k-tuples; an edge listed twice is set once."""
+        h = cls.empty(part_sizes)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.size == 0:
+            return h
+        if edges.ndim != 2 or edges.shape[1] != h.k:
+            raise ValueError(f"edges must form an (E, {h.k}) array, got {edges.shape}")
+        if np.any((edges < 0) | (edges >= np.asarray(h.part_sizes))):
+            raise ValueError("edge vertex out of range for its part")
+        words = h.words.copy()
+        fibers = np.ravel_multi_index(tuple(edges[:, :-1].T), h.part_sizes[:-1])
+        last = edges[:, -1]
+        np.bitwise_or.at(
+            words.reshape(-1),
+            fibers * words.shape[-1] + last // bitops.WORD_BITS,
+            np.uint64(1) << (last % bitops.WORD_BITS).astype(np.uint64),
+        )
+        return cls(h.part_sizes, words)
 
     @classmethod
     def empty(cls, part_sizes):
-        return cls.from_dense(np.zeros(tuple(part_sizes), dtype=bool))
+        sizes = tuple(int(s) for s in part_sizes)
+        return cls(sizes, np.zeros(sizes[:-1] + (bitops.n_words(sizes[-1]),),
+                                   dtype=np.uint64))
 
     @classmethod
     def complete(cls, part_sizes):

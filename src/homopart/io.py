@@ -26,6 +26,25 @@ Formats:
   followed by the labels, where ``<pins>`` is ``-`` or
   comma-joined ``part:vertex`` pairs.
 
+Canonical form. The ``.khg``, ``.w3g`` and ``.audit`` writers emit one
+byte string per object: the header line (for ``.audit`` also the
+``#normalized`` and ``#weighted`` lines), then one row per line with
+its fields joined by single spaces, and at most a trailing
+``# manifest`` line. Integers are plain decimal, floats are Python's
+``repr`` (the shortest text that reads back to the same float64), and
+verdicts are ``pass`` or ``fail``. Edges and cells come in row-major
+order, each once.
+
+Fast path and fallback. The readers of those three formats parse the
+rows of a file with one ``np.loadtxt`` call and range-check them with
+array masks. They use the result only if formatting the parsed arrays
+reproduces the file's header and rows byte for byte and no edge or
+cell repeats. Every other file, such as one with comments between
+rows, CRLF line ends, extra spaces, ``+1`` or ``1_0``, or any malformed
+input, goes to the per-line parser. That parser accepts every lenient
+but valid file and raises every FormatError, so both paths give the
+same object for every file.
+
 Parse errors raise FormatError carrying the byte offset of the
 offending line. Writes go through a temp file and an atomic rename.
 """
@@ -34,6 +53,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -43,10 +63,9 @@ from .hypercore import KPartiteHypergraph, WeightedTripartite
 from .partitions import LayeredPartition, PartPartition
 
 
-def _atomic_write(path, text: str, digest=None):
+def _atomic_write(path, data: bytes, digest=None):
     if digest is not None:
-        text += f"# manifest {digest}\n"
-    data = text.encode("ascii")
+        data += f"# manifest {digest}\n".encode("ascii")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-io-")
     try:
@@ -61,18 +80,21 @@ def _atomic_write(path, text: str, digest=None):
 
 def write_text(path, text: str, *, digest=None):
     """Write a plain text artifact, optionally stamped with a digest."""
-    _atomic_write(path, text, digest)
+    _atomic_write(path, text.encode("ascii"), digest)
 
 
-def _content_lines(path):
-    """(byte offset, text) per non-blank line, comments included;
-    ``_data_lines`` drops the comments."""
+def _read_ascii(path) -> bytes:
     with open(path, "rb") as handle:
         raw = handle.read()
-    try:
-        raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(exc.start, "non-ASCII byte") from None
+    if not raw.isascii():
+        offset = int(np.argmax(np.frombuffer(raw, dtype=np.uint8) >= 0x80))
+        raise FormatError(offset, "non-ASCII byte")
+    return raw
+
+
+def _content_lines(raw: bytes):
+    """(byte offset, text) per non-blank line, comments included;
+    ``_data_lines`` drops the comments."""
     lines = []
     offset = 0
     for chunk in raw.split(b"\n"):
@@ -83,13 +105,13 @@ def _content_lines(path):
     return lines
 
 
-def _data_lines(path):
-    return [(o, t) for o, t in _content_lines(path) if not t.startswith("#")]
+def _data_lines(raw: bytes):
+    return [(o, t) for o, t in _content_lines(raw) if not t.startswith("#")]
 
 
 def read_digest(path):
     """The embedded manifest digest, or None."""
-    for _, text in _content_lines(path):
+    for _, text in _content_lines(_read_ascii(path)):
         if text.startswith("# manifest "):
             return text.split()[2]
     return None
@@ -113,16 +135,161 @@ def _comment_value(offset, text, parse):
         raise FormatError(offset, f"bad {tokens[0]} line") from None
 
 
+# --- canonical rows: one column-table formatter, one array parser ---------
+
+_VERDICTS = np.array([b"fail", b"pass"])
+
+
+def _tokens(values: np.ndarray):
+    """(table, index): the text of each distinct value once, as a bytes
+    array, and each value's position in it.
+
+    Booleans are verdicts. Integers take a ``str`` table over their
+    range, or over their distinct values when the range is wider than
+    the column. Floats take ``repr`` of each distinct float64 bit
+    pattern, so -0.0 and 0.0 (and NaN payloads) never merge.
+    """
+    if values.dtype == bool:
+        return _VERDICTS, values.astype(np.intp)
+    if values.dtype.kind == "f":
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+        keys, index = np.unique(bits, return_inverse=True)
+        text = list(map(repr, keys.view(np.float64).tolist()))
+        return np.array(text, dtype=bytes), index
+    values = values.astype(np.int64, copy=False)
+    lo, hi = int(values.min()), int(values.max())
+    # the longest decimal in [lo, hi] is at an end; numpy's default
+    # width for int64 is 21 bytes
+    text = f"S{max(len(str(lo)), len(str(hi)))}"
+    if hi - lo < values.size:
+        return np.arange(lo, hi + 1).astype(text), values - lo
+    keys, index = np.unique(values, return_inverse=True)
+    return keys.astype(text), index
+
+
+def _rows_text(columns) -> bytes:
+    """One LF-terminated line per row, fields joined by single spaces:
+    integers in decimal, floats by ``repr``, booleans as pass/fail.
+
+    Each column's tokens are gathered from its table into a NUL-padded
+    byte grid, and the padding is dropped; no step loops over rows.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if n == 0:
+        return b""
+    tables = [_tokens(c) for c in columns]
+    widths = [table.itemsize for table, _ in tables]
+    grid = np.zeros((n, sum(widths) + len(widths)), dtype=np.uint8)
+    at = 0
+    for (table, index), width in zip(tables, widths):
+        grid[:, at:at + width] = table[index].view(np.uint8).reshape(n, width)
+        grid[:, at + width] = ord(" ")
+        at += width + 1
+    grid[:, -1] = ord("\n")
+    return grid[grid != 0].tobytes()
+
+
+def _canonical_split(raw: bytes, n_head: int):
+    """(header text, row bytes) of a file laid out as the writers lay it
+    out: ``n_head`` header lines, the rows, and at most a trailing
+    ``# manifest`` line. None for any other layout."""
+    at = 0
+    for _ in range(n_head):
+        at = raw.find(b"\n", at) + 1
+        if at == 0:
+            return None
+    body = raw[at:]
+    last = body.rfind(b"\n", 0, -1) + 1
+    if body.startswith(b"# manifest ", last):
+        body = body[:last]
+    if body and not body.endswith(b"\n"):
+        return None
+    return raw[:at].decode("ascii"), body
+
+
+def _header_ints(text: str, keyword: str):
+    """The integers of a canonical header ``keyword v_1 ... v_m``, or
+    None if ``text`` is anything else."""
+    tokens = text.rstrip("\n").split(" ")
+    try:
+        values = [int(t) for t in tokens[1:]]
+    except ValueError:
+        return None
+    if _sizes_header(keyword, values) != text:
+        return None
+    return values
+
+
+def _sizes_header(keyword: str, values) -> str:
+    return " ".join([keyword, *map(str, values)]) + "\n"
+
+
+def _load_rows(body: bytes, dtype):
+    """The rows of a body parsed by one ``np.loadtxt`` call into a
+    structured array, or None if they do not parse."""
+    if not body:
+        return np.zeros(0, dtype=dtype)
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines parses as no rows, with a warning;
+            # the caller's byte comparison rejects it
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(body.decode("ascii").splitlines(), dtype=dtype,
+                              delimiter=" ", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _in_range(rows: np.ndarray, sizes) -> bool:
+    return bool(np.all((rows >= 0) & (rows < np.asarray(sizes))))
+
+
+def _has_repeats(rows: np.ndarray, sizes) -> bool:
+    if len(rows) < 2:
+        return False
+    keys = np.ravel_multi_index(tuple(rows.T), tuple(sizes))
+    return not (np.all(keys[1:] > keys[:-1]) or np.unique(keys).size == keys.size)
+
+
+# --- .khg -----------------------------------------------------------------
+
+
 def write_khg(path, h: KPartiteHypergraph, *, digest=None):
-    sizes = " ".join(str(s) for s in h.part_sizes)
-    rows = [f"khg {h.k} {sizes}"]
-    for edge in np.argwhere(h.to_dense()):
-        rows.append(" ".join(str(v) for v in edge))
-    _atomic_write(path, "\n".join(rows) + "\n", digest)
+    edges = np.argwhere(h.to_dense())
+    text = _sizes_header("khg", (h.k, *h.part_sizes)).encode("ascii")
+    _atomic_write(path, text + _rows_text(list(edges.T)), digest)
 
 
 def read_khg(path) -> KPartiteHypergraph:
-    lines = _data_lines(path)
+    raw = _read_ascii(path)
+    h = _khg_fast(raw)
+    return _khg_by_line(raw) if h is None else h
+
+
+def _khg_fast(raw: bytes):
+    split = _canonical_split(raw, 1)
+    if split is None:
+        return None
+    header, body = split
+    values = _header_ints(header, "khg")
+    if values is None or len(values) < 3 or values[0] != len(values) - 1:
+        return None
+    sizes = tuple(values[1:])
+    if min(sizes) < 1:
+        return None
+    rows = _load_rows(body, [("edge", np.int64, (len(sizes),))])
+    if rows is None:
+        return None
+    edges = rows["edge"]
+    if (not _in_range(edges, sizes) or _has_repeats(edges, sizes)
+            or _rows_text(list(edges.T)) != body):
+        return None
+    return KPartiteHypergraph.from_edges(sizes, edges)
+
+
+def _khg_by_line(raw: bytes) -> KPartiteHypergraph:
+    lines = _data_lines(raw)
     if not lines:
         raise FormatError(0, "empty file, expected a khg header")
     offset, header = lines[0]
@@ -131,26 +298,65 @@ def read_khg(path) -> KPartiteHypergraph:
         raise FormatError(offset, "expected header 'khg k n_1 ... n_k'")
     k = _ints(offset, tokens[1:2])[0]
     sizes = _ints(offset, tokens[2:], count=k)
-    tensor = np.zeros(tuple(sizes), dtype=bool)
+    if k < 2:
+        raise FormatError(offset, "need at least two parts")
+    if min(sizes) < 1:
+        raise FormatError(offset, f"part sizes must be positive: {tuple(sizes)}")
+    edges = []
+    seen = set()
     for offset, text in lines[1:]:
         edge = _ints(offset, text.split(), count=k)
         for i, v in enumerate(edge):
             if not 0 <= v < sizes[i]:
                 raise FormatError(offset, f"vertex {v} out of range for part {i}")
-        tensor[tuple(edge)] = True
-    return KPartiteHypergraph.from_dense(tensor)
+        key = tuple(edge)
+        if key in seen:
+            raise FormatError(offset, f"duplicate edge {key}")
+        seen.add(key)
+        edges.append(edge)
+    return KPartiteHypergraph.from_edges(sizes, edges)
+
+
+# --- .w3g -----------------------------------------------------------------
 
 
 def write_w3g(path, weighted: WeightedTripartite, *, digest=None):
-    shape = weighted.weights.shape
-    rows = [f"w3g {shape[0]} {shape[1]} {shape[2]}"]
-    for a, b, c in np.argwhere(weighted.weights != 0.0):
-        rows.append(f"{a} {b} {c} {float(weighted.weights[a, b, c])!r}")
-    _atomic_write(path, "\n".join(rows) + "\n", digest)
+    weights = weighted.weights
+    nonzero = weights != 0.0
+    text = _sizes_header("w3g", weights.shape).encode("ascii")
+    rows = _rows_text([*np.argwhere(nonzero).T, weights[nonzero]])
+    _atomic_write(path, text + rows, digest)
 
 
 def read_w3g(path) -> WeightedTripartite:
-    lines = _data_lines(path)
+    raw = _read_ascii(path)
+    weighted = _w3g_fast(raw)
+    return _w3g_by_line(raw) if weighted is None else weighted
+
+
+def _w3g_fast(raw: bytes):
+    split = _canonical_split(raw, 1)
+    if split is None:
+        return None
+    header, body = split
+    sizes = _header_ints(header, "w3g")
+    if sizes is None or len(sizes) != 3 or min(sizes) < 0:
+        return None
+    rows = _load_rows(body, [("cell", np.int64, (3,)), ("weight", np.float64)])
+    if rows is None:
+        return None
+    cells, w = rows["cell"], rows["weight"]
+    if (not _in_range(cells, sizes) or not np.all((w >= 0.0) & (w <= 1.0))
+            or _has_repeats(cells, sizes)
+            or _rows_text([*cells.T, w]) != body):
+        return None
+    weights = np.zeros(tuple(sizes))
+    weights[tuple(cells.T)] = w
+    return WeightedTripartite(weights)
+
+
+def _w3g_by_line(raw: bytes) -> WeightedTripartite:
+    lines = _data_lines(raw)
     if not lines:
         raise FormatError(0, "empty file, expected a w3g header")
     offset, header = lines[0]
@@ -158,7 +364,10 @@ def read_w3g(path) -> WeightedTripartite:
     if tokens[0] != "w3g":
         raise FormatError(offset, "expected header 'w3g nA nB nC'")
     sizes = _ints(offset, tokens[1:], count=3)
+    if min(sizes) < 0:
+        raise FormatError(offset, f"part sizes must be nonnegative: {tuple(sizes)}")
     weights = np.zeros(tuple(sizes))
+    seen = set()
     for offset, text in lines[1:]:
         tokens = text.split()
         if len(tokens) != 4:
@@ -173,8 +382,15 @@ def read_w3g(path) -> WeightedTripartite:
             raise FormatError(offset, f"bad weight {tokens[3]!r}") from None
         if not 0.0 <= w <= 1.0:
             raise FormatError(offset, f"weight {w} outside [0, 1]")
-        weights[tuple(cell)] = w
+        key = tuple(cell)
+        if key in seen:
+            raise FormatError(offset, f"duplicate cell {key}")
+        seen.add(key)
+        weights[key] = w
     return WeightedTripartite(weights)
+
+
+# --- .part ----------------------------------------------------------------
 
 
 def _meta_line(i: int, p: PartPartition) -> str:
@@ -204,11 +420,11 @@ def write_part(path, layered: LayeredPartition, *, digest=None):
     for i, p in enumerate(layered):
         rows.append(_meta_line(i, p))
         rows.append(" ".join(str(v) for v in p.labels))
-    _atomic_write(path, "\n".join(rows) + "\n", digest)
+    write_text(path, "\n".join(rows) + "\n", digest=digest)
 
 
 def read_part(path) -> LayeredPartition:
-    lines = _content_lines(path)
+    lines = _content_lines(_read_ascii(path))
     data = [(o, t) for o, t in lines if not t.startswith("#")]
     if not data:
         raise FormatError(0, "empty file, expected a part header")
@@ -217,6 +433,8 @@ def read_part(path) -> LayeredPartition:
     if tokens[0] != "part" or len(tokens) != 2:
         raise FormatError(offset, "expected header 'part k'")
     k = _ints(offset, tokens[1:])[0]
+    if k < 1:
+        raise FormatError(offset, "need at least one part")
     if len(data) - 1 != k:
         raise FormatError(offset, f"expected {k} label lines, found {len(data) - 1}")
 
@@ -237,6 +455,8 @@ def read_part(path) -> LayeredPartition:
         if any(v < 0 for v in labels):
             raise FormatError(offset, "labels must be nonnegative")
         meta = meta_by_offset.get(offset)
+        if meta is not None and meta["part"] not in (None, i):
+            raise FormatError(offset, f"label line {i} is marked part {meta['part']}")
         try:
             if meta is None:
                 parts.append(PartPartition(labels, part=i))
@@ -253,22 +473,68 @@ def read_part(path) -> LayeredPartition:
     return LayeredPartition(parts)
 
 
+# --- .audit ---------------------------------------------------------------
+
+
+def _audit_header(eps, passed, mass, normalized_mass, weighted) -> str:
+    verdict = "pass" if passed else "fail"
+    return (f"audit block {float(eps)!r} {verdict} {mass}\n"
+            f"#normalized {float(normalized_mass)!r}\n"
+            f"#weighted {int(weighted)}\n")
+
+
+def _audit_columns(labels, densities, ok) -> list:
+    return [*np.asarray(labels, dtype=np.int64).T,
+            np.asarray(densities, dtype=np.float64), np.asarray(ok, dtype=bool)]
+
+
 def write_audit(path, report: HomogeneityReport, *, digest=None):
-    verdict = "pass" if report.passed else "fail"
-    rows = [
-        f"audit block {float(report.eps)!r} {verdict} {report.mass}",
-        f"#normalized {float(report.normalized_mass)!r}",
-        f"#weighted {int(report.weighted)}",
-    ]
-    for labels, density, ok in report.rows:
-        tuple_verdict = "pass" if ok else "fail"
-        labels_text = " ".join(str(int(v)) for v in labels)
-        rows.append(f"{labels_text} {float(density)!r} {tuple_verdict}")
-    _atomic_write(path, "\n".join(rows) + "\n", digest)
+    text = _audit_header(report.eps, report.passed, report.mass,
+                         report.normalized_mass, report.weighted)
+    rows = _rows_text(_audit_columns(report.labels, report.densities, report.ok))
+    _atomic_write(path, text.encode("ascii") + rows, digest)
 
 
 def read_audit(path) -> HomogeneityReport:
-    lines = _content_lines(path)
+    raw = _read_ascii(path)
+    report = _audit_fast(raw)
+    return _audit_by_line(raw) if report is None else report
+
+
+def _audit_fast(raw: bytes):
+    split = _canonical_split(raw, 3)
+    if split is None:
+        return None
+    header, body = split
+    try:
+        first, second, third = header.splitlines()
+        _, _, eps, verdict, mass = first.split(" ")
+        _, normalized = second.split(" ")
+        _, weighted = third.split(" ")
+        scalars = {"eps": float(eps), "passed": verdict == "pass",
+                   "mass": int(mass), "normalized_mass": float(normalized),
+                   "weighted": bool(int(weighted))}
+    except ValueError:
+        return None
+    if _audit_header(**scalars) != header:
+        return None
+    width = body[:body.find(b"\n")].count(b" ") - 1
+    if body and width < 1:
+        return None
+    rows = _load_rows(body, [("labels", np.int64, (max(width, 0),)),
+                             ("density", np.float64), ("verdict", "S4")])
+    if rows is None:
+        return None
+    labels = np.ascontiguousarray(rows["labels"])
+    densities = np.ascontiguousarray(rows["density"])
+    ok = rows["verdict"] == b"pass"
+    if _rows_text(_audit_columns(labels, densities, ok)) != body:
+        return None
+    return HomogeneityReport(**scalars, labels=labels, densities=densities, ok=ok)
+
+
+def _audit_by_line(raw: bytes) -> HomogeneityReport:
+    lines = _content_lines(raw)
     data = [(o, t) for o, t in lines if not t.startswith("#")]
     if not data:
         raise FormatError(0, "empty file, expected an audit header")
@@ -322,6 +588,9 @@ def read_audit(path) -> HomogeneityReport:
     )
 
 
+# --- .links ---------------------------------------------------------------
+
+
 def _pins_token(pins) -> str:
     if not pins:
         return "-"
@@ -351,12 +620,12 @@ def write_links(path, table: dict, r: int, *, digest=None):
             f"{_pins_token(pins)} {side} {p.n_blocks} "
             f"{int(p.has_exceptional)} {int(p.equitable)} {part} {labels}"
         )
-    _atomic_write(path, "\n".join(rows) + "\n", digest)
+    write_text(path, "\n".join(rows) + "\n", digest=digest)
 
 
 def read_links(path) -> tuple:
     """(table, r) suitable for FileOracle."""
-    lines = _data_lines(path)
+    lines = _data_lines(_read_ascii(path))
     if not lines:
         raise FormatError(0, "empty file, expected a links header")
     offset, header = lines[0]

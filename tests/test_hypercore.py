@@ -72,6 +72,25 @@ def test_density_complete_cube():
     assert density(h, full) == 1.0
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 130), (2, 3, 2, 65)])
+def test_from_edges_matches_dense(shape):
+    tensor = random_tensor(shape, 0.4, seed=3, label="test/from_edges")
+    edges = np.argwhere(tensor)
+    expected = KPartiteHypergraph.from_dense(tensor)
+    assert KPartiteHypergraph.from_edges(shape, edges) == expected
+    assert KPartiteHypergraph.from_edges(shape, map(tuple, edges.tolist())) == expected
+    # a repeated edge is set once, in any order
+    assert KPartiteHypergraph.from_edges(shape, np.concatenate([edges, edges[::-1]])) == expected
+    assert KPartiteHypergraph.from_edges(shape, []) == KPartiteHypergraph.empty(shape)
+
+
+@pytest.mark.parametrize("edges", [[(0, 0)], [(0, 0, 0, 0)], [(0, 0, 3)],
+                                   [(-1, 0, 0)], [0, 0, 0]])
+def test_from_edges_rejects_bad_edges(edges):
+    with pytest.raises(ValueError):
+        KPartiteHypergraph.from_edges((2, 2, 3), edges)
+
+
 def test_density_single_edge():
     h = KPartiteHypergraph.from_edges((2, 2, 2), [(0, 1, 0)])
     full = [VertexSet.full(2, part=i) for i in range(3)]

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from homopart import (
+    HomogeneityReport,
     InstanceSpec,
     KPartiteHypergraph,
     LayeredPartition,
     PartPartition,
     RunManifest,
     WeightedTripartite,
+    build_sequence,
+    build_weighted,
     file_digest,
     generate,
     homogeneity_audit,
@@ -267,6 +270,299 @@ def test_part_count_mismatch(tmp_path):
         hio.read_part(path)
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("g.khg", b"# c\nkhg 1 5\n0\n", "need at least two parts"),
+    ("g.khg", b"# c\nkhg 3 0 4 4\n", "part sizes must be positive"),
+    ("g.khg", b"# c\nkhg 0\n", "need at least two parts"),
+    ("g.w3g", b"# c\nw3g 2 -1 2\n", "part sizes must be nonnegative"),
+    ("p.part", b"# c\npart 0\n", "need at least one part"),
+])
+def test_bad_header_sizes_offset(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_bytes(text)
+    read = {"khg": hio.read_khg, "w3g": hio.read_w3g, "part": hio.read_part}
+    with pytest.raises(FormatError, match=message) as err:
+        read[name.split(".")[1]](path)
+    assert err.value.offset == 4
+
+
+def test_part_meta_for_another_part_offset(tmp_path):
+    path = tmp_path / "p.part"
+    path.write_bytes(b"part 2\n0 1\n#meta 1 part=0 exceptional=0 equitable=0 nblocks=2\n0 1\n")
+    with pytest.raises(FormatError, match="marked part 0") as err:
+        hio.read_part(path)
+    assert err.value.offset == 62
+
+
+@pytest.mark.parametrize("name, text, offset, message", [
+    ("g.khg", b"khg 2 3 3\n0 1\n2 2\n0 1\n", 18, "duplicate edge (0, 1)"),
+    ("g.w3g", b"w3g 2 2 2\n0 0 0 0.5\n0 0 0 0.25\n", 20, "duplicate cell (0, 0, 0)"),
+])
+def test_duplicate_rows_rejected(tmp_path, name, text, offset, message):
+    path = tmp_path / name
+    path.write_bytes(text)
+    read = hio.read_khg if name.endswith(".khg") else hio.read_w3g
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert err.value.offset == offset
+    assert str(err.value) == f"byte {offset}: {message}"
+
+
+# --- canonical writers against the per-line reference writers -------------
+#
+# The writers format whole columns through token tables. These per-line
+# writers are the ones they replaced, kept as the byte-for-byte reference.
+
+
+def reference_khg(h):
+    sizes = " ".join(str(s) for s in h.part_sizes)
+    rows = [f"khg {h.k} {sizes}"]
+    for edge in np.argwhere(h.to_dense()):
+        rows.append(" ".join(str(v) for v in edge))
+    return "\n".join(rows) + "\n"
+
+
+def reference_w3g(weighted):
+    shape = weighted.weights.shape
+    rows = [f"w3g {shape[0]} {shape[1]} {shape[2]}"]
+    for a, b, c in np.argwhere(weighted.weights != 0.0):
+        rows.append(f"{a} {b} {c} {float(weighted.weights[a, b, c])!r}")
+    return "\n".join(rows) + "\n"
+
+
+def reference_audit(report):
+    verdict = "pass" if report.passed else "fail"
+    rows = [
+        f"audit block {float(report.eps)!r} {verdict} {report.mass}",
+        f"#normalized {float(report.normalized_mass)!r}",
+        f"#weighted {int(report.weighted)}",
+    ]
+    for labels, density, ok in report.rows:
+        tuple_verdict = "pass" if ok else "fail"
+        labels_text = " ".join(str(int(v)) for v in labels)
+        rows.append(f"{labels_text} {float(density)!r} {tuple_verdict}")
+    return "\n".join(rows) + "\n"
+
+
+def singleton_audit(weights, eps=0.2):
+    layered = LayeredPartition([
+        PartPartition.singletons(n, part=i) for i, n in enumerate(weights.shape)
+    ])
+    return homogeneity_audit(WeightedTripartite(weights), layered, eps)
+
+
+def gowers_weights(n=24, t=3):
+    params = build_sequence(1e-6, 0.5, mode="toy", t=t, growth=2, s0=4, seed=1)
+    return build_weighted(params, n).weighted.weights
+
+
+def uniform_weights(shape, seed, zeros=0.3):
+    rng = np.random.default_rng(seed)
+    w = rng.random(shape)
+    w[rng.random(shape) < zeros] = 0.0
+    w[0, 0, :3] = (1.0, 1e-7, 5e-324)  # scientific notation and a subnormal
+    return w
+
+
+def empty_audit():
+    return HomogeneityReport(
+        eps=0.2, passed=True, mass=0, normalized_mass=0.0, weighted=False,
+        labels=np.zeros((0, 0), dtype=np.int64),
+        densities=np.zeros(0), ok=np.zeros(0, dtype=bool))
+
+
+def khg_cases():
+    return [
+        random_hypergraph((5, 7, 4), seed=0),
+        random_hypergraph((9, 6), seed=1),
+        random_hypergraph((3, 4, 2, 70), seed=2),
+        random_hypergraph((12, 11, 130), seed=3),
+        KPartiteHypergraph.empty((3, 3, 3)),
+        KPartiteHypergraph.complete((2, 3, 4)),
+    ]
+
+
+def w3g_cases():
+    return [
+        WeightedTripartite(gowers_weights()),
+        WeightedTripartite(uniform_weights((6, 5, 7), seed=3)),
+        WeightedTripartite(np.zeros((3, 2, 4))),
+        WeightedTripartite(np.zeros((0, 2, 4))),
+    ]
+
+
+def audit_cases():
+    planted = generate(InstanceSpec(
+        k=3, n=(8, 8, 8), family="planted-boxes", r=2, eps_prime=0.1, seed=4,
+    ))
+    flat = LayeredPartition([
+        PartPartition(np.zeros(6, dtype=int), part=i) for i in range(3)
+    ])
+    return [
+        homogeneity_audit(planted.h, LayeredPartition(
+            [planted.side_partitions[i] for i in range(3)]), 0.2),
+        homogeneity_audit(random_hypergraph((6, 6, 6), seed=5), flat, 0.2),
+        homogeneity_audit(random_hypergraph((13, 11, 12), seed=6),
+                          LayeredPartition([PartPartition.singletons(n, part=i)
+                                            for i, n in enumerate((13, 11, 12))]),
+                          0.2),
+        singleton_audit(gowers_weights()),
+        singleton_audit(uniform_weights((6, 5, 7), seed=7), eps=1e-3),
+        empty_audit(),
+        # labels spread wider than the rows, and negative, as a read file may hold
+        dataclasses.replace(
+            empty_audit(), labels=np.array([[0, 7], [10**12, -3], [5, 7]]),
+            densities=np.array([0.5, 1.0, 0.25]), ok=np.array([False, True, False])),
+    ]
+
+
+@pytest.mark.parametrize("digest", [None, "0123abcd"])
+def test_writers_match_per_line_references(tmp_path, digest):
+    stamp = "" if digest is None else f"# manifest {digest}\n"
+    path = tmp_path / "f"
+    for h in khg_cases():
+        hio.write_khg(path, h, digest=digest)
+        assert path.read_bytes() == (reference_khg(h) + stamp).encode()
+        assert hio._khg_fast(path.read_bytes()) == h
+    for weighted in w3g_cases():
+        hio.write_w3g(path, weighted, digest=digest)
+        assert path.read_bytes() == (reference_w3g(weighted) + stamp).encode()
+        back = hio._w3g_fast(path.read_bytes())
+        assert back.weights.tobytes() == weighted.weights.tobytes()
+    for report in audit_cases():
+        hio.write_audit(path, report, digest=digest)
+        assert path.read_bytes() == (reference_audit(report) + stamp).encode()
+        assert hio._audit_fast(path.read_bytes()) == report
+
+
+def test_audit_writer_keeps_signed_zero_and_nan(tmp_path):
+    report = dataclasses.replace(
+        empty_audit(), labels=np.array([[0], [1], [2], [3]]),
+        densities=np.array([0.0, -0.0, np.nan, -np.nan]),
+        ok=np.array([True, False, True, False]))
+    path = tmp_path / "r.audit"
+    hio.write_audit(path, report)
+    assert path.read_bytes() == reference_audit(report).encode()
+    assert path.read_bytes().endswith(b"0 0.0 pass\n1 -0.0 fail\n2 nan pass\n3 nan fail\n")
+
+
+# --- the fast readers against the per-line parser --------------------------
+
+
+def outcome(read, arg):
+    """What a reader gives: ("ok", a comparable form of the object) or
+    ("error", offset, message)."""
+    try:
+        obj = read(arg)
+    except FormatError as exc:
+        return ("error", exc.offset, str(exc))
+    if isinstance(obj, KPartiteHypergraph):
+        return ("ok", obj.part_sizes, obj.words.tobytes())
+    if isinstance(obj, WeightedTripartite):
+        return ("ok", obj.weights.shape, obj.weights.tobytes())
+    return ("ok", obj._scalars(), obj.labels.shape, obj.labels.dtype,
+            obj.labels.tobytes(), obj.densities.tobytes(), obj.ok.tobytes())
+
+
+def mutations(text, n_head, seed, out_of_range):
+    """(name, text) pairs derived from a written file with a manifest
+    stamp: lenient but valid spellings, malformed rows and headers.
+    ``out_of_range(tokens, rng)`` returns a row with a value outside the
+    format's domain."""
+    rng = np.random.default_rng(seed)
+    lines = text.split("\n")
+    head, rows, stamp = lines[:n_head], lines[n_head:-2], lines[-2:]
+
+    def put(new_rows, tail=stamp):
+        return "\n".join(head + new_rows + tail)
+
+    i = int(rng.integers(len(rows)))
+    row = rows[i]
+    tokens = row.split(" ")
+    k = int(rng.integers(sum(t.isdigit() for t in tokens)))  # an integer field
+    f = next((p for p, t in enumerate(tokens)
+              if not t.isdigit() and t not in ("pass", "fail")), k)
+
+    def with_token(index, token):
+        new = tokens[:index] + [token] + tokens[index + 1:]
+        return put(rows[:i] + [" ".join(new)] + rows[i + 1:])
+
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "comment between rows", put(rows[:i] + ["# note"] + rows[i:])
+    yield "blank line", put(rows[:i] + [""] + rows[i:])
+    yield "blank lines only", put([""] * 2)
+    yield "double space", put(rows[:i] + [row.replace(" ", "  ", 1)] + rows[i + 1:])
+    yield "trailing space", put(rows[:i] + [row + " "] + rows[i + 1:])
+    yield "tab", put(rows[:i] + [row.replace(" ", "\t", 1)] + rows[i + 1:])
+    yield "plus sign", with_token(k, "+" + tokens[k])
+    yield "underscore", with_token(k, "0_" + tokens[k])
+    yield "leading zero", with_token(k, "0" + tokens[k])
+    yield "missing final newline", put(rows, tail=[])
+    yield "duplicated row", put(rows[:i + 1] + [row] + rows[i + 1:])
+    yield "truncated row", put(rows[:i] + [" ".join(tokens[:-1])] + rows[i + 1:])
+    yield "extra field", put(rows[:i] + [row + " 0"] + rows[i + 1:])
+    yield "bad integer", with_token(k, "x")
+    yield "out of range", put(rows[:i] + [out_of_range(tokens, rng)] + rows[i + 1:])
+    for bad in ("0.5.5", "1e400", "nan", "-0.0", ".5", "1_0.5", "inf"):
+        yield f"float {bad}", with_token(f, bad)
+    yield "bad header", put(rows).replace(head[0], head[0] + "x", 1)
+    yield "header comment", "# preamble\n" + text
+
+
+def khg_out_of_range(sizes):
+    def bad(tokens, rng):
+        part = int(rng.integers(len(tokens)))
+        return " ".join(str(sizes[part]) if p == part else t
+                        for p, t in enumerate(tokens))
+    return bad
+
+
+def w3g_out_of_range(sizes):
+    def bad(tokens, rng):
+        if rng.random() < 0.5:
+            return " ".join(tokens[:3] + ["1.5"])
+        return khg_out_of_range(sizes)(tokens[:3], rng) + " " + tokens[3]
+    return bad
+
+
+def audit_out_of_range(tokens, rng):
+    return " ".join(["-1"] + tokens[1:-1] + [str(rng.choice(["maybe", "PASS"]))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_readers_match_per_line_parser(tmp_path, seed):
+    path = tmp_path / "f"
+    cases = []
+    for shape in ((5, 7, 4), (9, 6), (3, 4, 2, 7), (3, 2, 130)):
+        h = random_hypergraph(shape, seed=seed)
+        hio.write_khg(path, h, digest="d1")
+        cases.append((path.read_text(), 1, khg_out_of_range(h.part_sizes),
+                      hio.read_khg, hio._khg_fast, hio._khg_by_line))
+    for weights in (gowers_weights(8, t=2), uniform_weights((6, 5, 7), seed)):
+        hio.write_w3g(path, WeightedTripartite(weights), digest="d2")
+        cases.append((path.read_text(), 1, w3g_out_of_range(weights.shape),
+                      hio.read_w3g, hio._w3g_fast, hio._w3g_by_line))
+    for report in (*audit_cases()[:2], singleton_audit(gowers_weights(8, t=2)),
+                   singleton_audit(uniform_weights((6, 5, 7), seed), eps=1e-3)):
+        hio.write_audit(path, report, digest="d3")
+        cases.append((path.read_text(), 3, audit_out_of_range,
+                      hio.read_audit, hio._audit_fast, hio._audit_by_line))
+    for text, n_head, bad, read, fast, by_line in cases:
+        raw = text.encode()
+        assert fast(raw) is not None
+        path.write_bytes(raw)
+        assert outcome(read, path) == outcome(by_line, raw)
+        for name, mutated in mutations(text, n_head, seed, bad):
+            raw = mutated.encode()
+            path.write_bytes(raw)
+            assert outcome(read, path) == outcome(by_line, raw), name
+            # only a value with a canonical spelling ("-0.0", "inf",
+            # "nan"), or a repeated audit row, which is not an error,
+            # may keep the file in canonical form
+            assert (fast(raw) is None or name.startswith("float")
+                    or (read is hio.read_audit and name == "duplicated row")), name
+
+
 # --- manifests ------------------------------------------------------------
 
 
@@ -462,6 +758,24 @@ def test_cli_malformed_file_offset(tmp_path, capsys):
                     "--out", tmp_path / "out"])
     assert code == 2
     assert "byte 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, part, offset", [
+    (b"khg 1 5\n0\n", b"part 1\n0 0 0 0 0\n", 0),
+    (b"khg 3 0 4 4\n", b"part 3\n0\n0 0 0 0\n0 0 0 0\n", 0),
+    (b"khg 3 1 1 1\n0 0 0\n", b"# c\npart 0\n", 4),
+    (b"khg 3 1 1 1\n0 0 0\n0 0 0\n", b"part 3\n0\n0\n0\n", 18),
+    (b"w3g 1 1 1\n0 0 0 0.5\n0 0 0 0.25\n", b"part 3\n0\n0\n0\n", 20),
+])
+def test_cli_audit_bad_input_exits_two(tmp_path, capsys, graph, part, offset):
+    suffix = ".w3g" if graph.startswith(b"w3g") else ".khg"
+    graph_path = tmp_path / ("g" + suffix)
+    graph_path.write_bytes(graph)
+    part_path = tmp_path / "p.part"
+    part_path.write_bytes(part)
+    code = run_cli(["audit", graph_path, part_path, "--out", tmp_path / "out"])
+    assert code == 2
+    assert f"error: byte {offset}: " in capsys.readouterr().err
 
 
 def test_cli_malformed_links_pin(tmp_path, capsys):
