@@ -104,13 +104,28 @@ def homogeneity_audit(h, partition: LayeredPartition,
     On weighted input the sums are taken in cell order, so for
     non-dyadic weights a density can differ in its last bit from a
     mean summed in another order.
+
+    A block tuple has non-zero volume exactly when each of its blocks
+    is non-empty, so the audited tuples are the grid of non-empty
+    blocks: their sums, volumes and label rows are read off that grid
+    directly, in row-major order.
     """
     tensor, weighted = _as_tensor(h)
-    sums, volumes = block_sums(tensor, [partition[i] for i in range(tensor.ndim)])
-    audited = volumes > 0
-    densities = sums[audited] / volumes[audited]
+    parts = [partition[i] for i in range(tensor.ndim)]
+    sums, volumes = block_sums(tensor, parts)
+    nonempty = [np.flatnonzero(p.sizes()) for p in parts]
+    grid = np.ix_(*nonempty)
+    volumes = volumes[grid].ravel()
+    densities = sums[grid].ravel() / volumes
     ok = homogeneous(densities, eps)
-    mass = int(volumes[audited][~ok].sum())
+    mass = int(volumes[~ok].sum())
+    labels = np.empty(tuple(b.size for b in nonempty) + (len(parts),),
+                      dtype=np.int64)
+    # one leading block at a time, so each strided write stays in cache
+    for rows, first in zip(labels, nonempty[0]):
+        rows[..., 0] = first
+        for i, axis in enumerate(grid[1:], 1):
+            rows[..., i] = axis[0]
     total = tensor.size
     normalized = mass / total if total else 0.0
     return HomogeneityReport(
@@ -119,7 +134,7 @@ def homogeneity_audit(h, partition: LayeredPartition,
         mass=mass,
         normalized_mass=normalized,
         weighted=weighted,
-        labels=np.argwhere(audited),
+        labels=labels.reshape(-1, len(parts)),
         densities=densities,
         ok=ok,
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bitops
 from .errors import CoverageError, InfeasibleParamsError
-from .hypercore import BipartiteGraph, KPartiteHypergraph, link, neighborhood
+from .hypercore import BipartiteGraph, KPartiteHypergraph, link
 from .partitions import (
     LayeredPartition,
     PartPartition,
@@ -285,26 +285,19 @@ class TuplePartition:
     def n_classes(self) -> int:
         return len(self.anchors)
 
-    def class_members(self, i: int) -> np.ndarray:
-        """Member tuples of class i as an (count, k-1) index array."""
-        return np.argwhere(self.labels == i)
-
     def exceptional_count(self) -> int:
         return int(np.count_nonzero(self.labels == 0))
 
 
-def _verify_tuple_partition(result: TuplePartition, rows: np.ndarray, seed: int):
+def _verify_tuple_partition(result: TuplePartition, rows: np.ndarray):
+    """Assert that every covered tuple lies within the threshold of its
+    class's anchor, in one pass over all covered tuples."""
     flat = result.labels.ravel()
-    for i in range(1, result.n_classes + 1):
-        members = np.flatnonzero(flat == i)
-        if members.size == 0:
-            continue
-        if members.size > 4096:
-            pick = generator(seed, f"tuple-verify/{i}").choice(
-                members.size, size=2048, replace=False
-            )
-            members = members[pick]
-        dist = bitops.symdiff_sizes(rows[members], result.anchor_rows[i - 1])
+    covered = np.flatnonzero(flat)
+    if covered.size:
+        dist = bitops.popcount(
+            rows[covered] ^ result.anchor_rows[flat[covered] - 1], axis=-1
+        )
         assert int(dist.max()) <= result.threshold + 1e-9
 
 
@@ -322,10 +315,16 @@ def tuple_partition(
     the lowest-index anchor whose target-part neighborhood is within
     eps*n/2 of its own, remaining tuples form class 0. In paper mode
     the anchor count follows the fixed formula and is drawn uniformly
-    from all tuples; in practical mode anchors are drawn uniformly
-    from the still-uncovered tuples until the uncovered mass drops to
+    from all tuples, so an anchor may already be covered and its class
+    may be empty; in practical mode anchors are drawn uniformly from
+    the still-uncovered tuples until the uncovered mass drops to
     eps * (number of tuples), or ``max_anchors`` is hit, in which case
     a CoverageError carrying the achieved mass is raised.
+
+    The uncovered tuples are kept as one ascending array of flat
+    indices, compacted after each anchor, so an anchor costs one pass
+    over the tuples still open. Before returning, every covered tuple
+    is checked against its anchor's neighborhood.
 
     The oracle does not appear here: the assignment needs only
     neighborhoods and anchors. Link-partition structure enters through
@@ -358,17 +357,16 @@ def tuple_partition(
         anchor_flat = None  # drawn adaptively below
 
     labels = np.zeros(n_tuples, dtype=np.int64)
-    covered = np.zeros(n_tuples, dtype=bool)
+    open_idx = np.arange(n_tuples)  # uncovered flat indices, ascending
     anchors = []
     anchor_rows = []
 
     def place(flat_idx):
+        nonlocal open_idx
         row = rows[flat_idx]
-        fresh = ~covered
-        dist = bitops.symdiff_sizes(rows[fresh], row)
-        hit = np.flatnonzero(fresh)[dist <= threshold]
-        labels[hit] = len(anchors) + 1
-        covered[hit] = True
+        near = bitops.symdiff_sizes(rows[open_idx], row) <= threshold
+        labels[open_idx[near]] = len(anchors) + 1
+        open_idx = open_idx[~near]
         anchors.append(tuple(np.unravel_index(flat_idx, source_sizes)))
         anchor_rows.append(row)
 
@@ -377,11 +375,10 @@ def tuple_partition(
             place(int(a))
     else:
         rng = generator(seed, f"tuple/{target_part}/anchors")
-        while int(np.count_nonzero(~covered)) > budget and len(anchors) < max_anchors:
-            open_idx = np.flatnonzero(~covered)
+        while open_idx.size > budget and len(anchors) < max_anchors:
             place(int(open_idx[rng.integers(open_idx.size)]))
 
-    uncovered = int(np.count_nonzero(~covered))
+    uncovered = int(open_idx.size)
     if uncovered > budget + 1e-9:
         raise CoverageError(uncovered, budget, len(anchors))
     result = TuplePartition(
@@ -398,7 +395,7 @@ def tuple_partition(
         uncovered=uncovered,
         budget=budget,
     )
-    _verify_tuple_partition(result, rows, seed)
+    _verify_tuple_partition(result, rows)
     return result
 
 
@@ -554,7 +551,7 @@ def homogeneous_partition(
     inner_eps = eps**2 / (8.0 * k)
     params = ToleranceParams(eps=inner_eps, k=k, r=oracle.r, mode=mode)
     passes = []
-    neighborhoods = []
+    representatives = []
     for target in range(k):
         tp = tuple_partition(
             h,
@@ -564,18 +561,19 @@ def homogeneous_partition(
             max_anchors=max_anchors,
         )
         passes.append(tp)
-        hp = h.permute(tp.source_parts + (target,))
-        sets = []
-        for i in range(1, tp.n_classes + 1):
-            members = tp.class_members(i)
-            if members.size == 0:
-                continue
-            rep = tuple(int(v) for v in members[0])  # lexicographically least
-            sets.append(neighborhood(hp, rep).to_bool())
-        neighborhoods.append(sets)
+        # first occurrence in row-major order is the lexicographically
+        # least member; labels come out ascending, empty classes absent
+        classes, first = np.unique(tp.labels.ravel(), return_index=True)
+        first = first[classes > 0]
+        representatives.append(np.unravel_index(first, tp.labels.shape))
 
+    dense = h.to_dense()
     atom_parts = [
-        common_refinement(h.part_sizes[i], neighborhoods[i], part=i)
+        common_refinement(
+            h.part_sizes[i],
+            list(np.moveaxis(dense, i, -1)[representatives[i]]),
+            part=i,
+        )
         for i in range(k)
     ]
     p = max(ap.n_blocks for ap in atom_parts)

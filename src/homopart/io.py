@@ -256,9 +256,8 @@ def _has_repeats(rows: np.ndarray, sizes) -> bool:
 
 
 def write_khg(path, h: KPartiteHypergraph, *, digest=None):
-    edges = np.argwhere(h.to_dense())
     text = _sizes_header("khg", (h.k, *h.part_sizes)).encode("ascii")
-    _atomic_write(path, text + _rows_text(list(edges.T)), digest)
+    _atomic_write(path, text + _rows_text(np.nonzero(h.to_dense())), digest)
 
 
 def read_khg(path) -> KPartiteHypergraph:
@@ -324,7 +323,7 @@ def write_w3g(path, weighted: WeightedTripartite, *, digest=None):
     weights = weighted.weights
     nonzero = weights != 0.0
     text = _sizes_header("w3g", weights.shape).encode("ascii")
-    rows = _rows_text([*np.argwhere(nonzero).T, weights[nonzero]])
+    rows = _rows_text([*np.nonzero(nonzero), weights[nonzero]])
     _atomic_write(path, text + rows, digest)
 
 

@@ -25,6 +25,7 @@ from homopart import (
     weak_regularity_witness,
 )
 from homopart import auditor
+from homopart.partitions import block_sums, homogeneous
 
 
 def interval_layers(sizes, blocks):
@@ -169,6 +170,80 @@ class TestHomogeneityAudit:
         rep = homogeneity_audit(h, layers, 0.1)
         assert not rep.passed
         assert any(r[0][0] == 0 and not r[2] for r in rep.rows)
+
+
+def reference_homogeneity_audit(h, partition, eps):
+    """(labels, densities, ok, mass) by boolean masks over the whole
+    block-tuple table, as the audit computed them before it read the
+    grid of non-empty blocks."""
+    tensor, _ = auditor._as_tensor(h)
+    sums, volumes = block_sums(tensor, [partition[i] for i in range(tensor.ndim)])
+    audited = volumes > 0
+    densities = sums[audited] / volumes[audited]
+    ok = homogeneous(densities, eps)
+    return (np.argwhere(audited), densities, ok,
+            int(volumes[audited][~ok].sum()))
+
+
+def partition_with_empty_blocks(sizes, seed):
+    """Five blocks per part with exceptional block 0. Part 0 has an
+    empty exceptional block and an empty block 2, part 1 a non-empty
+    exceptional block and an empty block 3, and the other parts have
+    no empty block; every part has a singleton block 4."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i, n in enumerate(sizes):
+        labels = rng.integers(0, 4, size=n)
+        labels[:4] = np.arange(4)
+        if i == 0:
+            labels[labels == 0] = 1
+            labels[labels == 2] = 3
+        elif i == 1:
+            labels[labels == 3] = 1
+        labels[-1] = 4
+        parts.append(PartPartition(labels, part=i, n_blocks=5,
+                                   has_exceptional=True))
+    return LayeredPartition(parts)
+
+
+class TestAuditGrid:
+    @pytest.mark.parametrize("sizes", [(7, 9), (6, 7, 8), (5, 6, 5, 7)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_boolean_mask_audit(self, sizes, weighted, seed):
+        rng = np.random.default_rng(100 + seed)
+        cells = rng.random(sizes)
+        if weighted:
+            h = WeightedTripartite(cells) if len(sizes) == 3 else cells
+        else:
+            h = KPartiteHypergraph.from_dense(cells < 0.3)
+        layers = partition_with_empty_blocks(sizes, seed)
+        assert layers[0].sizes()[0] == 0 and layers[0].sizes()[2] == 0
+        assert layers[1].sizes()[0] > 0 and layers[1].sizes()[3] == 0
+        rep = homogeneity_audit(h, layers, 0.3)
+        labels, densities, ok, mass = reference_homogeneity_audit(h, layers, 0.3)
+        assert rep.weighted == weighted
+        assert rep.labels.dtype == labels.dtype
+        assert rep.labels.shape == labels.shape
+        assert np.array_equal(rep.labels, labels)
+        assert rep.densities.dtype == densities.dtype
+        assert rep.densities.tobytes() == densities.tobytes()
+        assert rep.ok.dtype == ok.dtype and np.array_equal(rep.ok, ok)
+        assert rep.mass == mass and type(rep.mass) is int
+        # one label row per tuple of non-empty blocks, in product order
+        nonempty = [np.flatnonzero(p.sizes()).tolist() for p in layers]
+        assert rep.labels.tolist() == [list(t) for t in itertools.product(*nonempty)]
+
+    def test_one_nonempty_block_in_a_part(self):
+        # blocks 1 and 2 of part 0 are empty, so the grid has 1 x 3 tuples
+        h = KPartiteHypergraph.complete((3, 3))
+        layers = LayeredPartition([
+            PartPartition(np.zeros(3, dtype=np.int64), part=0, n_blocks=3),
+            PartPartition.singletons(3, part=1),
+        ])
+        rep = homogeneity_audit(h, layers, 0.1)
+        assert rep.labels.tolist() == [[0, 0], [0, 1], [0, 2]]
+        assert rep.passed and rep.mass == 0
 
 
 class TestDisagreementPairs:

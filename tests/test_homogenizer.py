@@ -31,8 +31,10 @@ from homopart import (
     tuple_partition,
     twin_diagnostics,
 )
+from homopart import homogenizer
 from homopart.errors import CoverageError, InfeasibleParamsError, PinError
-from homopart.hypercore import link
+from homopart.hypercore import link, neighborhood
+from homopart.rng import generator
 
 
 def dense_neighborhood(dense, tup):
@@ -645,3 +647,236 @@ class TestHomogeneousPartition:
         )
         with pytest.raises(InfeasibleParamsError):
             homogeneous_partition(h, oracle, eps=0.7, seed=0)
+
+
+# --- tuple classes and representatives against the per-class scans -------
+#
+# ``tuple_partition`` compacts one array of open tuples per anchor and
+# checks every covered tuple; ``homogeneous_partition`` finds all class
+# representatives in one pass. These are the loops they replaced, kept
+# as the reference they must match field by field.
+
+
+def reference_tuple_partition(h, params, seed, target_part, max_anchors=512):
+    """(labels, anchors, anchor_rows, uncovered) from the covered-mask loop:
+    every anchor rescans all tuples for the uncovered ones."""
+    k = h.k
+    sources = tuple(p for p in range(k) if p != target_part)
+    rows = h.permute(sources + (target_part,)).fiber_rows()
+    source_sizes = tuple(h.part_sizes[p] for p in sources)
+    n_tuples = math.prod(source_sizes)
+    threshold = params.eps * h.part_sizes[target_part] / 2.0
+    budget = params.eps * n_tuples
+    rng = generator(seed, f"tuple/{target_part}/anchors")
+    labels = np.zeros(n_tuples, dtype=np.int64)
+    covered = np.zeros(n_tuples, dtype=bool)
+    anchors = []
+    anchor_rows = []
+
+    def place(flat_idx):
+        row = rows[flat_idx]
+        fresh = ~covered
+        dist = np.bitwise_count(rows[fresh] ^ row).sum(axis=-1, dtype=np.int64)
+        hit = np.flatnonzero(fresh)[dist <= threshold]
+        labels[hit] = len(anchors) + 1
+        covered[hit] = True
+        anchors.append(tuple(np.unravel_index(flat_idx, source_sizes)))
+        anchor_rows.append(row)
+
+    if params.mode == "paper":
+        for a in rng.integers(0, n_tuples, size=params.paper_anchor_count()):
+            place(int(a))
+    else:
+        while (int(np.count_nonzero(~covered)) > budget
+               and len(anchors) < max_anchors):
+            open_idx = np.flatnonzero(~covered)
+            place(int(open_idx[rng.integers(open_idx.size)]))
+    uncovered = int(np.count_nonzero(~covered))
+    if uncovered > budget + 1e-9:
+        raise CoverageError(uncovered, budget, len(anchors))
+    anchor_rows = np.array(anchor_rows, dtype=np.uint64).reshape(
+        len(anchors), -1)
+    reference_verify(labels, anchor_rows, rows, threshold, seed)
+    return labels.reshape(source_sizes), tuple(anchors), anchor_rows, uncovered
+
+
+def reference_verify(flat, anchor_rows, rows, threshold, seed):
+    """The per-class verifier: one scan per class, 2048 sampled members
+    of classes over 4096."""
+    for i in range(1, len(anchor_rows) + 1):
+        members = np.flatnonzero(flat == i)
+        if members.size == 0:
+            continue
+        if members.size > 4096:
+            pick = generator(seed, f"tuple-verify/{i}").choice(
+                members.size, size=2048, replace=False)
+            members = members[pick]
+        dist = np.bitwise_count(rows[members] ^ anchor_rows[i - 1]).sum(
+            axis=-1, dtype=np.int64)
+        assert int(dist.max()) <= threshold + 1e-9
+
+
+def reference_venn_inputs(h, tp):
+    """Neighborhood of each non-empty class's lexicographically least
+    member, one ``argwhere`` per class."""
+    hp = h.permute(tp.source_parts + (tp.target_part,))
+    sets = []
+    for i in range(1, tp.n_classes + 1):
+        members = np.argwhere(tp.labels == i)
+        if members.size == 0:
+            continue
+        rep = tuple(int(v) for v in members[0])
+        sets.append(neighborhood(hp, rep).to_bool())
+    return sets
+
+
+def assert_matches_reference(h, tp, params, seed, max_anchors=512):
+    labels, anchors, anchor_rows, uncovered = reference_tuple_partition(
+        h, params, seed, tp.target_part, max_anchors)
+    assert tp.labels.dtype == labels.dtype
+    assert tp.labels.tobytes() == labels.tobytes()
+    assert tp.labels.shape == labels.shape
+    assert tp.anchors == anchors
+    assert tp.anchor_rows.shape == anchor_rows.shape
+    assert tp.anchor_rows.tobytes() == anchor_rows.tobytes()
+    assert tp.uncovered == uncovered
+
+
+def venn_inputs_of(monkeypatch, h, *args, **kwargs):
+    """Run ``homogeneous_partition`` and capture each part's Venn inputs."""
+    seen = {}
+    real = homogenizer.common_refinement
+
+    def spy(n, sets, part=None):
+        seen[part] = [np.asarray(s, dtype=bool) for s in sets]
+        return real(n, sets, part=part)
+
+    monkeypatch.setattr(homogenizer, "common_refinement", spy)
+    lp, rep = homogeneous_partition(h, *args, **kwargs)
+    return lp, rep, [seen[i] for i in range(h.k)]
+
+
+def assert_same_sets(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+class TestReferenceScans:
+    @pytest.mark.parametrize("family,seed", [
+        ("interval-threshold", 1), ("planted-boxes", 2), ("uniform-random", 3),
+    ])
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_practical_tuple_partition(self, family, seed, target):
+        spec = InstanceSpec(k=3, n=(14, 12, 16), family=family, r=3,
+                            eps_prime=0.0, seed=seed)
+        h = generate(spec).h
+        params = ToleranceParams(eps=0.3, k=3, r=3)
+        tp = tuple_partition(h, params, seed, target_part=target)
+        assert_matches_reference(h, tp, params, seed)
+
+    @pytest.mark.parametrize("family", [
+        "interval-threshold", "planted-boxes", "uniform-random",
+    ])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_paper_tuple_partition_with_empty_classes(self, family, target):
+        # k = 2 is the only arity whose paper-mode anchor count fits a
+        # test: 3064 anchors drawn from 9 or 11 tuples, so most of them
+        # are drawn already covered and their classes stay empty
+        n = (9, 11)
+        spec = InstanceSpec(k=2, n=n, family=family, r=2, eps_prime=0.0,
+                            seed=4)
+        h = generate(spec).h
+        params = ToleranceParams(eps=0.45, k=2, r=1, mode="paper")
+        tp = tuple_partition(h, params, 5, target_part=target,
+                             max_anchors=4000)
+        assert tp.n_classes == params.paper_anchor_count()
+        sizes = np.bincount(tp.labels.ravel(), minlength=tp.n_classes + 1)
+        assert (sizes[1:] == 0).any()
+        assert_matches_reference(h, tp, params, 5, max_anchors=4000)
+
+    def test_coverage_error_matches_reference(self):
+        spec = InstanceSpec(k=3, n=(12, 12, 12), family="uniform-random",
+                            r=2, eps_prime=0.0, seed=3)
+        h = generate(spec).h
+        params = ToleranceParams(eps=0.2, k=3, r=2)
+        for target in range(3):
+            with pytest.raises(CoverageError) as got:
+                tuple_partition(h, params, 3, target_part=target,
+                                max_anchors=32)
+            with pytest.raises(CoverageError) as want:
+                reference_tuple_partition(h, params, 3, target, 32)
+            assert ((got.value.uncovered, got.value.budget,
+                     got.value.n_anchors)
+                    == (want.value.uncovered, want.value.budget,
+                        want.value.n_anchors))
+
+    @pytest.mark.parametrize("family,seed", [
+        ("interval-threshold", 1), ("planted-boxes", 2), ("uniform-random", 3),
+    ])
+    def test_practical_venn_inputs(self, monkeypatch, family, seed):
+        spec = InstanceSpec(k=3, n=(10, 9, 11), family=family, r=3,
+                            eps_prime=0.0, seed=seed)
+        inst = generate(spec)
+        lp, rep, venn = venn_inputs_of(monkeypatch, inst.h, inst.oracle,
+                                       0.45, seed)
+        for target, tp in enumerate(rep.passes):
+            params = ToleranceParams(eps=rep.inner_eps, k=3, r=inst.oracle.r)
+            assert_matches_reference(
+                inst.h, tp, params, homogenizer.derive_pass_seed(seed, target))
+            assert_same_sets(venn[target], reference_venn_inputs(inst.h, tp))
+
+    @pytest.mark.parametrize("family,seed", [
+        ("interval-threshold", 1), ("planted-boxes", 2), ("uniform-random", 3),
+    ])
+    def test_loose_classes_venn_inputs(self, monkeypatch, family, seed):
+        # the pipeline's own tolerance eps^2/(8k) makes every class an
+        # exact-twin class at test sizes, where any member would do; at
+        # eps 0.3 some tuples stay uncovered and, outside the planted
+        # boxes, classes hold distinct neighborhoods, so the choice of
+        # member shows
+        spec = InstanceSpec(k=3, n=(14, 12, 16), family=family, r=3,
+                            eps_prime=0.0, seed=seed)
+        inst = generate(spec)
+        loose = ToleranceParams(eps=0.3, k=3, r=inst.oracle.r)
+        real = homogenizer.tuple_partition
+
+        def loose_pass(h, params, seed, **kwargs):
+            return real(h, loose, seed, **kwargs)
+
+        monkeypatch.setattr(homogenizer, "tuple_partition", loose_pass)
+        lp, rep, venn = venn_inputs_of(monkeypatch, inst.h, inst.oracle,
+                                       0.2, seed)
+        assert any(tp.uncovered for tp in rep.passes)
+        mixed = 0
+        for target, tp in enumerate(rep.passes):
+            assert_matches_reference(
+                inst.h, tp, loose, homogenizer.derive_pass_seed(seed, target))
+            assert_same_sets(venn[target], reference_venn_inputs(inst.h, tp))
+            rows = np.moveaxis(inst.h.to_dense(), target, -1)
+            mixed += sum(np.unique(rows[tp.labels == i], axis=0).shape[0] > 1
+                         for i in range(1, tp.n_classes + 1))
+        assert mixed or family == "planted-boxes"
+
+    def test_paper_venn_inputs_skip_empty_classes(self, monkeypatch):
+        # homogeneous_partition's own paper-mode anchor count is out of
+        # reach at any k, so its passes are run with the k = 2 paper
+        # parameters above, which leave most classes empty
+        spec = InstanceSpec(k=2, n=(9, 11), family="planted-boxes", r=2,
+                            eps_prime=0.0, seed=4)
+        inst = generate(spec)
+        paper = ToleranceParams(eps=0.45, k=2, r=1, mode="paper")
+        real = homogenizer.tuple_partition
+
+        def paper_pass(h, params, seed, **kwargs):
+            return real(h, paper, seed, **kwargs)
+
+        monkeypatch.setattr(homogenizer, "tuple_partition", paper_pass)
+        lp, rep, venn = venn_inputs_of(monkeypatch, inst.h, inst.oracle,
+                                       0.2, 6, max_anchors=4000)
+        for target, tp in enumerate(rep.passes):
+            sizes = np.bincount(tp.labels.ravel(), minlength=tp.n_classes + 1)
+            assert (sizes[1:] == 0).any()
+            want = reference_venn_inputs(inst.h, tp)
+            assert len(want) == np.count_nonzero(sizes[1:])
+            assert_same_sets(venn[target], want)

@@ -22,6 +22,7 @@ from homopart import (
     neighborhood,
     partite_cover,
 )
+from homopart import bitops
 from homopart.errors import EmptySubsetError, PinError
 from homopart.rng import generator
 
@@ -216,6 +217,20 @@ def test_link_neighborhood_consistency():
             nb = neighborhood(h, (v, x))
             for y in range(6):
                 assert g.has_edge(x, y) == nb.contains(y)
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (7, 2), (4, 3), (3, 2, 5), (0, 3)])
+def test_popcount_along_last_axis_matches_bit_scan(shape):
+    words = generator(21, f"popcount/{shape}").integers(
+        0, 2**64, size=shape, dtype=np.uint64)
+    bits = np.unpackbits(words.view(np.uint8), axis=-1)
+    counts = bitops.popcount(words, axis=-1)
+    assert counts.dtype == np.int64 and counts.shape == shape[:-1]
+    assert np.array_equal(counts, bits.sum(axis=-1))
+    row = words.reshape(-1, shape[-1])[:1]
+    if row.size:
+        want = np.unpackbits((words ^ row[0]).view(np.uint8), axis=-1).sum(axis=-1)
+        assert np.array_equal(bitops.symdiff_sizes(words, row[0]), want)
 
 
 def test_symdiff_triangle_inequality():
