@@ -109,9 +109,19 @@ def homogeneity_audit(h, partition: LayeredPartition,
     is non-empty, so the audited tuples are the grid of non-empty
     blocks: their sums, volumes and label rows are read off that grid
     directly, in row-major order.
+
+    A partition must have one part per graph part, each covering that
+    part's vertices; otherwise ``ValueError`` names the mismatch.
     """
     tensor, weighted = _as_tensor(h)
-    parts = [partition[i] for i in range(tensor.ndim)]
+    if partition.k != tensor.ndim:
+        raise ValueError(f"partition has {partition.k} parts, "
+                         f"graph has {tensor.ndim}")
+    for i, (p, n) in enumerate(zip(partition, tensor.shape)):
+        if p.n != n:
+            raise ValueError(f"partition part {i} has {p.n} vertices, "
+                             f"graph part {i} has {n}")
+    parts = list(partition)
     sums, volumes = block_sums(tensor, parts)
     nonempty = [np.flatnonzero(p.sizes()) for p in parts]
     grid = np.ix_(*nonempty)

@@ -1,16 +1,16 @@
 """Command line workbench around the library.
 
 Single-process driver: subcommands generate instances, run the
-homogenization pipeline, audit partitions, measure VC dimension,
-exercise the tower construction, and time sweeps. Every run writes a
+homogenization pipeline, audit partitions, measure VC dimension and
+exercise the tower construction. Every run writes a
 ``manifest.json`` into the output directory and stamps each emitted
 artifact with the manifest's core digest, so an artifact can always
 be traced to the exact invocation that produced it and reruns with
 an equal manifest reproduce it byte for byte.
 
 Exit status: 0 on success, 1 when an audit or verification fails
-(the report still gets written), 2 on usage errors including
-malformed input files.
+(the report still gets written), 2 on usage errors, malformed input
+files, inputs that do not fit together and infeasible parameters.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import time
 
 from . import io as hio
 from .auditor import homogeneity_audit, slicewise_vc, vc_dimension
-from .errors import (
-    CoverageError,
-    FamilyRejectionError,
-    FormatError,
-    InfeasibleParamsError,
-    PinError,
-)
+from .errors import CoverageError, FamilyRejectionError
 from .generators import FAMILIES, InstanceSpec, generate
 from .gowers import (
     build_sequence,
@@ -44,15 +38,43 @@ from .oracles import FileOracle, GreedyOracle
 from .partitions import LayeredPartition, PartPartition
 
 
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+class _Run:
+    """The manifest protocol of one invocation.
 
+    Built before any work: it digests the inputs (roles with no path
+    are left out) and fixes the core digest. ``write`` stamps each
+    artifact with that digest, and ``finish`` records the output
+    digests and the elapsed time, then writes ``manifest.json``.
+    """
 
-def _finish(args, man: RunManifest, t0: float, outputs) -> None:
-    man.outputs = {name: file_digest(path) for name, path in outputs.items()}
-    man.timing = time.perf_counter() - t0
-    man.write(_out_path(args, "manifest.json"))
+    def __init__(self, args, command: str, params: dict, mode: str = "-",
+                 inputs=None):
+        inputs = {role: path for role, path in (inputs or {}).items() if path}
+        self.out = args.out
+        # audit and vc take no seed; their manifests record seed 0
+        self.manifest = RunManifest(
+            command=command, params=params, seed=getattr(args, "seed", 0),
+            mode=mode,
+            inputs={role: file_digest(path) for role, path in inputs.items()},
+        )
+        self.digest = self.manifest.digest()
+        self.paths = {}
+        self.t0 = time.perf_counter()
+
+    def _path(self, name: str) -> str:
+        os.makedirs(self.out, exist_ok=True)
+        return os.path.join(self.out, name)
+
+    def write(self, name: str, writer, *data) -> None:
+        path = self._path(name)
+        writer(path, *data, digest=self.digest)
+        self.paths[name] = path
+
+    def finish(self) -> None:
+        man = self.manifest
+        man.outputs = {name: file_digest(p) for name, p in self.paths.items()}
+        man.timing = time.perf_counter() - self.t0
+        man.write(self._path("manifest.json"))
 
 
 def _cmd_gen(args) -> int:
@@ -63,48 +85,24 @@ def _cmd_gen(args) -> int:
         k=len(n), n=n, family=args.family, r=args.r,
         eps_prime=args.eps_prime, seed=args.seed,
     )
-    man = RunManifest(
-        command="gen",
-        params={"family": args.family, "n": list(n), "r": args.r,
-                "eps_prime": args.eps_prime},
-        seed=args.seed, mode="-",
-    )
-    digest = man.digest()
-    t0 = time.perf_counter()
+    run = _Run(args, "gen", {"family": args.family, "n": list(n), "r": args.r,
+                             "eps_prime": args.eps_prime})
     inst = generate(spec)
-    outputs = {}
-    path = _out_path(args, "instance.khg")
-    hio.write_khg(path, inst.h, digest=digest)
-    outputs["instance.khg"] = path
+    run.write("instance.khg", hio.write_khg, inst.h)
     if inst.side_partitions:
         table = {((), side): p for side, p in inst.side_partitions.items()}
-        path = _out_path(args, "instance.links")
-        hio.write_links(path, table, spec.r, digest=digest)
-        outputs["instance.links"] = path
-    _finish(args, man, t0, outputs)
+        run.write("instance.links", hio.write_links, table, spec.r)
+    run.finish()
     print(f"gen {args.family} n={n} edges={inst.h.edge_count} "
           f"exact_links={inst.exact_links}")
     return 0
 
 
 def _cmd_homogenize(args) -> int:
-    mode = args.mode or "practical"
-    if mode not in ("practical", "paper"):
-        print(f"error: homogenize mode must be practical or paper, got {mode}",
-              file=sys.stderr)
-        return 2
-    eps = args.eps if args.eps is not None else 0.2
-    inputs = {"instance": args.instance}
-    if args.links:
-        inputs["links"] = args.links
-    man = RunManifest(
-        command="homogenize",
-        params={"eps": eps, "r": args.r, "max_anchors": args.max_anchors},
-        seed=args.seed, mode=mode,
-        inputs={role: file_digest(path) for role, path in inputs.items()},
-    )
-    digest = man.digest()
-    t0 = time.perf_counter()
+    eps, mode = args.eps, args.mode
+    run = _Run(args, "homogenize",
+               {"eps": eps, "r": args.r, "max_anchors": args.max_anchors},
+               mode, {"instance": args.instance, "links": args.links})
     h = hio.read_khg(args.instance)
     if args.links:
         table, r = hio.read_links(args.links)
@@ -115,14 +113,9 @@ def _cmd_homogenize(args) -> int:
         h, oracle, eps, args.seed, mode=mode, max_anchors=args.max_anchors,
     )
     audit = homogeneity_audit(h, partition, eps)
-    outputs = {}
-    path = _out_path(args, "partition.part")
-    hio.write_part(path, partition, digest=digest)
-    outputs["partition.part"] = path
-    path = _out_path(args, "report.audit")
-    hio.write_audit(path, audit, digest=digest)
-    outputs["report.audit"] = path
-    _finish(args, man, t0, outputs)
+    run.write("partition.part", hio.write_part, partition)
+    run.write("report.audit", hio.write_audit, audit)
+    run.finish()
     verdict = "pass" if audit.passed else "fail"
     print(f"homogenize eps={eps} mode={mode} blocks="
           f"{partition.block_counts()} mass={audit.mass} "
@@ -131,24 +124,17 @@ def _cmd_homogenize(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    eps = args.eps if args.eps is not None else 0.2
-    inputs = {"graph": args.graph, "partition": args.partition}
-    man = RunManifest(
-        command="audit", params={"eps": eps},
-        seed=args.seed, mode="-",
-        inputs={role: file_digest(path) for role, path in inputs.items()},
-    )
-    digest = man.digest()
-    t0 = time.perf_counter()
+    eps = args.eps
+    run = _Run(args, "audit", {"eps": eps},
+               inputs={"graph": args.graph, "partition": args.partition})
     if args.graph.endswith(".w3g"):
         h = hio.read_w3g(args.graph)
     else:
         h = hio.read_khg(args.graph)
     partition = hio.read_part(args.partition)
     report = homogeneity_audit(h, partition, eps)
-    path = _out_path(args, "report.audit")
-    hio.write_audit(path, report, digest=digest)
-    _finish(args, man, t0, {"report.audit": path})
+    run.write("report.audit", hio.write_audit, report)
+    run.finish()
     verdict = "pass" if report.passed else "fail"
     print(f"audit block eps={eps} mass={report.mass} "
           f"normalized={report.normalized_mass:.6g} {verdict}")
@@ -156,12 +142,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_vc(args) -> int:
-    man = RunManifest(
-        command="vc", params={"cap": args.cap}, seed=args.seed, mode="-",
-        inputs={"instance": file_digest(args.instance)},
-    )
-    digest = man.digest()
-    t0 = time.perf_counter()
+    run = _Run(args, "vc", {"cap": args.cap},
+               inputs={"instance": args.instance})
     h = hio.read_khg(args.instance)
     rows = [f"vc {h.k}"]
     if h.k == 2:
@@ -176,11 +158,9 @@ def _cmd_vc(args) -> int:
             rows.append(f"slice {part} {slicewise[part]}")
         rows.append(f"max {slicewise['max']} {int(slicewise['at_cap'])}")
     else:
-        print(f"error: vc needs k=2 or k=3 input, got k={h.k}", file=sys.stderr)
-        return 2
-    path = _out_path(args, "vc.txt")
-    hio.write_text(path, "\n".join(rows) + "\n", digest=digest)
-    _finish(args, man, t0, {"vc.txt": path})
+        raise ValueError(f"vc needs k=2 or k=3 input, got k={h.k}")
+    run.write("vc.txt", hio.write_text, "\n".join(rows) + "\n")
+    run.finish()
     for row in rows[1:]:
         print(row)
     return 0
@@ -188,8 +168,6 @@ def _cmd_vc(args) -> int:
 
 def _gowers_params(args):
     mode = args.mode or "toy"
-    if mode == "practical":
-        raise InfeasibleParamsError("tower construction modes are paper or toy")
     eps = args.eps if args.eps is not None else 1e-6
     delta = args.delta if args.delta is not None else 0.5
     if mode == "paper":
@@ -202,32 +180,26 @@ def _gowers_params(args):
     ), mode
 
 
-def _gowers_manifest(args, command: str, mode: str, extra=None) -> RunManifest:
+def _gowers_run(args, command: str, mode: str, extra=None,
+                inputs=None) -> _Run:
     params = {"t": args.t, "growth": args.growth, "s0": args.s0,
               "eps": args.eps, "delta": args.delta, "n": args.n}
     if extra:
         params.update(extra)
-    return RunManifest(command=command, params=params, seed=args.seed, mode=mode)
+    return _Run(args, command, params, mode, inputs)
 
 
 def _cmd_gowers_build(args) -> int:
     params, mode = _gowers_params(args)
-    man = _gowers_manifest(args, "gowers-build", mode)
-    digest = man.digest()
-    t0 = time.perf_counter()
+    run = _gowers_run(args, "gowers-build", mode)
     build = build_weighted(params, args.n)
     lay = build.layering
-    outputs = {}
-    path = _out_path(args, "gowers.w3g")
-    hio.write_w3g(path, build.weighted, digest=digest)
-    outputs["gowers.w3g"] = path
+    run.write("gowers.w3g", hio.write_w3g, build.weighted)
     finest = LayeredPartition([
         lay.a_levels[lay.t], lay.b_levels[lay.t], lay.c_layers,
     ])
-    path = _out_path(args, "layering.part")
-    hio.write_part(path, finest, digest=digest)
-    outputs["layering.part"] = path
-    _finish(args, man, t0, outputs)
+    run.write("layering.part", hio.write_part, finest)
+    run.finish()
     print(f"gowers build mode={mode} t={params.t} levels={params.levels} "
           f"n={args.n} relaxations={params.relaxations}")
     return 0
@@ -235,10 +207,7 @@ def _cmd_gowers_build(args) -> int:
 
 def _cmd_gowers_links(args) -> int:
     params, mode = _gowers_params(args)
-    man = _gowers_manifest(args, "gowers-links", mode,
-                           extra={"draws": args.draws})
-    digest = man.digest()
-    t0 = time.perf_counter()
+    run = _gowers_run(args, "gowers-links", mode, extra={"draws": args.draws})
     build = build_weighted(params, args.n)
     table = {}
     kinds = {}
@@ -255,9 +224,8 @@ def _cmd_gowers_links(args) -> int:
             others = [q for q in range(3) if q != part]
             for position, other in enumerate(others):
                 table[(((part, v),), other)] = cert.partitions[position]
-    path = _out_path(args, "certificates.links")
-    hio.write_links(path, table, max(params.levels), digest=digest)
-    _finish(args, man, t0, {"certificates.links": path})
+    run.write("certificates.links", hio.write_links, table, max(params.levels))
+    run.finish()
     summary = " ".join(f"{kind}={count}" for kind, count in sorted(kinds.items()))
     print(f"gowers links n={3 * args.n} certificates {summary} failures={failures}")
     return 0 if failures == 0 else 1
@@ -265,19 +233,14 @@ def _cmd_gowers_links(args) -> int:
 
 def _cmd_gowers_sample(args) -> int:
     params, mode = _gowers_params(args)
-    man = _gowers_manifest(
-        args, "gowers-sample", mode,
-        extra={"boxes": args.boxes, "fraction": args.fraction},
-    )
-    digest = man.digest()
-    t0 = time.perf_counter()
+    run = _gowers_run(args, "gowers-sample", mode,
+                      extra={"boxes": args.boxes, "fraction": args.fraction})
     build = build_weighted(params, args.n)
     result = sample_unweighted(
         build.weighted, args.seed, boxes=args.boxes, box_fraction=args.fraction,
     )
-    path = _out_path(args, "sampled.khg")
-    hio.write_khg(path, result.graph, digest=digest)
-    _finish(args, man, t0, {"sampled.khg": path})
+    run.write("sampled.khg", hio.write_khg, result.graph)
+    run.finish()
     rep = result.report
     print(f"gowers sample boxes={args.boxes} within={rep.n_within}/{args.boxes} "
           f"full_within={rep.full.within}")
@@ -286,13 +249,8 @@ def _cmd_gowers_sample(args) -> int:
 
 def _cmd_gowers_cascade(args) -> int:
     params, mode = _gowers_params(args)
-    inputs = {}
-    if args.candidate:
-        inputs["candidate"] = args.candidate
-    man = _gowers_manifest(args, "gowers-cascade", mode)
-    man.inputs = {role: file_digest(path) for role, path in inputs.items()}
-    digest = man.digest()
-    t0 = time.perf_counter()
+    run = _gowers_run(args, "gowers-cascade", mode,
+                      inputs={"candidate": args.candidate})
     build = build_weighted(params, args.n)
     if args.candidate:
         candidate = hio.read_part(args.candidate)
@@ -315,50 +273,9 @@ def _cmd_gowers_cascade(args) -> int:
                 f"witness level={w.level} side={w.side} s={w.s} u={w.u} "
                 f"ell={w.ell} gap={w.gap!r}"
             )
-    path = _out_path(args, "cascade.txt")
-    hio.write_text(path, "\n".join(rows) + "\n", digest=digest)
-    _finish(args, man, t0, {"cascade.txt": path})
+    run.write("cascade.txt", hio.write_text, "\n".join(rows) + "\n")
+    run.finish()
     print(f"gowers cascade levels={len(report.levels)} witnesses={n_witnesses}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    eps = args.eps if args.eps is not None else 0.2
-    man = RunManifest(
-        command="bench",
-        params={"n": list(args.n), "eps": eps, "families": list(args.families)},
-        seed=args.seed, mode="-",
-    )
-    digest = man.digest()
-    t0 = time.perf_counter()
-    rows = ["bench family n gen_seconds homogenize_seconds verdict"]
-    for family in args.families:
-        for n in args.n:
-            spec = InstanceSpec(
-                k=3, n=(n, n, n), family=family, r=3, eps_prime=0.1,
-                seed=args.seed,
-            )
-            g0 = time.perf_counter()
-            inst = generate(spec)
-            g1 = time.perf_counter()
-            oracle = inst.oracle
-            if oracle is None:
-                oracle = GreedyOracle(inst.h, eps ** 2 / 24.0, 3)
-            try:
-                partition, _ = homogeneous_partition(
-                    inst.h, oracle, eps, args.seed,
-                )
-                audit = homogeneity_audit(inst.h, partition, eps)
-                verdict = "pass" if audit.passed else "fail"
-            except CoverageError:
-                verdict = "coverage-error"
-            h1 = time.perf_counter()
-            rows.append(f"{family} {n} {g1 - g0:.4f} {h1 - g1:.4f} {verdict}")
-    path = _out_path(args, "bench.txt")
-    hio.write_text(path, "\n".join(rows) + "\n", digest=digest)
-    _finish(args, man, t0, {"bench.txt": path})
-    for row in rows[1:]:
-        print(row)
     return 0
 
 
@@ -392,12 +309,10 @@ def _fraction(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--mode", choices=("paper", "practical", "toy"))
-    common.add_argument("--eps", type=float)
-    common.add_argument("--delta", type=float)
-    common.add_argument("--out", default=".")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="homopart",
@@ -406,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common],
+    # no prefix matching, so that --eps is not taken for --eps-prime
+    p = sub.add_parser("gen", parents=[seeded], allow_abbrev=False,
                        help="generate a seeded instance plus its oracle sidecar")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, nargs="+", required=True,
@@ -417,21 +333,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-prime", type=float, default=0.1)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("homogenize", parents=[common],
+    p = sub.add_parser("homogenize", parents=[seeded],
                        help="run the partition pipeline on a .khg instance")
     p.add_argument("instance")
+    p.add_argument("--mode", choices=("practical", "paper"),
+                   default="practical")
+    p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--links", help="oracle sidecar; greedy splits otherwise")
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--max-anchors", type=int, default=512)
+    p.add_argument("--max-anchors", type=_positive_int, default=512)
     p.set_defaults(func=_cmd_homogenize)
 
-    p = sub.add_parser("audit", parents=[common],
+    p = sub.add_parser("audit", parents=[out],
                        help="audit a partition against a graph")
     p.add_argument("graph", help=".khg or .w3g input")
     p.add_argument("partition", help=".part input")
+    p.add_argument("--eps", type=float, default=0.2)
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("vc", parents=[common],
+    p = sub.add_parser("vc", parents=[out],
                        help="VC dimension of a bipartite or tripartite instance")
     p.add_argument("instance")
     p.add_argument("--cap", type=_positive_int, default=8)
@@ -440,8 +360,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gowers = sub.add_parser("gowers", help="tower-type construction tools")
     gsub = gowers.add_subparsers(dest="gowers_command", required=True)
 
-    gcommon = argparse.ArgumentParser(add_help=False, parents=[common])
+    gcommon = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    gcommon.add_argument("--mode", choices=("paper", "toy"))
     gcommon.add_argument("--toy", dest="mode", action="store_const", const="toy")
+    gcommon.add_argument("--eps", type=float)
+    gcommon.add_argument("--delta", type=float)
     gcommon.add_argument("--n", type=int, required=True)
     gcommon.add_argument("--t", type=int)
     gcommon.add_argument("--growth", type=int)
@@ -467,13 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate", help=".part candidate; trivial otherwise")
     p.set_defaults(func=_cmd_gowers_cascade)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="time generate and homogenize sweeps")
-    p.add_argument("--n", type=int, nargs="+", default=[30, 60])
-    p.add_argument("--families", nargs="+", default=["planted-boxes", "product"],
-                   choices=FAMILIES)
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -485,10 +401,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleParamsError, PinError) as exc:
+    except ValueError as exc:
+        # malformed files, bad pins and infeasible parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoverageError as exc:

@@ -191,12 +191,6 @@ class OrthogonalFamily:
     attempts: int
     construction: str = "coins"
 
-    def x_indices(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.x_side[i])
-
-    def y_indices(self, i: int) -> np.ndarray:
-        return np.flatnonzero(~self.x_side[i])
-
     def side_sums(self, lam: np.ndarray) -> tuple:
         """(X-side, Y-side) weight totals of ``lam`` per partition."""
         lam = np.asarray(lam, dtype=np.float64)

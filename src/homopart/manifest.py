@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
+from .io import _atomic_write
 
 
 def file_digest(path) -> str:
@@ -64,17 +63,7 @@ class RunManifest:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def write(self, path):
-        data = self.to_json().encode("ascii")
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-manifest-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(path, self.to_json().encode("ascii"))
 
     @classmethod
     def read(cls, path) -> "RunManifest":

@@ -103,16 +103,8 @@ class PartPartition:
     def block_mask(self, b) -> np.ndarray:
         return self.labels == b
 
-    def block_set(self, b) -> VertexSet:
-        return VertexSet.from_bool(self.labels == b, part=self.part)
-
     def block_of(self, v) -> int:
         return int(self.labels[v])
-
-    def body_blocks(self):
-        """Labels of the non-exceptional blocks."""
-        start = 1 if self.has_exceptional else 0
-        return range(start, self.n_blocks)
 
     def n_body_blocks(self) -> int:
         return self.n_blocks - (1 if self.has_exceptional else 0)
@@ -187,9 +179,6 @@ class RefinementReport:
     considered: np.ndarray
     unmatched_fraction: float
     refines: bool
-
-    def unmatched_blocks(self) -> np.ndarray:
-        return np.flatnonzero(self.considered & ~self.matched)
 
 
 def common_refinement(n: int, sets, part=None) -> PartPartition:

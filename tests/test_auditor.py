@@ -171,6 +171,18 @@ class TestHomogeneityAudit:
         assert not rep.passed
         assert any(r[0][0] == 0 and not r[2] for r in rep.rows)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((6, 6, 6, 6), "partition has 4 parts, graph has 3"),
+        ((6, 6), "partition has 2 parts, graph has 3"),
+        ((6, 4, 6), "partition part 1 has 4 vertices, graph part 1 has 6"),
+    ])
+    def test_partition_must_fit_graph(self, sizes, message):
+        inst = generate(InstanceSpec(
+            k=3, n=(6, 6, 6), family="planted-boxes", r=2, eps_prime=0.1, seed=1
+        ))
+        with pytest.raises(ValueError, match=message):
+            homogeneity_audit(inst.h, interval_layers(sizes, 2), 0.2)
+
 
 def reference_homogeneity_audit(h, partition, eps):
     """(labels, densities, ok, mass) by boolean masks over the whole

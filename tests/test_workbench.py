@@ -806,6 +806,25 @@ def test_cli_removed_options_are_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench"],
+    ["gen", "--family", "product", "--n", 6, "--eps", 0.1],
+    ["vc", "g.khg", "--mode", "paper"],
+    ["audit", "g.khg", "p.part", "--delta", 0.5],
+    ["audit", "g.khg", "p.part", "--seed", 1],
+    ["homogenize", "g.khg", "--delta", 0.5],
+    ["homogenize", "g.khg", "--mode", "toy"],
+    ["gowers", "build", "--n", 8, "--mode", "practical"],
+    ["homogenize", "g.khg", "--max-anchors", 0],
+], ids=lambda argv: " ".join(str(a) for a in argv))
+def test_cli_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                            argv):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", out]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cap", ["0", "-1", "x"])
 def test_cli_vc_cap_below_one_is_usage_error(tmp_path, capsys, cap):
     out = tmp_path / "out"
@@ -857,6 +876,59 @@ def test_cli_infeasible_params(tmp_path, capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", 2], "eps=2.0 out of range"),
+    (["--s0", 1], "s0=1 must be at least 2"),
+    (["--t", 0], "t=0"),
+    (["--mode", "paper"], "delta <= eps"),
+])
+def test_cli_gowers_build_bad_params_exit_two(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    code = run_cli(["gowers", "build", "--toy", "--n", 48, "--s0", 4, *flags,
+                    "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_gowers_cascade_bad_candidate_exits_two(tmp_path, capsys):
+    flags = ["--toy", "--n", 48, "--s0", 4]
+    assert run_cli(["gowers", "build", *flags, "--out", tmp_path / "build"]) == 0
+    # the finest layering is a valid partition but not an equitable candidate
+    code = run_cli(["gowers", "cascade", *flags,
+                    "--candidate", tmp_path / "build" / "layering.part",
+                    "--out", tmp_path / "uneven"])
+    assert code == 2
+    assert "candidate blocks span 6..16" in capsys.readouterr().err
+    small = tmp_path / "small.part"
+    hio.write_part(small, LayeredPartition([
+        PartPartition.intervals(24, 2, part=i) for i in range(3)
+    ]))
+    code = run_cli(["gowers", "cascade", *flags, "--candidate", small,
+                    "--out", tmp_path / "small"])
+    assert code == 2
+    assert "candidate part 0 does not cover 48 vertices" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "uneven").exists()
+    assert not (tmp_path / "small").exists()
+
+
+def test_cli_audit_partition_of_wrong_size_exits_two(tmp_path, capsys):
+    graph = tmp_path / "g12.khg"
+    hio.write_khg(graph, random_hypergraph((12, 12, 12), seed=4))
+    part = tmp_path / "p10.part"
+    hio.write_part(part, LayeredPartition([
+        PartPartition.intervals(10, 2, part=i) for i in range(3)
+    ]))
+    out = tmp_path / "out"
+    assert run_cli(["audit", graph, part, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: partition part 0 has 10 vertices, graph part 0 has 12" in err
+    assert not out.exists()
+
+
 def test_cli_gowers_build_and_links(tmp_path, capsys):
     build_out = tmp_path / "build"
     flags = ["--toy", "--t", 3, "--n", 120, "--seed", 1]
@@ -898,42 +970,54 @@ def test_cli_gowers_cascade(tmp_path, capsys):
     assert "level 1" in text
 
 
-def test_cli_bench(tmp_path, capsys):
-    out = tmp_path / "bench"
-    code = run_cli(["bench", "--n", 12, "--families", "planted-boxes",
-                    "--out", out])
-    assert code == 0
-    text = (out / "bench.txt").read_text()
-    assert "planted-boxes 12" in text
-    assert "pass" in text
-
-
 # --- determinism ----------------------------------------------------------
 
 
 def artifact_bytes(directory):
     out = {}
     for name in sorted(os.listdir(directory)):
+        data = (directory / name).read_bytes()
         if name == "manifest.json":
-            continue  # carries wall-clock timing
-        out[name] = (directory / name).read_bytes()
+            payload = json.loads(data)
+            payload.pop("timing")  # wall-clock time differs between runs
+            data = json.dumps(payload, sort_keys=True).encode("ascii")
+        out[name] = data
     return out
 
 
 def test_cli_rerun_byte_identical(tmp_path):
+    tower = ["--toy", "--t", 2, "--n", 24, "--seed", 1]
+
+    def chain(label):
+        """(stage, argv, expected exit code) for one rerun."""
+        gen, hom, build = (tmp_path / f"{stage}-{label}"
+                           for stage in ("gen", "hom", "build"))
+        return [
+            ("gen", ["gen", "--family", "planted-boxes", "--n", 24,
+                     "--seed", 5], 0),
+            ("hom", ["homogenize", gen / "instance.khg",
+                     "--links", gen / "instance.links", "--eps", 0.2], 0),
+            ("audit", ["audit", gen / "instance.khg",
+                       hom / "partition.part"], 0),
+            ("vc", ["vc", gen / "instance.khg"], 0),
+            ("build", ["gowers", "build", *tower], 0),
+            # densities 1/2 and 1/4 of the weights fail the audit
+            ("audit_w3g", ["audit", build / "gowers.w3g",
+                           build / "layering.part"], 1),
+            ("links", ["gowers", "links", *tower], 0),
+            ("sample", ["gowers", "sample", *tower], 0),
+            ("cascade", ["gowers", "cascade", *tower,
+                         "--candidate", hom / "partition.part"], 0),
+        ]
+
     for label in ("a", "b"):
-        gen_out = tmp_path / f"gen-{label}"
-        run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--seed", 5,
-                 "--out", gen_out])
-        run_cli(["homogenize", gen_out / "instance.khg",
-                 "--links", gen_out / "instance.links", "--eps", 0.2,
-                 "--out", tmp_path / f"hom-{label}"])
-        run_cli(["gowers", "links", "--toy", "--t", 2, "--n", 24, "--seed", 1,
-                 "--out", tmp_path / f"links-{label}"])
-    for stage in ("gen", "hom", "links"):
+        for stage, argv, expected in chain(label):
+            out = tmp_path / f"{stage}-{label}"
+            assert run_cli([*argv, "--out", out]) == expected, stage
+    for stage, _, _ in chain("a"):
         a = artifact_bytes(tmp_path / f"{stage}-a")
         b = artifact_bytes(tmp_path / f"{stage}-b")
-        assert a == b, f"{stage} artifacts differ between reruns"
+        assert len(a) > 1 and a == b, f"{stage} artifacts differ between reruns"
 
 
 def test_manifest_core_identical_across_reruns(tmp_path):
