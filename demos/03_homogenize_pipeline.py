@@ -1,9 +1,10 @@
 """Run the full homogenization pipeline and audit the result.
 
-The pipeline composes link-oracle partitions, tuple covering, and
-similarity blocks into one partition per part; the audit then checks
+The pipeline composes tuple covering and the Venn atoms of class
+neighborhoods into one partition per part; the audit then checks
 every block tuple for density in [0, eps] or [1 - eps, 1] and reports
-the mass sitting in non-homogeneous tuples.
+the mass sitting in non-homogeneous tuples. Of the link hypothesis the
+pipeline reads only r, the bound on blocks per side.
 """
 
 from homopart import (
@@ -12,16 +13,14 @@ from homopart import (
     homogeneity_audit,
     homogeneous_partition,
 )
-from homopart.oracles import GreedyOracle
 
 eps = 0.2
 inst = generate(InstanceSpec(
     k=3, n=(60, 60, 60), family="planted-boxes", r=3, eps_prime=0.1, seed=4,
 ))
 
-# the planted oracle knows the hidden blocks; this is the best case
 partition, rep = homogeneous_partition(inst.h, inst.oracle, eps, seed=4)
-print(f"planted oracle: mode={rep.mode} inner_eps={rep.inner_eps:.4g} "
+print(f"r={inst.oracle.r}: mode={rep.mode} inner_eps={rep.inner_eps:.4g} "
       f"p={rep.p} budget={rep.budget:.0f}")
 print(f"block counts per part: {partition.block_counts()}")
 
@@ -29,15 +28,7 @@ audit = homogeneity_audit(inst.h, partition, eps)
 print(f"audit: mass={audit.mass} normalized={audit.normalized_mass:.4g} "
       f"passed={audit.passed}")
 
-# a greedy oracle has to discover the structure by density splits;
-# same contract, more blocks
-greedy = GreedyOracle(inst.h, eps ** 2 / 24.0, 3)
-partition2, rep2 = homogeneous_partition(inst.h, greedy, eps, seed=4)
-audit2 = homogeneity_audit(inst.h, partition2, eps)
-print(f"greedy oracle:  blocks={partition2.block_counts()} "
-      f"mass={audit2.mass} passed={audit2.passed}")
-
-failing = audit2.failing()
+failing = audit.failing()
 if failing:
     labels, density, _ = failing[0]
     print(f"example failing tuple {labels}: density {density:.3f}")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, link
 from .partitions import LayeredPartition, PartPartition, block_sums, homogeneous
 from .rng import generator
@@ -111,8 +112,12 @@ def homogeneity_audit(h, partition: LayeredPartition,
     directly, in row-major order.
 
     A partition must have one part per graph part, each covering that
-    part's vertices; otherwise ``ValueError`` names the mismatch.
+    part's vertices; otherwise ``ValueError`` names the mismatch. eps
+    must lie in [0, 1/2): from 1/2 on every density counts as
+    homogeneous, so every partition would pass.
     """
+    if not 0.0 <= eps < 0.5:
+        raise InfeasibleParamsError(f"eps={eps} outside [0, 1/2)")
     tensor, weighted = _as_tensor(h)
     if partition.k != tensor.ndim:
         raise ValueError(f"partition has {partition.k} parts, "

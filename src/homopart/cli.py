@@ -23,7 +23,7 @@ import time
 from . import io as hio
 from .auditor import homogeneity_audit, slicewise_vc, vc_dimension
 from .errors import CoverageError, FamilyRejectionError
-from .generators import FAMILIES, InstanceSpec, generate
+from .generators import FAMILIES, InstanceSpec, PlantedOracle, generate
 from .gowers import (
     build_sequence,
     build_weighted,
@@ -34,7 +34,6 @@ from .gowers import (
 )
 from .homogenizer import homogeneous_partition
 from .manifest import RunManifest, file_digest
-from .oracles import FileOracle, GreedyOracle
 from .partitions import LayeredPartition, PartPartition
 
 
@@ -104,13 +103,11 @@ def _cmd_homogenize(args) -> int:
                {"eps": eps, "r": args.r, "max_anchors": args.max_anchors},
                mode, {"instance": args.instance, "links": args.links})
     h = hio.read_khg(args.instance)
-    if args.links:
-        table, r = hio.read_links(args.links)
-        oracle = FileOracle(table, r)
-    else:
-        oracle = GreedyOracle(h, eps ** 2 / (8.0 * h.k), args.r)
+    # the pipeline reads only r; a links file is still parsed in full
+    r = hio.read_links(args.links)[1] if args.links else args.r
     partition, report = homogeneous_partition(
-        h, oracle, eps, args.seed, mode=mode, max_anchors=args.max_anchors,
+        h, PlantedOracle({}, r), eps, args.seed, mode=mode,
+        max_anchors=args.max_anchors,
     )
     audit = homogeneity_audit(h, partition, eps)
     run.write("partition.part", hio.write_part, partition)
@@ -323,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # no prefix matching, so that --eps is not taken for --eps-prime
     p = sub.add_parser("gen", parents=[seeded], allow_abbrev=False,
-                       help="generate a seeded instance plus its oracle sidecar")
+                       help="generate a seeded instance plus its link table")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, nargs="+", required=True,
                    help="part sizes; a single value applies to every part")
@@ -339,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("practical", "paper"),
                    default="practical")
     p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--links", help="oracle sidecar; greedy splits otherwise")
+    p.add_argument("--links", help="link table written by gen; only its r is "
+                                   "read, and it overrides --r")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--max-anchors", type=_positive_int, default=512)
     p.set_defaults(func=_cmd_homogenize)

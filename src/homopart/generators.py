@@ -4,10 +4,11 @@ Two families are planted: ``planted-boxes`` (edges constant on a grid
 of blocks, one interval partition per part) and ``product`` (a
 tripartite graph whose every third-part link equals one fixed planted
 bipartite graph). Both carry ground-truth partitions that make every
-link 0-homogeneous with at most r blocks per side, exposed as a
-PlantedOracle. ``interval-threshold`` plants interval partitions that
-are only approximately homogeneous, and ``uniform-random`` is the
-negative control with no usable link structure.
+link 0-homogeneous with at most r blocks per side, and a PlantedOracle
+holding them with that r; ``homogeneous_partition`` reads only the r.
+``interval-threshold`` plants interval partitions that are only
+approximately homogeneous, and ``uniform-random`` is the negative
+control with no usable link structure.
 """
 
 from __future__ import annotations
@@ -18,11 +19,30 @@ import numpy as np
 
 from .errors import InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph
-from .oracles import PlantedOracle
 from .partitions import PartPartition
 from .rng import generator
 
 FAMILIES = ("planted-boxes", "product", "interval-threshold", "uniform-random")
+
+
+class PlantedOracle:
+    """The link hypothesis an instance was planted with.
+
+    Holds one partition per part and the per-side block bound ``r``
+    that each of them respects. Planted families are block-constant,
+    so one fixed partition per part is homogeneous for every pinned
+    link.
+    """
+
+    def __init__(self, side_partitions: dict[int, PartPartition], r: int):
+        self.side_partitions = dict(side_partitions)
+        self.r = r
+        for part, p in self.side_partitions.items():
+            if p.n_body_blocks() > r:
+                raise InfeasibleParamsError(
+                    f"planted partition of part {part} has "
+                    f"{p.n_body_blocks()} blocks, allowed r={r}"
+                )
 
 
 @dataclass(frozen=True)

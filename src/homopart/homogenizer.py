@@ -7,7 +7,7 @@ The pipeline runs in three stages:
    pairwise-similar neighborhoods.
 2. ``tuple_partition`` covers the (k-1)-tuple product by anchor classes
    whose members have pairwise-similar neighborhoods in the target
-   part, using a link-partition oracle per pin tuple.
+   part.
 3. ``homogeneous_partition`` runs stage 2 once per target part, reads
    off one neighborhood per class, and refines each part by the Venn
    atoms of those neighborhoods, equalized to a fixed block size.
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bitops
 from .errors import CoverageError, InfeasibleParamsError
-from .hypercore import BipartiteGraph, KPartiteHypergraph, link
+from .hypercore import BipartiteGraph, KPartiteHypergraph
 from .partitions import (
     LayeredPartition,
     PartPartition,
@@ -71,11 +71,11 @@ def similarity_block_size(n: int, gamma: float, r: int) -> int:
 
 @dataclass(frozen=True)
 class ToleranceParams:
-    """Tolerance cascade tying the target homogeneity to the oracle's.
+    """Tolerance cascade tying the target homogeneity to the links'.
 
     ``gamma`` is the similarity tolerance handed to the bipartite
     stage and ``gamma_prime`` the homogeneity that stage expects of its
-    input partition, which is also what the link oracle must provide.
+    input partition, which is also what the link hypothesis assumes.
     Both follow the fixed formulas in every mode.
     """
 
@@ -326,9 +326,9 @@ def tuple_partition(
     over the tuples still open. Before returning, every covered tuple
     is checked against its anchor's neighborhood.
 
-    The oracle does not appear here: the assignment needs only
-    neighborhoods and anchors. Link-partition structure enters through
-    ``twin_diagnostics`` and the caller's choice of eps.
+    Link partitions do not appear here: the assignment needs only
+    neighborhoods and anchors. The link hypothesis enters through
+    ``params.r``, which sets paper mode's anchor count.
     """
     k = h.k
     if target_part is None:
@@ -400,120 +400,6 @@ def tuple_partition(
 
 
 @dataclass(frozen=True)
-class TwinReport:
-    """Diagnostics of the chain-twin structure of sampled tuples."""
-
-    tuples: tuple
-    good_fraction: dict
-    chain_counts: tuple
-    excellence_threshold: float
-    excellent_fraction: float
-    q: int
-
-
-def twin_diagnostics(
-    h: KPartiteHypergraph,
-    oracle,
-    gamma: float,
-    r: int,
-    *,
-    tuples=None,
-    sample_size: int = 32,
-    seed: int = 0,
-    target_part: int | None = None,
-) -> TwinReport:
-    """Count per-coordinate twins and chain twins of sampled tuples.
-
-    Two tuples are coordinate-i twins when they differ only in their
-    part-i entry and both entries lie in the same non-exceptional block
-    of the similarity partition of the link pinned by the shared
-    coordinates. A chain twin of e is any tuple reachable by one twin
-    step per coordinate in part order; the count is the composition of
-    the per-coordinate class sizes along the chain. Tuples with a count
-    of at least prod_i(gamma n_i / q) are reported as excellent.
-    """
-    k = h.k
-    if target_part is None:
-        target_part = k - 1
-    sources = tuple(p for p in range(k) if p != target_part)
-    source_sizes = tuple(h.part_sizes[p] for p in sources)
-    if tuples is None:
-        rng = generator(seed, "twin/sample")
-        tuples = [
-            tuple(int(rng.integers(s)) for s in source_sizes)
-            for _ in range(sample_size)
-        ]
-    tuples = [tuple(int(v) for v in e) for e in tuples]
-
-    sim_cache = {}
-
-    def sim(pins, side_part):
-        """Similarity partition of ``side_part`` for the pinned link."""
-        key = (pins, side_part)
-        if key not in sim_cache:
-            g = link(h, pins)
-            free = sorted(set(range(k)) - {p for p, _ in pins})
-            left_part, right_part = free
-            if side_part == right_part:
-                g = g.transpose()
-                left_part, right_part = right_part, left_part
-            res = similarity_partition(
-                g,
-                oracle.partition(pins, left_part),
-                oracle.partition(pins, right_part),
-                gamma,
-                r,
-                seed=seed,
-            )
-            sim_cache[key] = res.partition
-        return sim_cache[key]
-
-    q = similarity_block_count(gamma, r)
-    threshold = math.prod(gamma * h.part_sizes[p] / q for p in sources)
-
-    def class_of(e, coord):
-        """Block indices of e's coordinate in its pinned similarity
-        partition, or an empty array when the coordinate is bad."""
-        pins = tuple(
-            (sources[j], e[j]) for j in range(len(sources)) if j != coord
-        )
-        part = sim(pins, sources[coord])
-        b = part.block_of(e[coord])
-        if b == 0:
-            return np.zeros(0, dtype=np.int64)
-        return part.block_indices(b)
-
-    def chain_count(e, coord):
-        # the step at the last coordinate is pinned entirely by e, and
-        # each earlier step is pinned by the branch values already
-        # substituted for the later coordinates, so recurse downward
-        if coord < 0:
-            return 1
-        total = 0
-        for v in class_of(e, coord):
-            total += chain_count(e[:coord] + (int(v),) + e[coord + 1:], coord - 1)
-        return total
-
-    good_hits = {i: 0 for i in range(len(sources))}
-    counts = []
-    for e in tuples:
-        for i in range(len(sources)):
-            if class_of(e, i).size:
-                good_hits[i] += 1
-        counts.append(chain_count(e, len(sources) - 1))
-    n = len(tuples)
-    excellent = sum(1 for c in counts if c >= threshold)
-    return TwinReport(
-        tuples=tuple(tuples),
-        good_fraction={sources[i]: good_hits[i] / n for i in range(len(sources))},
-        chain_counts=tuple(counts),
-        excellence_threshold=threshold,
-        excellent_fraction=excellent / n,
-        q=q,
-    )
-
-
-@dataclass(frozen=True)
 class PipelineReport:
     """Assembly record of a homogeneous_partition run."""
 
@@ -544,6 +430,10 @@ def homogeneous_partition(
     size eps^2 n/(8kp) where p is the largest atom count. The audit
     module is the authority on whether the output meets eps; this
     function guarantees structure, not the verdict.
+
+    ``oracle.r``, the per-side block bound of the link hypothesis, is
+    all this function reads of ``oracle``; only paper mode's constants
+    depend on it.
     """
     if not 0.0 < eps < 0.5:
         raise InfeasibleParamsError(f"eps={eps} outside (0, 1/2)")

@@ -16,13 +16,12 @@ Types
     below builds links of unweighted hypergraphs only.
 
 All objects freeze their arrays after construction; the kernels below
-(`density`, `link`, `neighborhood`, `partite_cover`) are pure functions
-and safe to share across threads.
+(`density`, `link`, `neighborhood`) are pure functions and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -446,28 +445,3 @@ def link(h: KPartiteHypergraph, pins) -> BipartiteGraph:
     plane = bitops.extract_bit(h.words[indexer], pin_of[h.k - 1])
     return BipartiteGraph.from_dense(plane)
 
-
-def partite_cover(n_vertices: int, edges, k: int | None = None) -> KPartiteHypergraph:
-    """k-partite cover of an ordinary k-uniform hypergraph.
-
-    Takes a k-graph on vertices ``range(n_vertices)`` given as an edge
-    set of k-element subsets, and returns the k-partite graph on k
-    copies of the vertex set whose edges are all transversal orderings
-    of the original edges. Each input edge contributes exactly k!
-    partite edges.
-    """
-    edges = [tuple(sorted(int(v) for v in e)) for e in edges]
-    if k is None:
-        if not edges:
-            raise ValueError("cannot infer k from an empty edge set")
-        k = len(edges[0])
-    for e in edges:
-        if len(e) != k or len(set(e)) != k:
-            raise ValueError(f"edge {e} is not a {k}-element subset")
-        if e[0] < 0 or e[-1] >= n_vertices:
-            raise ValueError(f"edge {e} out of range for n={n_vertices}")
-    tensor = np.zeros((n_vertices,) * k, dtype=bool)
-    for e in set(edges):
-        for perm in itertools.permutations(e):
-            tensor[perm] = True
-    return KPartiteHypergraph.from_dense(tensor)

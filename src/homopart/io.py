@@ -609,7 +609,7 @@ def _parse_pins(offset, token):
 
 
 def write_links(path, table: dict, r: int, *, digest=None):
-    """Store a pin-keyed partition table, FileOracle's input."""
+    """Store a pin-keyed table of link partitions with their bound r."""
     rows = [f"links {int(r)}"]
     for (pins, side) in sorted(table, key=lambda key: (key[0], key[1])):
         p = table[(pins, side)]
@@ -623,7 +623,10 @@ def write_links(path, table: dict, r: int, *, digest=None):
 
 
 def read_links(path) -> tuple:
-    """(table, r) suitable for FileOracle."""
+    """(table, r) as ``write_links`` stored them.
+
+    The whole file is validated; ``homogenize --links`` uses only r.
+    """
     lines = _data_lines(_read_ascii(path))
     if not lines:
         raise FormatError(0, "empty file, expected a links header")

@@ -12,8 +12,8 @@ Conventions used throughout the package:
 
 ``block_sums`` is the one kernel that builds a block-tuple density
 table: the homogeneity audit, disagreement counts, the similarity
-stage's good/bad classification, the greedy link oracle and the exact
-certificate checks all read their densities from it, and
+stage's good/bad classification and the exact certificate checks all
+read their densities from it, and
 ``homogeneous`` is the one verdict on a density.
 """
 

@@ -25,6 +25,7 @@ from homopart import (
     weak_regularity_witness,
 )
 from homopart import auditor
+from homopart.errors import InfeasibleParamsError
 from homopart.partitions import block_sums, homogeneous
 
 
@@ -182,6 +183,15 @@ class TestHomogeneityAudit:
         ))
         with pytest.raises(ValueError, match=message):
             homogeneity_audit(inst.h, interval_layers(sizes, 2), 0.2)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.6, 2.0, -0.1])
+    def test_eps_outside_range_rejected(self, eps):
+        # from eps 1/2 on every density counts as homogeneous
+        inst = generate(InstanceSpec(
+            k=3, n=(6, 6, 6), family="planted-boxes", r=2, eps_prime=0.1, seed=1
+        ))
+        with pytest.raises(InfeasibleParamsError, match=r"outside \[0, 1/2\)"):
+            homogeneity_audit(inst.h, interval_layers((6, 6, 6), 2), eps)
 
 
 def reference_homogeneity_audit(h, partition, eps):

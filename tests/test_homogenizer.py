@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 
 from homopart import (
     BipartiteGraph,
-    ExhaustiveOracle,
-    FileOracle,
-    GreedyOracle,
     InstanceSpec,
     KPartiteHypergraph,
     PartPartition,
@@ -29,11 +26,10 @@ from homopart import (
     similarity_input_tolerance,
     similarity_partition,
     tuple_partition,
-    twin_diagnostics,
 )
 from homopart import homogenizer
-from homopart.errors import CoverageError, InfeasibleParamsError, PinError
-from homopart.hypercore import link, neighborhood
+from homopart.errors import CoverageError, InfeasibleParamsError
+from homopart.hypercore import neighborhood
 from homopart.rng import generator
 
 
@@ -56,13 +52,6 @@ def brute_assignment(dense, anchors, threshold):
                 labels[tup] = i + 1
                 break
     return labels
-
-
-def brute_pair_density(adj, xs, ys):
-    if len(xs) == 0 or len(ys) == 0:
-        return 0.0
-    hits = sum(1 for x in xs for y in ys if adj[x, y])
-    return hits / (len(xs) * len(ys))
 
 
 def brute_block_checks(adj, result, gamma):
@@ -324,240 +313,7 @@ class TestTuplePartition:
         assert tp.exceptional_count() <= tp.budget + 1e-9
 
 
-def brute_chain_count(dense, sim_lookup, e, n_sources):
-    """Chain-twin count by direct enumeration of the first element.
-
-    ``sim_lookup(pins, side)`` returns the similarity partition used
-    for a twin test; the chain conditions themselves are rebuilt here
-    from their definition, one consecutive pair at a time.
-    """
-    shape = dense.shape[:-1]
-    count = 0
-    for e1 in np.ndindex(*shape):
-        chain = [
-            tuple(e[:i]) + tuple(e1[i:]) for i in range(n_sources + 1)
-        ]  # chain[i] replaces the first i coordinates by e's
-        ok = True
-        for i in range(n_sources):
-            lo, hi = chain[i], chain[i + 1]
-            pins = tuple((j, lo[j]) for j in range(n_sources) if j != i)
-            part = sim_lookup(pins, i)
-            b = part.block_of(lo[i])
-            if b == 0 or part.block_of(hi[i]) != b:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-class TestTwinDiagnostics:
-    def test_product_counts_and_threshold(self):
-        spec = InstanceSpec(
-            k=3, n=(120, 120, 120), family="product", r=1, eps_prime=0.0, seed=4
-        )
-        inst = generate(spec)
-        rep = twin_diagnostics(
-            inst.h, inst.oracle, 0.3, 1, sample_size=12, seed=4
-        )
-        assert rep.q == 7
-        assert rep.excellence_threshold == pytest.approx((36.0 / 7.0) ** 2)
-        assert rep.excellence_threshold == pytest.approx(26.4, abs=0.1)
-        # r=1 product links are constant, so classes are the 12-chunks
-        # and any good tuple composes to 12 * 12 chains
-        assert set(rep.chain_counts) <= {0, 144}
-        assert rep.excellent_fraction == pytest.approx(
-            sum(1 for c in rep.chain_counts if c == 144) / 12
-        )
-
-    @pytest.mark.parametrize("family,seed", [
-        ("uniform-random", 31),
-        ("interval-threshold", 12),
-        ("product", 7),
-    ])
-    def test_counts_match_direct_enumeration(self, family, seed):
-        spec = InstanceSpec(
-            k=3, n=(6, 6, 6), family=family, r=1, eps_prime=0.0, seed=seed
-        )
-        inst = generate(spec)
-        gamma, r = 0.45, 1
-        rep = twin_diagnostics(
-            inst.h, inst.oracle, gamma, r, sample_size=4, seed=seed
-        )
-        dense = inst.h.to_dense()
-
-        cache = {}
-
-        def sim_lookup(pins, side_coord):
-            sources = (0, 1)
-            side = sources[side_coord]
-            real_pins = tuple(
-                (sources[j], int(v)) for j, v in pins
-            )
-            key = (real_pins, side)
-            if key not in cache:
-                g = link(inst.h, real_pins)
-                free = sorted({0, 1, 2} - {p for p, _ in real_pins})
-                lo, hi = free
-                if side == hi:
-                    g = g.transpose()
-                    lo, hi = hi, lo
-                cache[key] = similarity_partition(
-                    g,
-                    inst.oracle.partition(real_pins, lo),
-                    inst.oracle.partition(real_pins, hi),
-                    gamma,
-                    r,
-                    seed=seed,
-                ).partition
-            return cache[key]
-
-        for e, got in zip(rep.tuples, rep.chain_counts):
-            expect = brute_chain_count(dense, sim_lookup, e, 2)
-            assert got == expect, (e, got, expect)
-
-    def test_bad_coordinate_gives_zero_chains(self):
-        spec = InstanceSpec(
-            k=3, n=(60, 60, 60), family="product", r=2, eps_prime=0.0, seed=7
-        )
-        inst = generate(spec)
-        # find a vertex trimmed into the exceptional block of the
-        # part-1 similarity partition pinned at a=0
-        g = link(inst.h, ((0, 0),))
-        res = similarity_partition(
-            g,
-            inst.oracle.partition(((0, 0),), 1),
-            inst.oracle.partition(((0, 0),), 2),
-            0.3,
-            2,
-            seed=7,
-        )
-        bad = np.flatnonzero(res.partition.labels == 0)
-        assert bad.size > 0
-        rep = twin_diagnostics(
-            inst.h, inst.oracle, 0.3, 2, tuples=[(0, int(bad[0]))], seed=7
-        )
-        assert rep.chain_counts == (0,)
-        assert rep.good_fraction[1] == 0.0
-
-
-def brute_best_mass(adj, eps, r):
-    """Optimal non-homogeneous mass over all pairs of partitions with
-    at most r blocks per side, by full enumeration."""
-    import itertools
-
-    def all_labelings(n):
-        out = []
-        for labels in itertools.product(range(r), repeat=n):
-            canon = {}
-            ok = True
-            for v in labels:
-                if v not in canon:
-                    if v != len(canon):
-                        ok = False
-                        break
-                    canon[v] = True
-            if ok:
-                out.append(labels)
-        return out
-
-    n_x, n_y = adj.shape
-    best = None
-    for lx in all_labelings(n_x):
-        xs = [
-            [i for i in range(n_x) if lx[i] == b]
-            for b in range(max(lx) + 1)
-        ]
-        for ly in all_labelings(n_y):
-            ys = [
-                [j for j in range(n_y) if ly[j] == b]
-                for b in range(max(ly) + 1)
-            ]
-            mass = 0
-            for bx in xs:
-                for by in ys:
-                    d = brute_pair_density(adj, bx, by)
-                    if eps < d < 1.0 - eps:
-                        mass += len(bx) * len(by)
-            if best is None or mass < best:
-                best = mass
-    return best
-
-
 class TestOracles:
-    def test_greedy_recovers_planted_boxes(self):
-        spec = InstanceSpec(
-            k=3, n=(12, 12, 12), family="planted-boxes", r=2, eps_prime=0.0, seed=2
-        )
-        inst = generate(spec)
-        oracle = GreedyOracle(inst.h, eps_prime=0.05, r=2)
-        pins = ((2, 3),)
-        adj = link(inst.h, pins).to_dense()
-        left = oracle.partition(pins, 0)
-        right = oracle.partition(pins, 1)
-        assert left.n_body_blocks() <= 2 and right.n_body_blocks() <= 2
-        for bx in range(left.n_blocks):
-            for by in range(right.n_blocks):
-                d = brute_pair_density(
-                    adj,
-                    left.block_indices(bx).tolist(),
-                    right.block_indices(by).tolist(),
-                )
-                assert d <= 0.05 or d >= 0.95
-
-    def test_greedy_trivial_on_complete(self):
-        h = KPartiteHypergraph.complete((8, 8, 8))
-        oracle = GreedyOracle(h, eps_prime=0.01, r=3)
-        p = oracle.partition(((2, 0),), 0)
-        assert p.n_blocks == 1
-
-    def test_exhaustive_matches_brute_optimum(self):
-        spec = InstanceSpec(
-            k=3, n=(4, 4, 4), family="uniform-random", r=2, eps_prime=0.0, seed=13
-        )
-        inst = generate(spec)
-        pins = ((2, 1),)
-        adj = link(inst.h, pins).to_dense()
-        oracle = ExhaustiveOracle(inst.h, eps_prime=0.1, r=2)
-        left = oracle.partition(pins, 0)
-        right = oracle.partition(pins, 1)
-        mass = 0
-        for bx in range(left.n_blocks):
-            for by in range(right.n_blocks):
-                d = brute_pair_density(
-                    adj,
-                    left.block_indices(bx).tolist(),
-                    right.block_indices(by).tolist(),
-                )
-                if 0.1 < d < 0.9:
-                    mass += left.sizes()[bx] * right.sizes()[by]
-        assert mass == brute_best_mass(adj, 0.1, 2)
-
-    def test_exhaustive_finds_planted_split(self):
-        spec = InstanceSpec(
-            k=3, n=(8, 8, 8), family="planted-boxes", r=2, eps_prime=0.0, seed=21
-        )
-        inst = generate(spec)
-        oracle = ExhaustiveOracle(inst.h, eps_prime=0.02, r=2)
-        pins = ((0, 5),)
-        adj = link(inst.h, pins).to_dense()
-        left = oracle.partition(pins, 1)
-        right = oracle.partition(pins, 2)
-        for bx in range(left.n_blocks):
-            for by in range(right.n_blocks):
-                d = brute_pair_density(
-                    adj,
-                    left.block_indices(bx).tolist(),
-                    right.block_indices(by).tolist(),
-                )
-                assert d <= 0.02 or d >= 0.98
-
-    def test_exhaustive_guard(self):
-        h = KPartiteHypergraph.empty((12, 12, 12))
-        oracle = ExhaustiveOracle(h, eps_prime=0.1, r=3)
-        with pytest.raises(InfeasibleParamsError):
-            oracle.partition(((2, 0),), 0)
-
     def test_planted_oracle_validation(self):
         parts = {
             0: PartPartition.intervals(8, 2, part=0),
@@ -565,24 +321,7 @@ class TestOracles:
         }
         with pytest.raises(InfeasibleParamsError):
             PlantedOracle(parts, r=2)
-        oracle = PlantedOracle(parts, r=4)
-        with pytest.raises(PinError):
-            oracle.partition(((0, 3),), 0)
-        with pytest.raises(PinError):
-            oracle.partition((), 5)
-
-    def test_file_oracle_lookup_and_fallback(self):
-        fixed = PartPartition.intervals(6, 2, part=1)
-        special = PartPartition.intervals(6, 3, part=1)
-        oracle = FileOracle(
-            {((), 1): fixed, (((0, 2),), 1): special}, r=3
-        )
-        assert oracle.partition(((0, 2),), 1) == special
-        assert oracle.partition(((0, 4),), 1) == fixed
-        with pytest.raises(PinError):
-            oracle.partition(((1, 0),), 1)
-        with pytest.raises(PinError):
-            oracle.partition(((0, 1),), 2)
+        assert PlantedOracle(parts, r=4).r == 4
 
 
 class TestHomogeneousPartition:
@@ -620,14 +359,20 @@ class TestHomogeneousPartition:
             assert d in (0.0, 1.0)
 
     def test_deterministic_across_runs(self):
-        spec = InstanceSpec(
-            k=3, n=(30, 30, 30), family="planted-boxes", r=2, eps_prime=0.0, seed=9
-        )
-        inst = generate(spec)
-        lp1, _ = homogeneous_partition(inst.h, inst.oracle, eps=0.25, seed=4)
-        lp2, _ = homogeneous_partition(inst.h, inst.oracle, eps=0.25, seed=4)
-        for i in range(3):
-            assert np.array_equal(lp1[i].labels, lp2[i].labels)
+        for family in ("planted-boxes", "interval-threshold", "product"):
+            spec = InstanceSpec(
+                k=3, n=(30, 30, 30), family=family, r=2, eps_prime=0.0, seed=9
+            )
+            inst = generate(spec)
+            lp1, _ = homogeneous_partition(inst.h, inst.oracle, eps=0.25, seed=4)
+            lp2, _ = homogeneous_partition(inst.h, inst.oracle, eps=0.25, seed=4)
+            # the pipeline reads only r, so an oracle without the planted
+            # partitions gives the same labels
+            bare = PlantedOracle({}, inst.oracle.r)
+            lp3, _ = homogeneous_partition(inst.h, bare, eps=0.25, seed=4)
+            for i in range(3):
+                assert np.array_equal(lp1[i].labels, lp2[i].labels), family
+                assert np.array_equal(lp1[i].labels, lp3[i].labels), family
 
     def test_uniform_random_fails_coverage(self):
         spec = InstanceSpec(

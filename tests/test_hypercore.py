@@ -1,4 +1,4 @@
-"""Hypergraph core: density, link, neighborhood, partite cover.
+"""Hypergraph core: density, link, neighborhood.
 
 Derived expectations are computed by independent oracles defined at the
 top of this file (naive edge scans over dense tensors), never by the
@@ -20,7 +20,6 @@ from homopart import (
     density,
     link,
     neighborhood,
-    partite_cover,
 )
 from homopart import bitops
 from homopart.errors import EmptySubsetError, PinError
@@ -244,52 +243,6 @@ def test_symdiff_triangle_inequality():
         nb = neighborhood(h, tuples[ib])
         nc = neighborhood(h, tuples[ic])
         assert na.symdiff_size(nc) <= na.symdiff_size(nb) + nb.symdiff_size(nc)
-
-
-# ---------------------------------------------------------- partite cover
-
-
-def test_cover_single_edge():
-    h = partite_cover(3, [(0, 1, 2)], k=3)
-    assert h.part_sizes == (3, 3, 3)
-    # 3! transversal orderings of one edge
-    assert h.edge_count == 6
-    expected = set(itertools.permutations((0, 1, 2)))
-    assert set(h.edges()) == expected
-
-
-def test_cover_empty_graph():
-    h = partite_cover(5, [], k=3)
-    assert h.part_sizes == (5, 5, 5)
-    assert h.edge_count == 0
-
-
-def test_cover_edge_count_factorial():
-    rng = generator(7, "test/cover")
-    for _ in range(5):
-        n = int(rng.integers(4, 7))
-        all_triples = list(itertools.combinations(range(n), 3))
-        take = rng.random(len(all_triples)) < 0.5
-        edges = [t for t, keep in zip(all_triples, take) if keep]
-        h = partite_cover(n, edges, k=3)
-        assert h.edge_count == 6 * len(edges)
-
-
-def test_cover_density_normalization():
-    # Cover density over full parts is k! |E| / n^k; checked against
-    # the naive count on a small instance.
-    n = 5
-    edges = [(0, 1, 2), (1, 2, 3), (0, 3, 4)]
-    h = partite_cover(n, edges, k=3)
-    full = [VertexSet.full(n, part=i) for i in range(3)]
-    assert density(h, full) == pytest.approx(6 * len(edges) / n**3)
-
-
-def test_cover_malformed_edges():
-    with pytest.raises(ValueError):
-        partite_cover(4, [(0, 1)], k=3)
-    with pytest.raises(ValueError):
-        partite_cover(4, [(0, 0, 1)], k=3)
 
 
 # ------------------------------------------------------------- properties

@@ -26,7 +26,6 @@ from homopart import (
 from homopart import io as hio
 from homopart.cli import main
 from homopart.errors import FormatError
-from homopart.oracles import FileOracle
 
 
 def random_hypergraph(shape, seed):
@@ -157,9 +156,6 @@ def test_links_round_trip(tmp_path):
     for key in table:
         assert back[key] == table[key]
         assert back[key].equitable == table[key].equitable
-    # the loaded table drives FileOracle directly
-    oracle = FileOracle(back, r)
-    assert oracle.partition((), 0) == table[((), 0)]
 
 
 def test_links_duplicate_key_rejected(tmp_path):
@@ -694,6 +690,30 @@ def test_cli_homogenize_passes_on_planted(tmp_path, capsys):
     assert homogeneity_audit(h, partition, 0.2).passed
 
 
+def test_cli_links_file_contributes_only_r(tmp_path, capsys):
+    gen_out = tmp_path / "gen"
+    run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--r", 3,
+             "--seed", 3, "--out", gen_out])
+    with_links, with_r = tmp_path / "links", tmp_path / "r"
+    assert run_cli(["homogenize", gen_out / "instance.khg",
+                    "--links", gen_out / "instance.links",
+                    "--out", with_links]) == 0
+    assert run_cli(["homogenize", gen_out / "instance.khg", "--r", 3,
+                    "--out", with_r]) == 0
+
+    def split(path):
+        lines = path.read_text().splitlines()
+        stamps = [ln for ln in lines if ln.startswith("# manifest ")]
+        return [ln for ln in lines if ln not in stamps], stamps
+
+    for name in ("partition.part", "report.audit"):
+        rows_links, stamp_links = split(with_links / name)
+        rows_r, stamp_r = split(with_r / name)
+        assert rows_links == rows_r
+        # the manifests list different inputs, so only the stamps differ
+        assert stamp_links != stamp_r
+
+
 def test_cli_audit_agrees_with_homogenize(tmp_path, capsys):
     gen_out = tmp_path / "gen"
     run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--seed", 5,
@@ -725,6 +745,24 @@ def test_cli_audit_failure_exits_one(tmp_path, capsys):
     assert code == 1
     report = hio.read_audit(tmp_path / "out" / "report.audit")
     assert not report.passed
+
+
+@pytest.mark.parametrize("eps", [0.6, 2, -0.1])
+def test_cli_audit_eps_outside_range_exits_two(tmp_path, capsys, eps):
+    # from eps 1/2 on every density counts as homogeneous, so this
+    # flat partition, which fails at 0.2, would pass
+    h = random_hypergraph((6, 6, 6), seed=9)
+    path = tmp_path / "g.khg"
+    hio.write_khg(path, h)
+    flat = LayeredPartition([
+        PartPartition(np.zeros(6, dtype=int), part=i) for i in range(3)
+    ])
+    ppath = tmp_path / "p.part"
+    hio.write_part(ppath, flat)
+    out = tmp_path / "out"
+    assert run_cli(["audit", path, ppath, "--eps", eps, "--out", out]) == 2
+    assert f"eps={float(eps)} outside [0, 1/2)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_vc_tripartite(tmp_path, capsys):
