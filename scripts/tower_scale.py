@@ -1,0 +1,67 @@
+"""Time the tower stages at one size and report peak RSS after each.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/tower_scale.py 480
+    python3 scripts/tower_scale.py 480 --src /path/to/other/checkout/src
+
+Builds the toy tower the tower benchmark uses (t=3, growth 2, s0=4,
+seed 1) at n vertices per part, then verifies one link certificate
+per vertex (3n), runs the refinement cascade on the interval ladder
+(one candidate per level) and samples once with 100 boxes. n must be
+divisible by the finest level 8 and by t=3. Prints one JSON line:
+seconds per stage and ``ru_maxrss`` in MB after it. Run one size per
+process, since peak RSS never falls.
+"""
+
+import argparse
+import json
+import os
+import resource
+import sys
+import time
+
+
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("n", type=int)
+    parser.add_argument("--src", default=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import homopart as hp
+
+    n = args.n
+    params = hp.build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                               seed=1)
+    out = {"n": n}
+
+    def stage(name, fn):
+        start = time.perf_counter()
+        value = fn()
+        out[f"{name}_s"] = round(time.perf_counter() - start, 3)
+        out[f"{name}_peak_rss_mb"] = round(peak_mb(), 1)
+        return value
+
+    build = stage("build", lambda: hp.build_weighted(params, n))
+    out["certificates_ok"] = stage("certify", lambda: sum(
+        hp.verify_certificate(build, hp.link_certificate(build, part, v)).ok
+        for part in range(3) for v in range(n)))
+    ladder = [hp.LayeredPartition([hp.PartPartition.intervals(n, m, part=i)
+                                   for i in range(3)])
+              for m in params.levels]
+    out["witnesses"] = stage("cascade", lambda: sum(
+        len(level.witnesses) for candidate in ladder
+        for level in hp.refinement_cascade(build, candidate).levels))
+    sample = stage("sample", lambda: hp.sample_unweighted(build.weighted, 1))
+    out["sampled_edges"] = sample.graph.edge_count
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bitops
 from .auditor import RegularityWitness, _mask_chunks, bipartite_regularity_witness
-from .bitops import extract_bit
 from .errors import DivisibilityError, FamilyRejectionError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, _frozen
 from .partitions import (
@@ -451,9 +451,56 @@ class IntervalLayering:
     def layer_indices(self, r: int) -> np.ndarray:
         return self.c_layers.block_indices(r - 1)
 
+    def layer_weights(self) -> np.ndarray:
+        """Weight 2^-r of layer r, for r = 1..t."""
+        return 2.0 ** -np.arange(1, self.t + 1)
+
+    def level_bits(self, part: int, v: int) -> np.ndarray:
+        """n x t table: bit r-1 of row x says level graph r has the edge
+        (v, x) when ``part`` is 0, or (x, v) when it is 1."""
+        if part == 0:
+            return bitops.unpack(np.stack([g.rows[v] for g in self.graphs]), self.n).T
+        return np.stack([bitops.extract_bit(g.rows, v) for g in self.graphs], axis=1)
+
+    def link(self, part: int, v: int) -> np.ndarray:
+        """n x n link weights of vertex ``v`` of ``part``, from the level rows."""
+        if part == 2:
+            r = self.layer_of(v)
+            adj = bitops.unpack(self.graphs[r - 1].rows, self.n)
+            return np.where(adj, 2.0 ** -r, 0.0)
+        weights = self.level_bits(part, v) * self.layer_weights()
+        return weights[:, self.c_layers.labels]
+
+    def box_mean(self, a, b, c) -> float:
+        """Mean weight of the box a x b x c of index arrays.
+
+        The sum over layers r of 2^-r e_r(a, b) |c in layer r|, where
+        e_r counts the edges of level graph r on a x b, divided by the
+        box's cells. Every term is dyadic and exact, so this equals the
+        mean of the dense box bit for bit.
+        """
+        per_layer = np.bincount(self.c_layers.labels[c], minlength=self.t)
+        total = 0.0
+        for r, size in enumerate(per_layer.tolist(), 1):
+            if size:
+                total += math.ldexp(_edges(self.graphs[r - 1], a, b) * size, -r)
+        return total / (a.size * b.size * c.size)
+
+
+def _edges(g: BipartiteGraph, a, b) -> int:
+    """Edges of ``g`` between left indices ``a`` and right indices ``b``."""
+    mask = bitops.from_indices(b, g.n_right)
+    return int(bitops.popcount(g.rows[a] & mask))
+
 
 @dataclass(frozen=True)
 class GowersBuild:
+    """One tower construction at size n.
+
+    Its weights are stored only as ``layering.graphs`` and the layer
+    labels: ``weighted`` is a layered ``WeightedTripartite`` over them.
+    """
+
     params: GowersParams
     n: int
     weighted: WeightedTripartite
@@ -492,9 +539,11 @@ def build_weighted(params: GowersParams, n: int) -> GowersBuild:
 
     Each part has n vertices; n must be divisible by the finest level
     and by the layer count so every interval is exact. Level r
-    contributes weight 2^-r on its layer's slab wherever the level
-    graph has an edge, so every cell weight is exactly 0 or 2^-r for
-    its layer, and the stack stays within [0, 1].
+    contributes weight 2^-r on its layer of the third part wherever
+    the level graph has an edge, so every cell weight is exactly 0 or
+    2^-r for its layer, and the stack stays within [0, 1]. Only the t
+    packed level graphs and the layer labels are stored; the n^3
+    ``weighted.weights`` tensor is built if and when it is read.
     """
     n = int(n)
     t = params.t
@@ -516,19 +565,14 @@ def build_weighted(params: GowersParams, n: int) -> GowersBuild:
 
     families = []
     graphs = []
-    weights = np.zeros((n, n, n), dtype=np.float64)
     for r in range(1, t + 1):
         fam = orthogonal_family(
             params.levels[r - 1],
             params.ratio(r),
             seed=derive(params.seed, f"gowers/level{r}"),
         )
-        adj = _level_dense(n, fam)
         families.append(fam)
-        graphs.append(BipartiteGraph.from_dense(adj))
-        weights[:, :, c_layers.block_indices(r - 1)] = np.where(
-            adj, 2.0 ** -r, 0.0
-        )[:, :, None]
+        graphs.append(BipartiteGraph.from_dense(_level_dense(n, fam)))
 
     layering = IntervalLayering(
         n=n,
@@ -539,9 +583,10 @@ def build_weighted(params: GowersParams, n: int) -> GowersBuild:
         families=tuple(families),
         graphs=tuple(graphs),
     )
-    return GowersBuild(
-        params=params, n=n, weighted=WeightedTripartite(weights), layering=layering
+    weighted = WeightedTripartite.from_layers(
+        layering.graphs, c_layers.labels, layering.layer_weights()
     )
+    return GowersBuild(params=params, n=n, weighted=weighted, layering=layering)
 
 
 CERTIFICATE_KINDS = ("quasirandom", "constant-boxes", "layer-constant")
@@ -602,9 +647,7 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
 
     # first- or second-part vertex: the other interval side is atomized
     # by the per-level neighborhoods, the layer side is kept as is
-    neighborhoods = [g.neighborhood(v) if part == 0 else extract_bit(g.rows, v)
-                     for g in lay.graphs]
-    atoms = common_refinement(n, neighborhoods)
+    atoms = common_refinement(n, list(lay.level_bits(part, v).T))
     layer_part = PartPartition(lay.c_layers.labels, n_blocks=params.t)
     return LinkCertificate(
         part=part,
@@ -631,17 +674,25 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
     """Check a certificate against the actual link weights.
 
     Constant-boxes and layer-constant claims are exact: every certified
-    block pair must carry a single weight value, which holds exactly
-    when every cell equals its block pair's mean from ``block_sums``
-    (exact on the dyadic weights ``build_weighted`` makes). ``worst``
-    is the first failing pair in (a, b) order with its least and
-    greatest weight. Quasirandom claims are checked one-sidedly, by
-    the quasirandomness audit plus a sampled witness search on the
-    level graph; ``ok`` then means no witness surfaced within the
-    budget of ``draws`` subsets, which must be at least 1 when the
-    search is sampled. Both depend only on the level, so they run once per
-    (level, delta, draws, seed) on a build, and every later quasirandom
-    certificate on that level gets the same audit and witness objects.
+    block pair must carry a single weight value. They are counted from
+    the level rows, never from the dense weights. A third-part vertex
+    on layer r has the link 2^-r G_r, so a pair A x B is constant
+    exactly when G_r has 0 or |A||B| edges on it, counted by popcount
+    per right block and ``block_sums`` over the left blocks. For a
+    first- or second-part vertex v, ``block_sums`` of its n x t table
+    of level bits against (left blocks, one block per level) counts
+    |A & N_r(v)|; a pair A x C is constant exactly when every layer C
+    meets has a count of 0 or |A|, and every count is 0 where C meets
+    more than one layer. ``worst`` is the first failing pair in (a, b)
+    order with its least and greatest weight, read from the one link
+    rebuilt from the level rows. Quasirandom claims are checked
+    one-sidedly, by the quasirandomness audit plus a sampled witness
+    search on the level graph; ``ok`` then means no witness surfaced
+    within the budget of ``draws`` subsets, which must be at least 1
+    when the search is sampled. Both depend only on the level, so they
+    run once per (level, delta, draws, seed) on a build, and every
+    later quasirandom certificate on that level gets the same audit and
+    witness objects.
     """
     if cert.kind == "quasirandom":
         lay = build.layering
@@ -668,14 +719,31 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
             witness=wit,
         )
 
-    link = np.take(build.weighted.weights, cert.vertex, axis=cert.part)
+    lay = build.layering
     left, right = cert.partitions[0], cert.partitions[1]
-    sums, volumes = block_sums(link, (left, right))
-    means = sums / np.maximum(volumes, 1)
-    off = link != means[np.ix_(left.labels, right.labels)]
+    if cert.part == 2:
+        rows = lay.graphs[lay.layer_of(cert.vertex) - 1].rows
+        masks = bitops.pack(right.labels == np.arange(right.n_blocks)[:, None])
+        per_block = bitops.popcount(rows[:, None, :] & masks, axis=-1)
+        edges, _ = block_sums(
+            per_block, (left, PartPartition.singletons(right.n_blocks))
+        )
+        cells = np.multiply.outer(left.sizes(), right.sizes())
+        off = (edges != 0) & (edges != cells)
+    else:
+        t = lay.t
+        bits = lay.level_bits(cert.part, cert.vertex)
+        hits, _ = block_sums(bits, (left, PartPartition.singletons(t)))
+        meets = np.bincount(
+            right.labels * t + lay.c_layers.labels, minlength=right.n_blocks * t
+        ).reshape(-1, t) > 0
+        lit = (hits != 0).astype(np.int64)
+        mixed = lit * (hits != left.sizes()[:, None])
+        off = (mixed @ meets.T > 0) | ((lit @ meets.T > 0) & (meets.sum(axis=1) > 1))
     worst = None
     if off.any():
-        a, b = np.argwhere(block_sums(off, (left, right))[0] > 0)[0]
+        a, b = np.argwhere(off)[0]
+        link = lay.link(cert.part, cert.vertex)
         box = link[np.ix_(left.block_indices(a), right.block_indices(b))]
         worst = ((int(a), int(b)), float(box.min()), float(box.max()))
     return CertificateCheck(
@@ -844,7 +912,8 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
 
     ``side`` names which interval family the fine partition refines;
     the other side supplies the crossing block. All index choices scan
-    in ascending order, so extraction is deterministic.
+    in ascending order, so extraction is deterministic. Box densities
+    come from level-graph edge counts (``IntervalLayering.box_mean``).
     """
     lay = build.layering
     params = build.params
@@ -857,7 +926,7 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
     fine_part = candidate[0] if side == "A" else candidate[1]
     other_part = candidate[1] if side == "A" else candidate[0]
     third = candidate[2]
-    weights = build.weighted.weights
+    g = lay.graphs[r - 1]
 
     lost = np.flatnonzero(prev_fine.matched & ~cur_fine.matched)
     for s in lost:
@@ -904,13 +973,12 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
         if not w_pick.size:
             continue
 
-        adj = lay.graphs[r - 1].to_dense()
         if side == "A":
-            assert adj[np.ix_(v_complete, w_pick)].all()
-            assert not adj[np.ix_(v_empty, w_pick)].any()
+            assert _edges(g, v_complete, w_pick) == v_complete.size * w_pick.size
+            assert _edges(g, v_empty, w_pick) == 0
         else:
-            assert adj[np.ix_(w_pick, v_complete)].all()
-            assert not adj[np.ix_(w_pick, v_empty)].any()
+            assert _edges(g, w_pick, v_complete) == v_complete.size * w_pick.size
+            assert _edges(g, w_pick, v_empty) == 0
 
         layer = lay.layer_indices(r)
         chosen_ell = None
@@ -930,9 +998,9 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
         else:
             box = lambda vv: (w_pick, vv, rc)
             blocks = (other, fine_part.block_indices(int(s)), r_block)
-        base = float(weights[np.ix_(*blocks)].mean())
-        d_complete = float(weights[np.ix_(*box(v_complete))].mean())
-        d_empty = float(weights[np.ix_(*box(v_empty))].mean())
+        base = lay.box_mean(*blocks)
+        d_complete = lay.box_mean(*box(v_complete))
+        d_empty = lay.box_mean(*box(v_empty))
 
         complete = RegularityWitness(
             subsets=box(v_complete),
@@ -974,8 +1042,8 @@ def refinement_cascade(build: GowersBuild, candidate: LayeredPartition,
     flagged, those above 1/72 are flagged as outside the sound
     schedule but still tested. Where refinement fails and the previous
     level matched, a witness is extracted: a complete and an empty
-    sub-box, both re-sliced from the weight tensor, whose densities
-    differ by exactly 2^-r and so certify the failure without a search.
+    sub-box, both counted on the level graphs, whose densities differ
+    by exactly 2^-r and so certify the failure without a search.
     """
     if candidate.k != 3:
         raise ValueError("the cascade runs on a three-part candidate")
@@ -1084,43 +1152,52 @@ def sample_unweighted(weighted: WeightedTripartite, seed=0, *, boxes=100,
     variance of each box. ``boxes`` must be nonnegative and
     ``box_fraction`` in (0, 1].
 
-    All sub-boxes are summed in one pass: each part gets a 0/1 matrix
-    saying which of its vertices every box holds. For each first-part
-    vertex, one matmul sums the weights, the sampled cells and the
-    variances of its n x n slice over every box's third-part vertices,
-    and the second- and first-part matrices finish the sums. On the
-    dyadic weights of ``build_weighted`` every partial sum is exact, so
-    the report equals a cell-by-cell gather of each box bit for bit; on
-    other weights the sums agree to rounding.
+    The cells are drawn one first-part vertex at a time: each slab
+    ``weighted.slab(i)`` takes the next n1 x n2 draws of the stream,
+    which are the same bits one n0 x n1 x n2 draw would give, and is
+    packed at once. Neither dense nor layered input builds an n^3
+    array here. All sub-boxes are summed in the same pass: each part
+    gets a 0/1 matrix saying which of its vertices every box holds.
+    For each slab, one matmul sums the weights, the sampled cells and
+    the variances over every box's third-part vertices, and the
+    second- and first-part matrices finish the sums. On the dyadic
+    weights of ``build_weighted`` every partial sum is exact, so the
+    report equals a cell-by-cell gather of each box bit for bit; on
+    other weights the sums agree to rounding. The full box's weight
+    and variance sums come from ``weighted.sums()``.
     """
     boxes = int(boxes)
     if boxes < 0:
         raise ValueError(f"box count must be nonnegative, got boxes={boxes}")
     if not 0.0 < box_fraction <= 1.0:
         raise ValueError(f"box_fraction={box_fraction} out of range (0, 1]")
-    w = weighted.weights
-    dense = generator(seed, "sample/cells").random(w.shape) < w
-    graph = KPartiteHypergraph.from_dense(dense)
-
-    variance = 1.0 - w  # w (1 - w) in place: one n^3 temporary, not two
-    variance *= w
-    full = _box_verdict(w.sum(), np.count_nonzero(dense), variance.sum(), w.size)
-    del variance
+    shape = weighted.part_sizes
+    n0, n1, n2 = shape
 
     rng = generator(seed, "sample/boxes")
-    sizes = [max(1, math.ceil(box_fraction * s)) for s in w.shape]
-    members = [np.zeros((s, boxes)) for s in w.shape]
+    sizes = [max(1, math.ceil(box_fraction * s)) for s in shape]
+    members = [np.zeros((s, boxes)) for s in shape]
     for b in range(boxes):
-        for axis, s in enumerate(w.shape):
+        for axis, s in enumerate(shape):
             members[axis][rng.choice(s, size=sizes[axis], replace=False), b] = 1.0
     # per box: sums of the weights, the sampled cells and the variances,
     # one first-part vertex at a time so the temporaries stay small
-    n0, n1, n2 = w.shape
+    draws = generator(seed, "sample/cells")
+    words = np.empty((n0, n1, bitops.n_words(n2)), dtype=np.uint64)
+    sampled = 0
     by_vertex = np.empty((3, n0, boxes))
     for i in range(n0):
-        stack = np.stack([w[i], dense[i], w[i] * (1.0 - w[i])])
+        w = weighted.slab(i)
+        drawn = draws.random((n1, n2)) < w
+        words[i] = bitops.pack(drawn)
+        sampled += np.count_nonzero(drawn)
+        stack = np.stack([w, drawn, w * (1.0 - w)])
         by_row = (stack.reshape(-1, n2) @ members[2]).reshape(3, n1, boxes)
         by_vertex[:, i] = (by_row * members[1]).sum(axis=1)
+    graph = KPartiteHypergraph(shape, words)
+    weight_sum, variance_sum = weighted.sums()
+    full = _box_verdict(weight_sum, sampled, variance_sum, math.prod(shape))
+
     sums = (by_vertex * members[0]).sum(axis=1)
     cells = math.prod(sizes)
     checks = [_box_verdict(*sums[:, b], cells) for b in range(boxes)]

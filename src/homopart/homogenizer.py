@@ -433,13 +433,15 @@ def homogeneous_partition(
 
     ``oracle.r``, the per-side block bound of the link hypothesis, is
     all this function reads of ``oracle``; only paper mode's constants
-    depend on it.
+    depend on it. An instance generated with r = 0 has no oracle
+    (None), which is rejected like any r below 1.
     """
     if not 0.0 < eps < 0.5:
         raise InfeasibleParamsError(f"eps={eps} outside (0, 1/2)")
     k = h.k
     inner_eps = eps**2 / (8.0 * k)
-    params = ToleranceParams(eps=inner_eps, k=k, r=oracle.r, mode=mode)
+    r = 0 if oracle is None else oracle.r
+    params = ToleranceParams(eps=inner_eps, k=k, r=r, mode=mode)
     passes = []
     representatives = []
     for target in range(k):

@@ -11,9 +11,12 @@ Types
     axis so that fiber neighborhoods and their symmetric differences are
     word-parallel popcounts.
 ``WeightedTripartite``
-    Dense [0, 1] weight tensor over three parts. A vertex link of it
-    is a plain slice, ``np.take(weights, v, axis=part)``; ``link``
-    below builds links of unweighted hypergraphs only.
+    [0, 1] weights over three parts, held either as a dense tensor or
+    as layers: packed bipartite graphs on the first two parts, one
+    layer per third-part vertex and one weight per layer. ``slab(i)``
+    gives the weights of one first-part vertex either way; the dense
+    ``weights`` of a layered relation are built only when read.
+    ``link`` below builds links of unweighted hypergraphs only.
 
 All objects freeze their arrays after construction; the kernels below
 (`density`, `link`, `neighborhood`) are pure functions and safe to
@@ -311,10 +314,20 @@ class KPartiteHypergraph:
         """All last-part neighborhoods as a flat (N, n_words) view."""
         return self.words.reshape(-1, self.words.shape[-1])
 
+    def edge_columns(self) -> tuple:
+        """Edges as k index columns in row-major order, read from the
+        set bits of the packed words; only nonzero words are unpacked."""
+        rows = self.fiber_rows()
+        fiber, word = np.nonzero(rows)
+        bits = np.unpackbits(rows[fiber, word].view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        hit, bit = np.nonzero(bits)
+        last = word[hit] * bitops.WORD_BITS + bit
+        return (*np.unravel_index(fiber[hit], self.part_sizes[:-1]), last)
+
     def edges(self):
         """Iterate edges as k-tuples in row-major order."""
-        dense = self.to_dense()
-        for idx in zip(*np.nonzero(dense)):
+        for idx in zip(*self.edge_columns()):
             yield tuple(int(v) for v in idx)
 
     def permute(self, order) -> "KPartiteHypergraph":
@@ -342,9 +355,17 @@ class KPartiteHypergraph:
 
 
 class WeightedTripartite:
-    """Tripartite edge relation with weights in [0, 1] (missing = 0)."""
+    """Tripartite edge relation with weights in [0, 1] (missing = 0).
 
-    __slots__ = ("part_sizes", "weights")
+    Built from a dense tensor, or by ``from_layers`` from packed level
+    graphs: cell (a, b, c) then weighs ``scales[j]`` when graph
+    ``j = labels[c]`` has the edge (a, b), and 0 otherwise. A layered
+    relation stores t n x n bit matrices instead of n^3 floats; its
+    ``weights`` tensor is built on first read and kept, and ``slab``
+    and ``sums`` never build it.
+    """
+
+    __slots__ = ("part_sizes", "_weights", "_layers")
 
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=np.float64)
@@ -353,7 +374,65 @@ class WeightedTripartite:
         if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
             raise ValueError("weights must lie in [0, 1]")
         self.part_sizes = weights.shape
-        self.weights = _frozen(weights)
+        self._weights = _frozen(weights)
+        self._layers = None
+
+    @classmethod
+    def from_layers(cls, graphs, labels, scales) -> "WeightedTripartite":
+        graphs = tuple(graphs)
+        labels = np.asarray(labels, dtype=np.int64)
+        scales = np.asarray(scales, dtype=np.float64)
+        if not graphs or scales.shape != (len(graphs),):
+            raise ValueError("need one scale per layer graph")
+        if len({(g.n_left, g.n_right) for g in graphs}) != 1:
+            raise ValueError("layer graphs differ in shape")
+        if labels.ndim != 1 or (labels.size and (
+                labels.min() < 0 or labels.max() >= len(graphs))):
+            raise ValueError("layer labels must index the graphs")
+        if scales.min() < 0.0 or scales.max() > 1.0:
+            raise ValueError("weights must lie in [0, 1]")
+        self = cls.__new__(cls)
+        self.part_sizes = (graphs[0].n_left, graphs[0].n_right, labels.size)
+        self._weights = None
+        self._layers = (graphs, _frozen(labels), _frozen(scales))
+        return self
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense n0 x n1 x n2 tensor."""
+        if self._weights is None:
+            graphs, labels, scales = self._layers
+            weights = np.zeros(self.part_sizes)
+            for j, g in enumerate(graphs):
+                adj = bitops.unpack(g.rows, g.n_right)
+                weights[:, :, labels == j] = np.where(adj, scales[j], 0.0)[:, :, None]
+            self._weights = _frozen(weights)
+        return self._weights
+
+    def slab(self, i) -> np.ndarray:
+        """n1 x n2 weights of first-part vertex ``i``."""
+        if self._layers is None:
+            return self._weights[i]
+        graphs, labels, scales = self._layers
+        bits = bitops.unpack(np.stack([g.rows[i] for g in graphs]), self.part_sizes[1])
+        return (bits.T * scales)[:, labels]
+
+    def sums(self) -> tuple:
+        """(sum of w, sum of w (1 - w)) over every cell.
+
+        From layers both are sums over the graphs' edge counts; with
+        dyadic scales every term is exact, so they equal the dense
+        tensor's sums bit for bit.
+        """
+        if self._layers is None:
+            w = self._weights
+            variance = 1.0 - w  # w (1 - w) in place: one n^3 temporary, not two
+            variance *= w
+            return float(w.sum()), float(variance.sum())
+        graphs, labels, scales = self._layers
+        cells = np.array([g.edge_count for g in graphs]) * np.bincount(
+            labels, minlength=len(graphs))
+        return float(cells @ scales), float(cells @ (scales * (1.0 - scales)))
 
     @property
     def k(self) -> int:

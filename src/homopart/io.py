@@ -257,7 +257,7 @@ def _has_repeats(rows: np.ndarray, sizes) -> bool:
 
 def write_khg(path, h: KPartiteHypergraph, *, digest=None):
     text = _sizes_header("khg", (h.k, *h.part_sizes)).encode("ascii")
-    _atomic_write(path, text + _rows_text(np.nonzero(h.to_dense())), digest)
+    _atomic_write(path, text + _rows_text(h.edge_columns()), digest)
 
 
 def read_khg(path) -> KPartiteHypergraph:

@@ -12,6 +12,7 @@ or by hand from the defining arithmetic.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homopart import (
+    KPartiteHypergraph,
     LayeredPartition,
     PartPartition,
     WeightedTripartite,
@@ -50,6 +52,8 @@ from homopart.gowers import (
     _agreement_counts,
     _item1_violations,
 )
+from homopart import io as hio
+from homopart.partitions import block_sums
 from homopart.rng import generator
 
 
@@ -118,6 +122,44 @@ def reference_sample(weights, seed, boxes, box_fraction):
         )
         checks.append(reference_box_check(weights, sampled, idx))
     return sampled, full, tuple(checks)
+
+
+def dense_certificate_check(weights, cert):
+    """(ok, worst) of an exact certificate from the dense link slice:
+    every cell against its block pair's mean from ``block_sums``."""
+    link = np.take(weights, cert.vertex, axis=cert.part)
+    left, right = cert.partitions
+    sums, volumes = block_sums(link, (left, right))
+    means = sums / np.maximum(volumes, 1)
+    off = link != means[np.ix_(left.labels, right.labels)]
+    if not off.any():
+        return True, None
+    a, b = np.argwhere(block_sums(off, (left, right))[0] > 0)[0]
+    box = link[np.ix_(left.block_indices(a), right.block_indices(b))]
+    return False, ((int(a), int(b)), float(box.min()), float(box.max()))
+
+
+def tampered_partitions(cert, n, rng):
+    """Random, refined, merged and layer-mixing variants of a
+    certificate's (left, right) pair."""
+    left, right = (np.asarray(p.labels) for p in cert.partitions)
+    shift = int(rng.integers(1, n))
+    k = int(rng.integers(1, 6))
+    pairs = [
+        (rng.integers(0, k, n), rng.integers(0, int(rng.integers(1, 6)), n)),
+        # singleton rows against pairs of columns: a pair short of one
+        # cell must fail
+        (np.arange(n), rng.integers(0, n // 2, n)),
+        (left * 2 + rng.integers(0, 2, n), right * 2 + rng.integers(0, 2, n)),
+        (np.minimum(left, max(left.max() - 1, 0)), right),
+        (left, np.minimum(right, max(right.max() - 1, 0))),
+        # intervals shifted off the layer (or level) boundaries, so
+        # blocks straddle two layers
+        (left, (np.arange(n) + shift) % n // max(1, n // k)),
+        (left, np.where(right == right.max(), 0, right)),
+    ]
+    return [LayeredPartition([PartPartition(a), PartPartition(b)])
+            for a, b in pairs]
 
 
 def same_witness(a, b):
@@ -645,6 +687,138 @@ class TestLinkCertificate:
         assert not check.ok
         assert check.worst == ((1, 1), 0.0, 0.5)
         assert all(type(i) is int for i in check.worst[0])
+
+
+def _ladder(build):
+    n = build.n
+    return [LayeredPartition([PartPartition.intervals(n, m, part=i)
+                              for i in range(3)])
+            for m in build.params.levels]
+
+
+class TestFactoredTower:
+    """The tower is stored as its level graphs and layer labels; every
+    check counts from them and must match the dense n^3 tensor."""
+
+    @pytest.fixture(scope="class", params=[(24, 2), (48, 1)],
+                    ids=["n24", "n48"])
+    def build(self, request):
+        n, seed = request.param
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=seed)
+        return build_weighted(params, n)
+
+    def test_slabs_and_sums_match_dense_tensor(self, build):
+        w = build.weighted.weights
+        dense = WeightedTripartite(w)
+        for i in range(build.n):
+            assert build.weighted.slab(i).tobytes() == w[i].tobytes()
+            assert dense.slab(i).tobytes() == w[i].tobytes()
+        want = (float(w.sum()), float(((1.0 - w) * w).sum()))
+        assert build.weighted.sums() == want
+        assert dense.sums() == want
+
+    def test_from_layers_validation(self, build):
+        graphs = build.layering.graphs
+        labels = build.layering.c_layers.labels
+        with pytest.raises(ValueError, match="scale"):
+            WeightedTripartite.from_layers(graphs, labels, [0.5, 0.25])
+        with pytest.raises(ValueError, match="labels"):
+            WeightedTripartite.from_layers(graphs, labels + 1, [0.5, 0.25, 0.125])
+        with pytest.raises(ValueError, match="shape"):
+            WeightedTripartite.from_layers(
+                (graphs[0], level_graph(8, orthogonal_family(1, 2, seed=0))),
+                labels % 2, [0.5, 0.25])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            WeightedTripartite.from_layers(graphs, labels, [2.0, 0.25, 0.125])
+
+    def test_exact_checks_match_dense_reference(self, build):
+        w = build.weighted.weights
+        rng = np.random.default_rng(build.n)
+        outcomes = set()
+        for part in range(3):
+            for v in range(build.n):
+                cert = link_certificate(build, part, v)
+                if cert.kind == "quasirandom":
+                    continue
+                variants = [cert.partitions]
+                if v % 5 == 0:
+                    variants += tampered_partitions(cert, build.n, rng)
+                for partitions in variants:
+                    fake = dataclasses.replace(cert, partitions=partitions)
+                    check = verify_certificate(build, fake)
+                    assert check.exact
+                    want = dense_certificate_check(w, fake)
+                    assert (check.ok, check.worst) == want, (part, v)
+                    outcomes.add((part, check.ok))
+        assert outcomes == {(p, ok) for p in range(3) for ok in (True, False)}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_equals_one_shot_draw(self, tmp_path, seed):
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=seed)
+        layered = build_weighted(params, 48).weighted
+        path = tmp_path / "g.w3g"
+        hio.write_w3g(path, layered)
+        sampled, full, boxes = reference_sample(layered.weights, seed, 100, 0.5)
+        words = KPartiteHypergraph.from_dense(sampled).words
+        for weighted in (layered, WeightedTripartite(layered.weights),
+                         hio.read_w3g(path)):
+            result = sample_unweighted(weighted, seed=seed)
+            assert result.graph.words.tobytes() == words.tobytes()
+            assert result.report.full == full
+            assert result.report.boxes == boxes
+
+    def test_cascade_densities_equal_dense_means(self, build):
+        w = build.weighted.weights
+        n = build.n
+        shifted = LayeredPartition([
+            PartPartition((np.arange(n) + 3) % n // (n // 4), part=i)
+            for i in range(3)
+        ])
+        witnesses = 0
+        for candidate in _ladder(build) + [shifted]:
+            for level in refinement_cascade(build, candidate).levels:
+                for wit in level.witnesses:
+                    witnesses += 1
+                    own = candidate[0 if wit.side == "A" else 1].block_indices(wit.s)
+                    other = candidate[1 if wit.side == "A" else 0].block_indices(wit.u)
+                    blocks = (own, other) if wit.side == "A" else (other, own)
+                    base = w[np.ix_(*blocks, candidate[2].block_indices(wit.ell))]
+                    for box in (wit.complete, wit.empty):
+                        sub = w[np.ix_(*box.subsets)].mean()
+                        assert box.sub_density == float(sub)
+                        assert box.base_density == float(base.mean())
+                    assert wit.gap == 2.0 ** -wit.level
+        assert witnesses >= 3
+
+    def test_pass_never_builds_dense_weights(self):
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=5)
+        build = build_weighted(params, 48)
+        for part in range(3):
+            for v in range(48):
+                verify_certificate(build, link_certificate(build, part, v))
+        for candidate in _ladder(build):
+            refinement_cascade(build, candidate)
+        sample_unweighted(build.weighted, seed=5)
+        assert build.weighted._weights is None
+
+    def test_memory_stays_below_weight_tensor(self):
+        # the n^3 float64 tensor would be 885 MB at n = 480
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=1)
+        tracemalloc.start()
+        try:
+            build = build_weighted(params, 480)
+            for part in range(3):
+                for v in range(480):
+                    cert = link_certificate(build, part, v)
+                    assert verify_certificate(build, cert).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestQuasirandomnessAudit:

@@ -385,6 +385,15 @@ class TestHomogeneousPartition:
             )
         assert err.value.uncovered > err.value.budget
 
+    def test_instance_without_link_hypothesis_rejected(self):
+        # uniform-random at r=0 plants nothing, so generate gives no oracle
+        inst = generate(InstanceSpec(
+            k=3, n=(6, 6, 6), family="uniform-random", r=0, eps_prime=0.0, seed=1
+        ))
+        assert inst.oracle is None
+        with pytest.raises(InfeasibleParamsError, match="r=0"):
+            homogeneous_partition(inst.h, inst.oracle, 0.2, 1)
+
     def test_eps_validation(self):
         h = KPartiteHypergraph.complete((6, 6, 6))
         oracle = PlantedOracle(

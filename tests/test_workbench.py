@@ -379,8 +379,10 @@ def khg_cases():
 
 
 def w3g_cases():
+    params = build_sequence(1e-6, 0.5, mode="toy", t=3, growth=2, s0=4, seed=2)
     return [
         WeightedTripartite(gowers_weights()),
+        build_weighted(params, 24).weighted,  # layered, written from its layers
         WeightedTripartite(uniform_weights((6, 5, 7), seed=3)),
         WeightedTripartite(np.zeros((3, 2, 4))),
         WeightedTripartite(np.zeros((0, 2, 4))),
@@ -429,6 +431,27 @@ def test_writers_match_per_line_references(tmp_path, digest):
         hio.write_audit(path, report, digest=digest)
         assert path.read_bytes() == (reference_audit(report) + stamp).encode()
         assert hio._audit_fast(path.read_bytes()) == report
+
+
+@pytest.mark.parametrize("shape", [
+    (3, 1), (2, 3, 63), (2, 3, 64), (2, 3, 65), (4, 5, 130), (2, 2, 3, 70),
+])
+@pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 1.0])
+def test_edge_columns_match_dense_reference(tmp_path, shape, density):
+    # the edges come from the set bits of the packed words, never from
+    # a dense copy; they must list the dense tensor's cells in order
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    dense = rng.random(shape) < density
+    h = KPartiteHypergraph.from_dense(dense)
+    columns = h.edge_columns()
+    assert len(columns) == len(shape)
+    for got, want in zip(columns, np.nonzero(dense), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert list(h.edges()) == [tuple(int(v) for v in e) for e in np.argwhere(dense)]
+    path = tmp_path / "g.khg"
+    hio.write_khg(path, h)
+    assert path.read_bytes() == reference_khg(h).encode()
 
 
 def test_audit_writer_keeps_signed_zero_and_nan(tmp_path):
