@@ -9,9 +9,11 @@ Builds the toy tower the tower benchmark uses (t=3, growth 2, s0=4,
 seed 1) at n vertices per part, then verifies one link certificate
 per vertex (3n), runs the refinement cascade on the interval ladder
 (one candidate per level) and samples once with 100 boxes. n must be
-divisible by the finest level 8 and by t=3. Prints one JSON line:
-seconds per stage and ``ru_maxrss`` in MB after it. Run one size per
-process, since peak RSS never falls.
+divisible by the finest level 8 and by t=3. Last it draws the two
+orthogonal families the tower benchmark draws, (m, M) = (30, 2000) on
+the code path and (150, 2000) on the coin path, seed 1; they do not
+depend on n. Prints one JSON line: seconds per stage and ``ru_maxrss``
+in MB after it. Run one size per process, since peak RSS never falls.
 """
 
 import argparse
@@ -59,6 +61,10 @@ def main(argv=None) -> int:
         for level in hp.refinement_cascade(build, candidate).levels))
     sample = stage("sample", lambda: hp.sample_unweighted(build.weighted, 1))
     out["sampled_edges"] = sample.graph.edge_count
+    for m in (30, 150):
+        family = stage(f"family{m}x2000",
+                       lambda: hp.orthogonal_family(m, 2000, seed=1))
+        out[f"family{m}x2000_attempts"] = family.attempts
     print(json.dumps(out))
     return 0
 

@@ -26,16 +26,15 @@ def pack(mask: np.ndarray) -> np.ndarray:
 
     Bit ``j`` of the packed row is element ``j`` of the input row. The
     word view assumes a little-endian host, which is asserted once at
-    import time below.
+    import time below. The bytes land in a zeroed word buffer, so the
+    tail of the last word stays clear.
     """
     mask = np.asarray(mask, dtype=bool)
-    target_bytes = 8 * n_words(mask.shape[-1])
-    packed = np.packbits(mask, axis=-1, bitorder="little")
-    pad = target_bytes - packed.shape[-1]
-    if pad:
-        width = [(0, 0)] * (packed.ndim - 1) + [(0, pad)]
-        packed = np.pad(packed, width)
-    return np.ascontiguousarray(packed).view(np.uint64)
+    n = mask.shape[-1]
+    words = np.zeros(mask.shape[:-1] + (n_words(n),), dtype=np.uint64)
+    words.view(np.uint8)[..., :(n + 7) // 8] = np.packbits(
+        mask, axis=-1, bitorder="little")
+    return words
 
 
 def unpack(words: np.ndarray, n: int) -> np.ndarray:

@@ -205,9 +205,13 @@ def _item1_violations(side: np.ndarray) -> int:
     sizes = s.sum(axis=1)
     bad = int((np.abs(sizes - M / 2.0) > band).sum())
     bad += int((np.abs((M - sizes) - M / 2.0) > band).sum())
+    # one Gram matrix G = |X_i & X_j| gives the other two intersections:
+    # |X_i & Y_j| = |X_i| - G_ij and |Y_i & Y_j| = M - |X_i| - |X_j| + G_ij,
+    # all small exact integers
+    gram = s @ s.T
     off = ~np.eye(m, dtype=bool)
-    for left, right in ((s, s), (s, 1.0 - s), (1.0 - s, 1.0 - s)):
-        inter = left @ right.T
+    for inter in (gram, sizes[:, None] - gram,
+                  M - sizes[:, None] - sizes[None, :] + gram):
         bad += int((np.abs(inter - M / 4.0)[off] > band).sum())
     return bad
 
@@ -219,6 +223,31 @@ def _agreement_counts(side: np.ndarray) -> np.ndarray:
     s = 2.0 * side - 1.0
     z = (side.shape[0] + s.T @ s) / 2.0
     return np.rint(z).astype(np.int64)
+
+
+def _agreement_excess(side: np.ndarray, cap: float) -> tuple:
+    """(pairs of distinct elements agreeing on more than ``cap``
+    partitions, the most agreements of any such pair).
+
+    The +-1 Gram entry of a pair is agreements minus disagreements (see
+    ``_agreement_counts``). It is formed 256 rows at a time, over the
+    pairs right of the diagonal only, so no M x M array is built.
+    Every entry is an integer of size at most m, exact in float32.
+    """
+    m, M = side.shape
+    s = np.where(side.T, np.float32(1.0), np.float32(-1.0))
+    # agreements exceed the cap exactly when the entry exceeds 2 cap - m
+    limit, over, worst = 2.0 * cap - m, 0, -m
+    block = 256
+    below = np.tri(block, dtype=bool)
+    for lo in range(0, M, block):
+        rows = s[lo:lo + block]
+        h = rows.shape[0]
+        gram = rows @ s[lo:].T
+        gram[:, :h][below[:h, :h]] = -m  # the diagonal and the pairs left of it
+        over += int(np.count_nonzero(gram > limit))
+        worst = max(worst, int(gram.max()))
+    return over, (m + worst) // 2
 
 
 def _coin_union_bound(m: int, M: int) -> float:
@@ -301,10 +330,10 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
     intersection bands are checked only when M >= ln^3(4 m^2); the
     agreement event is always checked. When the code is too small for
     M, the coins run anyway and the attempt cap triggers with the
-    failing statistics attached. An attempt counts the pairs over the
-    cap from one Gram matrix of the +-1 sides; the worst agreement and
-    the other statistics are worked out only once the last attempt
-    has failed.
+    failing statistics attached. Each attempt counts the pairs over the
+    cap, and finds the worst agreement, from the Gram entries of the
+    +-1 sides formed a block of rows at a time over the upper triangle
+    (see ``_agreement_excess``), so no M x M array is built.
     """
     m, M = int(m), int(M)
     if m < 1:
@@ -314,7 +343,7 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
     check_item1 = M >= math.log(4.0 * m * m) ** 3
     cap = 0.75 * m
     construction = _family_construction(m, M)
-    gram = None
+    stats = {}
     for attempt in range(int(max_attempts)):
         rng = generator(seed, f"orthogonal/{m}x{M}/attempt{attempt}")
         if construction == "code":
@@ -322,12 +351,7 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
         else:
             side = rng.random((m, M)) < 0.5
         item1_bad = _item1_violations(side) if check_item1 else 0
-        # agreements are (m + gram) / 2 (see _agreement_counts), so a pair
-        # is over the cap exactly when gram > 2 cap - m; the diagonal
-        # (gram = m) always is, and every entry is a small exact integer
-        s = 2.0 * side - 1.0
-        gram = s.T @ s
-        event_bad = int((gram > 2.0 * cap - m).sum()) - M
+        event_bad, worst = _agreement_excess(side, cap)
         if item1_bad == 0 and event_bad == 0:
             return OrthogonalFamily(
                 m=m,
@@ -337,17 +361,13 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
                 attempts=attempt + 1,
                 construction=construction,
             )
-    stats = {}
-    if gram is not None:
-        # the last attempt's statistics; -m sits below every pair's entry
-        np.fill_diagonal(gram, -m)
         stats = {
             "m": m,
             "M": M,
             "construction": construction,
             "item1_violations": item1_bad,
-            "agreement_violations": event_bad // 2,
-            "worst_agreement": int(m + gram.max()) // 2,
+            "agreement_violations": event_bad,
+            "worst_agreement": worst,
             "agreement_cap": cap,
         }
     raise FamilyRejectionError(int(max_attempts), stats)
@@ -1156,10 +1176,11 @@ def sample_unweighted(weighted: WeightedTripartite, seed=0, *, boxes=100,
     ``weighted.slab(i)`` takes the next n1 x n2 draws of the stream,
     which are the same bits one n0 x n1 x n2 draw would give, and is
     packed at once. Neither dense nor layered input builds an n^3
-    array here. All sub-boxes are summed in the same pass: each part
-    gets a 0/1 matrix saying which of its vertices every box holds.
-    For each slab, one matmul sums the weights, the sampled cells and
-    the variances over every box's third-part vertices, and the
+    array here. Each part gets a 0/1 matrix saying which of its
+    vertices every box holds. The boxes' weight and variance sums come
+    from ``weighted.box_sums``, in closed form on layered input. The
+    sampled cells are summed in the draw pass: for each slab, one
+    matmul sums them over every box's third-part vertices, and the
     second- and first-part matrices finish the sums. On the dyadic
     weights of ``build_weighted`` every partial sum is exact, so the
     report equals a cell-by-cell gather of each box bit for bit; on
@@ -1180,27 +1201,26 @@ def sample_unweighted(weighted: WeightedTripartite, seed=0, *, boxes=100,
     for b in range(boxes):
         for axis, s in enumerate(shape):
             members[axis][rng.choice(s, size=sizes[axis], replace=False), b] = 1.0
-    # per box: sums of the weights, the sampled cells and the variances,
-    # one first-part vertex at a time so the temporaries stay small
+    # sampled cells per box, one first-part vertex at a time so the
+    # temporaries stay small
     draws = generator(seed, "sample/cells")
     words = np.empty((n0, n1, bitops.n_words(n2)), dtype=np.uint64)
     sampled = 0
-    by_vertex = np.empty((3, n0, boxes))
+    by_vertex = np.empty((n0, boxes))
     for i in range(n0):
-        w = weighted.slab(i)
-        drawn = draws.random((n1, n2)) < w
+        drawn = draws.random((n1, n2)) < weighted.slab(i)
         words[i] = bitops.pack(drawn)
         sampled += np.count_nonzero(drawn)
-        stack = np.stack([w, drawn, w * (1.0 - w)])
-        by_row = (stack.reshape(-1, n2) @ members[2]).reshape(3, n1, boxes)
-        by_vertex[:, i] = (by_row * members[1]).sum(axis=1)
+        by_vertex[i] = ((drawn @ members[2]) * members[1]).sum(axis=0)
     graph = KPartiteHypergraph(shape, words)
     weight_sum, variance_sum = weighted.sums()
     full = _box_verdict(weight_sum, sampled, variance_sum, math.prod(shape))
 
-    sums = (by_vertex * members[0]).sum(axis=1)
+    box_weights, box_variances = weighted.box_sums(members)
+    box_sampled = (by_vertex * members[0]).sum(axis=0)
     cells = math.prod(sizes)
-    checks = [_box_verdict(*sums[:, b], cells) for b in range(boxes)]
+    checks = [_box_verdict(*sums, cells)
+              for sums in zip(box_weights, box_sampled, box_variances)]
     n_within = sum(1 for c in checks if c.within)
     report = ConcentrationReport(
         full=full,

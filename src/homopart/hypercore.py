@@ -361,8 +361,8 @@ class WeightedTripartite:
     graphs: cell (a, b, c) then weighs ``scales[j]`` when graph
     ``j = labels[c]`` has the edge (a, b), and 0 otherwise. A layered
     relation stores t n x n bit matrices instead of n^3 floats; its
-    ``weights`` tensor is built on first read and kept, and ``slab``
-    and ``sums`` never build it.
+    ``weights`` tensor is built on first read and kept, and ``slab``,
+    ``sums`` and ``box_sums`` never build it.
     """
 
     __slots__ = ("part_sizes", "_weights", "_layers")
@@ -433,6 +433,32 @@ class WeightedTripartite:
         cells = np.array([g.edge_count for g in graphs]) * np.bincount(
             labels, minlength=len(graphs))
         return float(cells @ scales), float(cells @ (scales * (1.0 - scales)))
+
+    def box_sums(self, members) -> tuple:
+        """(sums of w, sums of w (1 - w)) over each of a set of boxes.
+
+        ``members`` holds one 0/1 float matrix per part, vertices by
+        boxes, saying which vertices each box holds. Dense input sums
+        one first-part slab at a time. From layers, box b gets
+        sum_j s_j e_j(b) |C_b & layer j|, and the same with
+        s_j (1 - s_j), where e_j(b) counts graph j's edges on
+        A_b x B_b; with dyadic scales every term is exact, so both
+        equal the dense sums bit for bit.
+        """
+        m0, m1, m2 = members
+        if self._layers is None:
+            by_vertex = np.empty((2, self.part_sizes[0], m0.shape[1]))
+            for i, w in enumerate(self._weights):
+                for k, cells in enumerate((w, w * (1.0 - w))):
+                    by_vertex[k, i] = ((cells @ m2) * m1).sum(axis=0)
+            return tuple((by_vertex * m0).sum(axis=1))
+        graphs, labels, scales = self._layers
+        edges = np.array([
+            ((bitops.unpack(g.rows, g.n_right) @ m1) * m0).sum(axis=0)
+            for g in graphs])
+        cells = edges * np.array([m2[labels == j].sum(axis=0)
+                                  for j in range(len(graphs))])
+        return scales @ cells, (scales * (1.0 - scales)) @ cells
 
     @property
     def k(self) -> int:

@@ -50,6 +50,7 @@ from homopart.gowers import (
     BoxCheck,
     GowersParams,
     _agreement_counts,
+    _agreement_excess,
     _item1_violations,
 )
 from homopart import io as hio
@@ -93,6 +94,20 @@ def brute_weights(layering):
 
 def brute_agreement(x_side, j, jp):
     return sum(1 for row in x_side if bool(row[j]) == bool(row[jp]))
+
+
+def three_matmul_item1(side):
+    """Band violations with one matmul per pair of sides (X/X, X/Y, Y/Y)."""
+    m, M = side.shape
+    band = M ** (2.0 / 3.0)
+    s = side.astype(np.float64)
+    sizes = s.sum(axis=1)
+    bad = int((np.abs(sizes - M / 2.0) > band).sum())
+    bad += int((np.abs((M - sizes) - M / 2.0) > band).sum())
+    off = ~np.eye(m, dtype=bool)
+    for left, right in ((s, s), (s, 1.0 - s), (1.0 - s, 1.0 - s)):
+        bad += int((np.abs(left @ right.T - M / 4.0)[off] > band).sum())
+    return bad
 
 
 def reference_box_check(weights, sampled, idx):
@@ -359,6 +374,33 @@ class TestOrthogonalFamily:
             "worst_agreement": int(off.max()),
             "agreement_cap": 6.0,
         }
+
+    @pytest.mark.parametrize("m,M,p,bad", [
+        (5, 40, 0.5, False), (12, 300, 0.5, False), (30, 2000, 0.5, False),
+        (12, 300, 0.8, True), (7, 64, 0.95, True), (9, 125, 0.2, True),
+    ])
+    def test_item1_violations_match_three_matmuls(self, m, M, p, bad):
+        side = generator(6, f"item1/{m}x{M}/{p}").random((m, M)) < p
+        want = three_matmul_item1(side)
+        assert _item1_violations(side) == want
+        assert (want > 0) == bad
+
+    # the check takes 256 rows at a time
+    @pytest.mark.parametrize("m,M", [
+        (5, 2), (12, 50), (9, 257), (8, 300), (16, 512), (8, 2000),
+    ], ids=["M2", "under-one-block", "one-row-over", "ragged", "two-blocks",
+            "infeasible-8x2000"])
+    def test_blocked_agreement_matches_table(self, m, M):
+        side = generator(7, f"agree/{m}x{M}").random((m, M)) < 0.5
+        cap = 0.75 * m
+        pairs = _agreement_counts(side)[np.triu_indices(M, 1)]
+        want = (int((pairs > cap).sum()), int(pairs.max()))
+        assert _agreement_excess(side, cap) == want
+
+    def test_blocked_agreement_on_code_family(self):
+        fam = orthogonal_family(30, 2000, seed=1, max_attempts=3)
+        pairs = _agreement_counts(fam.x_side)[np.triu_indices(2000, 1)]
+        assert _agreement_excess(fam.x_side, 22.5) == (0, int(pairs.max()))
 
     def test_no_attempts_carry_no_stats(self):
         with pytest.raises(FamilyRejectionError) as info:
@@ -717,6 +759,21 @@ class TestFactoredTower:
         want = (float(w.sum()), float(((1.0 - w) * w).sum()))
         assert build.weighted.sums() == want
         assert dense.sums() == want
+
+    def test_box_sums_match_dense_tensor(self, build):
+        n, boxes = build.n, 30
+        rng = np.random.default_rng(n)
+        members = [(rng.random((n, boxes)) < 0.5).astype(np.float64)
+                   for _ in range(3)]
+        w = build.weighted.weights
+        got = build.weighted.box_sums(members)
+        want = WeightedTripartite(w).box_sums(members)
+        for g, d in zip(got, want, strict=True):
+            assert g.tobytes() == d.tobytes()
+        for b in range(boxes):
+            box = np.ix_(*(np.flatnonzero(part[:, b]) for part in members))
+            assert got[0][b] == w[box].sum()
+            assert got[1][b] == (w[box] * (1.0 - w[box])).sum()
 
     def test_from_layers_validation(self, build):
         graphs = build.layering.graphs

@@ -232,6 +232,27 @@ def test_popcount_along_last_axis_matches_bit_scan(shape):
         assert np.array_equal(bitops.symdiff_sizes(words, row[0]), want)
 
 
+def padded_pack(mask):
+    """Packed words by padding the packed bytes out to whole words."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    pad = 8 * bitops.n_words(mask.shape[-1]) - packed.shape[-1]
+    width = [(0, 0)] * (packed.ndim - 1) + [(0, pad)]
+    return np.ascontiguousarray(np.pad(packed, width)).view(np.uint64)
+
+
+@pytest.mark.parametrize("lead", [(), (3, 2)], ids=["1d", "3d"])
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 144])
+def test_pack_matches_padded_bytes(lead, width):
+    mask = generator(22, f"pack/{lead}/{width}").random(lead + (width,)) < 0.5
+    words = bitops.pack(mask)
+    want = padded_pack(mask)
+    assert words.dtype == np.uint64 and words.shape == want.shape
+    assert words.tobytes() == want.tobytes()
+    for j in range(width):
+        assert np.array_equal(bitops.extract_bit(words, j), mask[..., j])
+    assert np.array_equal(bitops.unpack(words, width), mask)
+
+
 def test_symdiff_triangle_inequality():
     tensor = random_tensor((5, 5, 7), 0.5, seed=21, label="test/triangle")
     h = KPartiteHypergraph.from_dense(tensor)
