@@ -2,7 +2,10 @@
 
 Everything here recomputes its verdicts from first principles. Block
 densities and disagreement pairs are read off ``partitions.block_sums``,
-one counting pass over every cell. Regularity witnesses come from one
+one counting pass over every cell. The homogeneity audit hands it 0/1
+input as a packed ``KPartiteHypergraph``, counted from the fiber words
+without a dense copy; weighted tensors, and the disagreement count,
+take its dense path. Regularity witnesses come from one
 subset search: ``_mask_chunks`` enumerates the subsets of the small
 side (or random draws stand in for them), a matmul scores them, and
 ``_prefix_scan`` optimizes the remaining side. VC dimension is found
@@ -100,16 +103,18 @@ def homogeneity_audit(h, partition: LayeredPartition,
     blocks contribute nothing.
 
     The block-tuple sums and volumes come from ``block_sums`` and a
-    density is sum over volume. On 0/1 input every sum is an exact
-    integer, so the densities equal the per-block means bit for bit.
-    On weighted input the sums are taken in cell order, so for
-    non-dyadic weights a density can differ in its last bit from a
-    mean summed in another order.
+    density is sum over volume. 0/1 input, a ``KPartiteHypergraph`` or
+    a bool array (packed first), is counted from its packed fiber rows,
+    so every sum is an exact integer and the densities equal the
+    per-block means bit for bit. Weighted input is summed in cell
+    order, so for non-dyadic weights a density can differ in its last
+    bit from a mean summed in another order.
 
     A block tuple has non-zero volume exactly when each of its blocks
     is non-empty, so the audited tuples are the grid of non-empty
-    blocks: their sums, volumes and label rows are read off that grid
-    directly, in row-major order.
+    blocks. Each part is relabeled onto its non-empty blocks before
+    counting, so the sums and volumes come out on that grid, in
+    row-major order, with no table over the empty blocks.
 
     A partition must have one part per graph part, each covering that
     part's vertices; otherwise ``ValueError`` names the mismatch. eps
@@ -118,30 +123,43 @@ def homogeneity_audit(h, partition: LayeredPartition,
     """
     if not 0.0 <= eps < 0.5:
         raise InfeasibleParamsError(f"eps={eps} outside [0, 1/2)")
-    tensor, weighted = _as_tensor(h)
-    if partition.k != tensor.ndim:
+    if isinstance(h, np.ndarray) and h.dtype == bool and h.ndim >= 2:
+        h = KPartiteHypergraph.from_dense(h)
+    if isinstance(h, KPartiteHypergraph):
+        counted, shape, weighted = h, h.part_sizes, False
+    else:
+        counted, weighted = _as_tensor(h)
+        shape = counted.shape
+    if partition.k != len(shape):
         raise ValueError(f"partition has {partition.k} parts, "
-                         f"graph has {tensor.ndim}")
-    for i, (p, n) in enumerate(zip(partition, tensor.shape)):
+                         f"graph has {len(shape)}")
+    for i, (p, n) in enumerate(zip(partition, shape)):
         if p.n != n:
             raise ValueError(f"partition part {i} has {p.n} vertices, "
                              f"graph part {i} has {n}")
-    parts = list(partition)
-    sums, volumes = block_sums(tensor, parts)
-    nonempty = [np.flatnonzero(p.sizes()) for p in parts]
-    grid = np.ix_(*nonempty)
-    volumes = volumes[grid].ravel()
-    densities = sums[grid].ravel() / volumes
+    nonempty = [np.flatnonzero(p.sizes()) for p in partition]
+    grid = []
+    for p, blocks in zip(partition, nonempty):
+        rank = np.zeros(p.n_blocks, dtype=np.int64)
+        rank[blocks] = np.arange(blocks.size)
+        grid.append(PartPartition(rank[p.labels], n_blocks=blocks.size))
+    sums, volumes = block_sums(counted, grid)
+    volumes = volumes.ravel()
+    densities = sums.ravel()
+    densities /= volumes
     ok = homogeneous(densities, eps)
     mass = int(volumes[~ok].sum())
-    labels = np.empty(tuple(b.size for b in nonempty) + (len(parts),),
+    labels = np.empty(tuple(b.size for b in nonempty) + (len(shape),),
                       dtype=np.int64)
-    # one leading block at a time, so each strided write stays in cache
-    for rows, first in zip(labels, nonempty[0]):
+    # the label rows under one leading block, copied once per leading
+    # block, so every write to the large array is contiguous
+    rows = np.empty(labels.shape[1:], dtype=np.int64)
+    for i, axis in enumerate(np.ix_(*nonempty[1:]), 1):
+        rows[..., i] = axis
+    for block, first in zip(labels, nonempty[0]):
         rows[..., 0] = first
-        for i, axis in enumerate(grid[1:], 1):
-            rows[..., i] = axis[0]
-    total = tensor.size
+        block[...] = rows
+    total = math.prod(shape)
     normalized = mass / total if total else 0.0
     return HomogeneityReport(
         eps=eps,
@@ -149,7 +167,7 @@ def homogeneity_audit(h, partition: LayeredPartition,
         mass=mass,
         normalized_mass=normalized,
         weighted=weighted,
-        labels=labels.reshape(-1, len(parts)),
+        labels=labels.reshape(-1, len(shape)),
         densities=densities,
         ok=ok,
     )

@@ -177,7 +177,8 @@ def similarity_partition(
 
     # good/bad classification of left blocks by the mass of right
     # blocks forming a non-homogeneous pair with them
-    sums, volumes = block_sums(g.to_dense(), (left, right))
+    sums, volumes = block_sums(
+        KPartiteHypergraph((n_x, n_y), g.rows), (left, right))
     mixed = (volumes > 0) & ~homogeneous(sums / np.maximum(volumes, 1),
                                          gamma_prime)
     mass = mixed.astype(np.int64) @ right.sizes()
@@ -236,14 +237,21 @@ def similarity_partition(
 
     # postcondition scan: block sizes, exceptional budget, intra-block
     # neighborhood distances
-    max_intra = 0
-    for chunk in kept_chunks:
-        dists = _pairwise_symdiff(g.rows[chunk])
-        max_intra = max(max_intra, int(dists.max()))
+    max_intra, widest = 0, 0
+    for b, chunk in enumerate(kept_chunks, 1):
+        spread = int(_pairwise_symdiff(g.rows[chunk]).max())
+        if spread > max_intra:
+            max_intra, widest = spread, b
     contract_met = shortfall == 0
     if contract_met:
-        assert partition.exceptional_size() <= gamma * n_x + 1e-9
-        assert max_intra <= gamma * n_y + 1e-9
+        if partition.exceptional_size() > gamma * n_x + 1e-9:
+            raise AssertionError(
+                f"exceptional block 0 holds {partition.exceptional_size()} "
+                f"vertices, over gamma * n = {gamma * n_x}")
+        if max_intra > gamma * n_y + 1e-9:
+            raise AssertionError(
+                f"block {widest} holds neighborhoods {max_intra} apart, "
+                f"over gamma * n = {gamma * n_y}")
     return SimilarityResult(
         partition=partition,
         q=q,
@@ -290,15 +298,62 @@ class TuplePartition:
 
 
 def _verify_tuple_partition(result: TuplePartition, rows: np.ndarray):
-    """Assert that every covered tuple lies within the threshold of its
-    class's anchor, in one pass over all covered tuples."""
+    """Check that every covered tuple lies within the threshold of its
+    class's anchor, in one pass over all covered tuples; raise
+    ``AssertionError`` naming the farthest tuple otherwise."""
     flat = result.labels.ravel()
     covered = np.flatnonzero(flat)
     if covered.size:
         dist = bitops.popcount(
             rows[covered] ^ result.anchor_rows[flat[covered] - 1], axis=-1
         )
-        assert int(dist.max()) <= result.threshold + 1e-9
+        worst = int(np.argmax(dist))
+        if dist[worst] > result.threshold + 1e-9:
+            tup = tuple(int(v) for v in np.unravel_index(covered[worst],
+                                                         result.labels.shape))
+            raise AssertionError(
+                f"tuple {tup} lies {int(dist[worst])} from the anchor of "
+                f"class {int(flat[covered[worst]])}, over the threshold "
+                f"{result.threshold}")
+
+
+def _target_rows(h: KPartiteHypergraph, target: int) -> np.ndarray:
+    """Packed neighborhoods in part ``target`` of every tuple over the
+    other parts, in row-major order, as an (N, n_words) array.
+
+    For the last part these are the fiber rows. For another part they
+    are built from one word column of the packed words at a time, the
+    rows of 64 consecutive last-part vertices: the target axis of the
+    column is moved last, its bits are unpacked, and each bit plane is
+    packed along the target axis.
+    """
+    if target == h.k - 1:
+        return h.fiber_rows()
+    sizes = h.part_sizes
+    source_sizes = sizes[:target] + sizes[target + 1:]
+    rows = np.empty(source_sizes + (bitops.n_words(sizes[target]),),
+                    dtype=np.uint64)
+    for w in range(h.words.shape[-1]):
+        lo = w * bitops.WORD_BITS
+        hi = min(lo + bitops.WORD_BITS, sizes[-1])
+        column = np.ascontiguousarray(np.moveaxis(h.words[..., w], target, -1))
+        bits = np.unpackbits(column.view(np.uint8).reshape(column.shape + (8,)),
+                             axis=-1, bitorder="little")[..., :hi - lo]
+        rows[..., lo:hi, :] = bitops.pack(
+            np.ascontiguousarray(np.swapaxes(bits, -1, -2), dtype=bool))
+    return rows.reshape(-1, rows.shape[-1])
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """(distinct rows, inverse): ``rows == distinct[inverse]``, found by
+    one lexsort over the word columns."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(rows.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def tuple_partition(
@@ -321,10 +376,14 @@ def tuple_partition(
     eps * (number of tuples), or ``max_anchors`` is hit, in which case
     a CoverageError carrying the achieved mass is raised.
 
-    The uncovered tuples are kept as one ascending array of flat
-    indices, compacted after each anchor, so an anchor costs one pass
-    over the tuples still open. Before returning, every covered tuple
-    is checked against its anchor's neighborhood.
+    The neighborhoods are read from the packed words without
+    permuting the hypergraph and deduplicated once. An anchor compares
+    only the still-open distinct neighborhoods and covers every tuple
+    of a near one; the uncovered tuples, from which practical mode
+    draws, are kept as one ascending array of flat indices, compacted
+    through the dedup inverse after each anchor. Before returning,
+    every covered tuple is checked against its anchor's neighborhood
+    from its own row.
 
     Link partitions do not appear here: the assignment needs only
     neighborhoods and anchors. The link hypothesis enters through
@@ -336,11 +395,11 @@ def tuple_partition(
     if not 0 <= target_part < k:
         raise ValueError(f"target part {target_part} out of range")
     sources = tuple(p for p in range(k) if p != target_part)
-    hp = h.permute(sources + (target_part,))
     source_sizes = tuple(h.part_sizes[p] for p in sources)
     n_target = h.part_sizes[target_part]
     n_tuples = math.prod(source_sizes)
-    rows = hp.fiber_rows()
+    rows = _target_rows(h, target_part)
+    distinct, inverse = _distinct_rows(rows)
     threshold = params.eps * n_target / 2.0
     budget = params.eps * n_tuples
 
@@ -356,17 +415,19 @@ def tuple_partition(
     else:
         anchor_flat = None  # drawn adaptively below
 
-    labels = np.zeros(n_tuples, dtype=np.int64)
-    open_idx = np.arange(n_tuples)  # uncovered flat indices, ascending
+    # Tuples with one row are at one distance from every anchor, so a
+    # distinct row is covered with all its tuples or not at all.
+    row_label = np.zeros(distinct.shape[0], dtype=np.int64)
+    open_rows = np.arange(distinct.shape[0])  # uncovered distinct rows
     anchors = []
     anchor_rows = []
 
     def place(flat_idx):
-        nonlocal open_idx
+        nonlocal open_rows
         row = rows[flat_idx]
-        near = bitops.symdiff_sizes(rows[open_idx], row) <= threshold
-        labels[open_idx[near]] = len(anchors) + 1
-        open_idx = open_idx[~near]
+        near = bitops.symdiff_sizes(distinct[open_rows], row) <= threshold
+        row_label[open_rows[near]] = len(anchors) + 1
+        open_rows = open_rows[~near]
         anchors.append(tuple(np.unravel_index(flat_idx, source_sizes)))
         anchor_rows.append(row)
 
@@ -375,10 +436,13 @@ def tuple_partition(
             place(int(a))
     else:
         rng = generator(seed, f"tuple/{target_part}/anchors")
+        open_idx = np.arange(n_tuples)  # uncovered flat indices, ascending
         while open_idx.size > budget and len(anchors) < max_anchors:
             place(int(open_idx[rng.integers(open_idx.size)]))
+            open_idx = open_idx[row_label[inverse[open_idx]] == 0]
+    labels = row_label[inverse]
 
-    uncovered = int(open_idx.size)
+    uncovered = int(np.count_nonzero(labels == 0))
     if uncovered > budget + 1e-9:
         raise CoverageError(uncovered, budget, len(anchors))
     result = TuplePartition(
@@ -397,6 +461,19 @@ def tuple_partition(
     )
     _verify_tuple_partition(result, rows)
     return result
+
+
+def _neighborhoods(h: KPartiteHypergraph, part: int, tuples) -> np.ndarray:
+    """Bool rows of the part-``part`` neighborhoods of the given tuples
+    over the other parts (one index array per part, ascending), read
+    from the packed words."""
+    if part == h.k - 1:
+        return bitops.unpack(h.words[tuples], h.part_sizes[-1])
+    *lead, last = (np.asarray(v)[:, None] for v in tuples)
+    lead.insert(part, np.arange(h.part_sizes[part])[None, :])
+    words = h.words[(*lead, last // bitops.WORD_BITS)]
+    shift = (last % bitops.WORD_BITS).astype(np.uint64)
+    return ((words >> shift) & np.uint64(1)).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -459,13 +536,10 @@ def homogeneous_partition(
         first = first[classes > 0]
         representatives.append(np.unravel_index(first, tp.labels.shape))
 
-    dense = h.to_dense()
     atom_parts = [
-        common_refinement(
-            h.part_sizes[i],
-            list(np.moveaxis(dense, i, -1)[representatives[i]]),
-            part=i,
-        )
+        common_refinement(h.part_sizes[i],
+                          list(_neighborhoods(h, i, representatives[i])),
+                          part=i)
         for i in range(k)
     ]
     p = max(ap.n_blocks for ap in atom_parts)

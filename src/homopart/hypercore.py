@@ -330,15 +330,6 @@ class KPartiteHypergraph:
         for idx in zip(*self.edge_columns()):
             yield tuple(int(v) for v in idx)
 
-    def permute(self, order) -> "KPartiteHypergraph":
-        """Reindex parts so that ``order[i]`` becomes part ``i``."""
-        order = tuple(int(i) for i in order)
-        if sorted(order) != list(range(self.k)):
-            raise ValueError(f"{order} is not a permutation of parts")
-        if order == tuple(range(self.k)):
-            return self
-        return KPartiteHypergraph.from_dense(np.transpose(self.to_dense(), order))
-
     def __eq__(self, other):
         if not isinstance(other, KPartiteHypergraph):
             return NotImplemented

@@ -14,7 +14,10 @@ Conventions used throughout the package:
 table: the homogeneity audit, disagreement counts, the similarity
 stage's good/bad classification and the exact certificate checks all
 read their densities from it, and
-``homogeneous`` is the one verdict on a density.
+``homogeneous`` is the one verdict on a density. ``block_sums`` counts a
+``KPartiteHypergraph`` from its packed fiber words, a bounded chunk of
+fibers at a time, and sums any array, 0/1 or weighted, with one
+``np.bincount`` over its cells.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercore import VertexSet, _frozen
+from .hypercore import KPartiteHypergraph, VertexSet, _frozen
 
 
 class PartPartition:
@@ -288,24 +291,80 @@ def beta_refines(fine: PartPartition, coarse: PartPartition, beta: float) -> Ref
     )
 
 
+# Cells unpacked at a time by the packed path of ``block_sums``.
+_BLOCK_SUMS_CHUNK_CELLS = 1 << 20
+
+
 def block_sums(tensor, parts) -> tuple:
     """(sums, volumes): weight sum and cell count of every block tuple.
 
     ``parts`` holds one ``PartPartition`` per axis of ``tensor``; both
-    results are indexed by block labels, one axis per part. The sums
-    come from one ``np.bincount`` over the cells, keyed by each cell's
-    combined block labels, and the volumes are the products of the
-    block sizes. Empty blocks give zero sums and zero volumes. On 0/1
-    or dyadic input every sum is exact, so sum over volume equals the
-    block's mean bit for bit; on other weights the sums are taken in
-    cell order and may differ in the last bit from another order.
+    results are indexed by block labels, one axis per part. The
+    volumes are the products of the block sizes. Empty blocks give
+    zero sums and zero volumes.
+
+    A ``KPartiteHypergraph`` is counted from its packed fiber rows by
+    ``_packed_sums``, with no n^k array built. Its counts are exact
+    integers, so sum over volume equals the block's mean bit for bit.
+    An array, 0/1 or weighted, is summed by one ``np.bincount`` over
+    the cells, keyed by each cell's combined block labels. That is
+    exact on 0/1 or dyadic input; on other weights the sums are taken
+    in cell order and may differ in the last bit from another order.
     """
+    volumes = functools.reduce(np.multiply.outer, [p.sizes() for p in parts])
+    if isinstance(tensor, KPartiteHypergraph):
+        return _packed_sums(tensor, parts), volumes
     shape = tuple(p.n_blocks for p in parts)
     keys = np.ravel_multi_index(np.ix_(*[p.labels for p in parts]), shape)
     sums = np.bincount(keys.ravel(), weights=np.ravel(tensor),
                        minlength=math.prod(shape)).reshape(shape)
-    volumes = functools.reduce(np.multiply.outer, [p.sizes() for p in parts])
     return sums, volumes
+
+
+def _packed_sums(h: KPartiteHypergraph, parts) -> np.ndarray:
+    """Edge count of every block tuple, as float64, from packed fibers.
+
+    The fibers are ordered by their block key over the first k-1
+    parts with a stable sort. A bounded chunk of them at a time is
+    unpacked and multiplied by a float32 one-hot matrix of the last
+    part's labels, which is exact since every count is at most
+    n_last < 2^24. An int64 cumsum over the sorted fibers, differenced
+    at the end of each key's run, gives that key's row; a run that
+    crosses into the next chunk carries its partial sum there. A chunk
+    in which every fiber is a run of its own, as under singleton
+    blocks, writes its counts directly.
+    """
+    *lead, last = parts
+    n_last = h.part_sizes[-1]
+    onehot = np.zeros((n_last, last.n_blocks), dtype=np.float32)
+    onehot[np.arange(n_last), last.labels] = 1.0
+    lead_shape = tuple(p.n_blocks for p in lead)
+    keys = np.ravel_multi_index(np.ix_(*[p.labels for p in lead]),
+                                lead_shape).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+    rows = h.fiber_rows()
+    sums = np.zeros((math.prod(lead_shape), last.n_blocks))
+    chunk = max(1, _BLOCK_SUMS_CHUNK_CELLS // n_last)
+    carry = np.zeros(last.n_blocks, dtype=np.int64)  # open run's partial sum
+    for start in range(0, keys.size, chunk):
+        stop = min(start + chunk, keys.size)
+        bits = np.unpackbits(rows[order[start:stop]].view(np.uint8), axis=-1,
+                             bitorder="little")[:, :n_last]
+        counts = bits.astype(np.float32) @ onehot
+        run_ends = ends[np.searchsorted(ends, start):np.searchsorted(ends, stop)]
+        if run_ends.size == stop - start and not carry.any():
+            sums[keys[run_ends]] = counts  # every fiber is a run of its own
+            continue
+        counts = counts.astype(np.int64)
+        counts[0] += carry
+        cum = np.cumsum(counts, axis=0, out=counts)
+        at_ends = cum[run_ends - start]
+        sums[keys[run_ends]] = np.diff(at_ends, axis=0,
+                                       prepend=np.zeros_like(carry)[None])
+        carry = cum[-1] - (at_ends[-1] if run_ends.size else 0)
+    return sums.reshape(lead_shape + (last.n_blocks,))
 
 
 def homogeneous(d, eps):

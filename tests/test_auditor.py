@@ -268,6 +268,52 @@ class TestAuditGrid:
         assert rep.passed and rep.mass == 0
 
 
+class TestPackedAudit:
+    """The audit counts 0/1 input from packed fiber rows; these compare
+    it with the dense bincount reference on every shape of input."""
+
+    @pytest.mark.parametrize("sizes", [
+        (9, 70), (5, 130), (4, 5, 70), (3, 4, 130), (3, 3, 4, 70), (3, 4, 3, 130),
+    ])
+    @pytest.mark.parametrize("fill", ["random", "empty", "complete"])
+    def test_packed_matches_dense(self, sizes, fill):
+        rng = np.random.default_rng(sum(sizes))
+        dense = {"random": rng.random(sizes) < 0.5,
+                 "empty": np.zeros(sizes, dtype=bool),
+                 "complete": np.ones(sizes, dtype=bool)}[fill]
+        h = KPartiteHypergraph.from_dense(dense)
+        # blocks 0 and 3 are empty in every part, the last included
+        parts = []
+        for i, n in enumerate(sizes):
+            labels = rng.choice([1, 2, 4], size=n)
+            labels[:3] = [1, 2, 4]
+            parts.append(PartPartition(labels, part=i, n_blocks=5,
+                                       has_exceptional=True))
+        layers = LayeredPartition(parts)
+        for eps in (0.0, 0.2, 0.45):
+            rep = homogeneity_audit(h, layers, eps)
+            assert_same_report(rep, homogeneity_audit(h.to_dense(), layers, eps))
+            labels, densities, ok, mass = reference_homogeneity_audit(
+                h, layers, eps)
+            assert rep.labels.tolist() == labels.tolist()
+            assert rep.densities.tobytes() == densities.tobytes()
+            assert np.array_equal(rep.ok, ok) and rep.mass == mass
+            assert not rep.weighted
+            assert rep.labels.shape == (3 ** len(sizes), len(sizes))
+
+
+def assert_same_report(got, want):
+    """Field by field, densities by their bytes."""
+    assert got == want
+    for name in ("eps", "passed", "mass", "normalized_mass", "weighted"):
+        assert getattr(got, name) == getattr(want, name)
+        assert type(getattr(got, name)) is type(getattr(want, name))
+    for name in ("labels", "densities", "ok"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 class TestDisagreementPairs:
     def test_single_edge_line(self):
         dense = np.zeros((1, 1, 2), dtype=bool)

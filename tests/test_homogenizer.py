@@ -5,7 +5,12 @@ from dense arrays and Python sets, with none of the packed-word
 machinery the library uses.
 """
 
+import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +34,6 @@ from homopart import (
 )
 from homopart import homogenizer
 from homopart.errors import CoverageError, InfeasibleParamsError
-from homopart.hypercore import neighborhood
 from homopart.rng import generator
 
 
@@ -416,7 +420,8 @@ def reference_tuple_partition(h, params, seed, target_part, max_anchors=512):
     every anchor rescans all tuples for the uncovered ones."""
     k = h.k
     sources = tuple(p for p in range(k) if p != target_part)
-    rows = h.permute(sources + (target_part,)).fiber_rows()
+    rows = KPartiteHypergraph.from_dense(
+        np.transpose(h.to_dense(), sources + (target_part,))).fiber_rows()
     source_sizes = tuple(h.part_sizes[p] for p in sources)
     n_tuples = math.prod(source_sizes)
     threshold = params.eps * h.part_sizes[target_part] / 2.0
@@ -473,14 +478,13 @@ def reference_verify(flat, anchor_rows, rows, threshold, seed):
 def reference_venn_inputs(h, tp):
     """Neighborhood of each non-empty class's lexicographically least
     member, one ``argwhere`` per class."""
-    hp = h.permute(tp.source_parts + (tp.target_part,))
+    dense = np.transpose(h.to_dense(), tp.source_parts + (tp.target_part,))
     sets = []
     for i in range(1, tp.n_classes + 1):
         members = np.argwhere(tp.labels == i)
         if members.size == 0:
             continue
-        rep = tuple(int(v) for v in members[0])
-        sets.append(neighborhood(hp, rep).to_bool())
+        sets.append(dense[tuple(int(v) for v in members[0])])
     return sets
 
 
@@ -634,3 +638,109 @@ class TestReferenceScans:
             want = reference_venn_inputs(inst.h, tp)
             assert len(want) == np.count_nonzero(sizes[1:])
             assert_same_sets(venn[target], want)
+
+
+# --- tuple classes from deduplicated rows --------------------------------
+#
+# ``tuple_partition`` builds each target's rows from the packed words and
+# compares an anchor with the distinct rows only. These cases span few
+# and all-distinct rows, rows of two words, paper mode and a middle
+# target, each against the covered-mask reference.
+
+
+def reference_rows(h, target):
+    sources = tuple(p for p in range(h.k) if p != target)
+    return KPartiteHypergraph.from_dense(
+        np.transpose(h.to_dense(), sources + (target,))).fiber_rows()
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_few_distinct_rows(self, target):
+        spec = InstanceSpec(k=3, n=(9, 70, 66), family="planted-boxes", r=3,
+                            eps_prime=0.0, seed=8)
+        h = generate(spec).h
+        rows = reference_rows(h, target)
+        assert np.unique(rows, axis=0).shape[0] <= 2 ** 3
+        params = ToleranceParams(eps=0.3, k=3, r=3)
+        tp = tuple_partition(h, params, 8, target_part=target)
+        assert_matches_reference(h, tp, params, 8)
+
+    @pytest.mark.parametrize("target", [0, 2])
+    def test_every_row_distinct(self, target):
+        spec = InstanceSpec(k=3, n=(70, 6, 70), family="uniform-random", r=2,
+                            eps_prime=0.0, seed=9)
+        h = generate(spec).h
+        rows = reference_rows(h, target)
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+        params = ToleranceParams(eps=0.3, k=3, r=2)
+        tp = tuple_partition(h, params, 9, target_part=target)
+        assert tp.n_classes > 100
+        assert_matches_reference(h, tp, params, 9)
+
+    @pytest.mark.parametrize("family", ["planted-boxes", "uniform-random"])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_paper_mode_two_word_rows(self, family, target):
+        spec = InstanceSpec(k=2, n=(70, 9), family=family, r=2,
+                            eps_prime=0.0, seed=10)
+        h = generate(spec).h
+        params = ToleranceParams(eps=0.45, k=2, r=1, mode="paper")
+        tp = tuple_partition(h, params, 11, target_part=target,
+                             max_anchors=4000)
+        assert tp.n_classes == params.paper_anchor_count()
+        assert_matches_reference(h, tp, params, 11, max_anchors=4000)
+
+    @pytest.mark.parametrize("family", ["planted-boxes", "interval-threshold"])
+    @pytest.mark.parametrize("target", [1, 2])
+    def test_middle_target_at_k4(self, family, target):
+        spec = InstanceSpec(k=4, n=(5, 6, 7, 66), family=family, r=2,
+                            eps_prime=0.0, seed=12)
+        h = generate(spec).h
+        params = ToleranceParams(eps=0.3, k=4, r=2)
+        tp = tuple_partition(h, params, 12, target_part=target)
+        assert tp.source_parts == tuple(p for p in range(4) if p != target)
+        assert_matches_reference(h, tp, params, 12)
+
+    def test_verifier_raises_on_a_tuple_off_its_anchor(self):
+        spec = InstanceSpec(k=3, n=(8, 9, 70), family="uniform-random", r=2,
+                            eps_prime=0.0, seed=13)
+        h = generate(spec).h
+        tp = tuple_partition(h, ToleranceParams(eps=0.3, k=3, r=2), 13)
+        rows = h.fiber_rows()
+        homogenizer._verify_tuple_partition(tp, rows)
+        dist = np.bitwise_count(rows ^ tp.anchor_rows[0]).sum(axis=-1)
+        far = int(np.argmax(dist))
+        assert dist[far] > tp.threshold
+        labels = tp.labels.copy()
+        tup = np.unravel_index(far, labels.shape)
+        labels[tup] = 1
+        corrupt = dataclasses.replace(tp, labels=labels)
+        with pytest.raises(AssertionError,
+                           match=re.escape(str(tuple(int(v) for v in tup)))):
+            homogenizer._verify_tuple_partition(corrupt, rows)
+
+    def test_verifier_runs_under_optimize(self):
+        # the postconditions are explicit raises, so ``python -O``, which
+        # strips assert statements, keeps them
+        code = (
+            "import dataclasses, numpy as np\n"
+            "from homopart import InstanceSpec, ToleranceParams, generate, "
+            "homogenizer\n"
+            "h = generate(InstanceSpec(k=3, n=(8, 9, 70), family='uniform-random',"
+            " r=2, eps_prime=0.0, seed=13)).h\n"
+            "tp = homogenizer.tuple_partition(h, ToleranceParams(eps=0.3, k=3, r=2), 13)\n"
+            "rows = h.fiber_rows()\n"
+            "far = int(np.argmax(np.bitwise_count(rows ^ tp.anchor_rows[0]).sum(axis=-1)))\n"
+            "labels = tp.labels.copy()\n"
+            "labels.reshape(-1)[far] = 1\n"
+            "try:\n"
+            "    homogenizer._verify_tuple_partition("
+            "dataclasses.replace(tp, labels=labels), rows)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(homogenizer.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "raised"

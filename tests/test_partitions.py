@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homopart import (
+    KPartiteHypergraph,
     PartPartition,
     VertexSet,
     beta_refines,
     common_refinement,
     equalize,
 )
+from homopart import partitions
 from homopart.partitions import block_sums, homogeneous
 
 
@@ -253,6 +255,50 @@ def test_block_sums_match_brute(shape):
     want_sums, want_volumes = brute_block_sums(weights, parts)
     assert np.allclose(sums, want_sums, rtol=1e-12, atol=1e-12)
     assert np.array_equal(volumes, want_volumes)
+
+
+def blocks_with_gaps(shape, seed, singleton_lead=False):
+    """Six blocks per part with blocks 0, 3 and 5 empty in every part,
+    the last included; with ``singleton_lead`` the parts before the
+    last are singletons instead, so every fiber is a run of its own."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i, n in enumerate(shape):
+        if singleton_lead and i < len(shape) - 1:
+            parts.append(PartPartition.singletons(n, part=i))
+            continue
+        labels = rng.choice([1, 2, 4], size=n)
+        labels[:3] = [1, 2, 4]
+        parts.append(PartPartition(labels, part=i, n_blocks=6,
+                                   has_exceptional=True))
+    return parts
+
+
+@pytest.mark.parametrize("shape", [
+    (9, 70), (6, 130), (5, 4, 70), (3, 4, 130), (3, 3, 4, 70), (3, 3, 3, 130),
+])
+@pytest.mark.parametrize("fill", ["random", "empty", "complete"])
+@pytest.mark.parametrize("chunk_cells", [None, 200])
+def test_packed_block_sums_match_brute(monkeypatch, shape, fill, chunk_cells):
+    # the last parts span two and three words, neither a multiple of 64;
+    # 200 cells a chunk puts one or two fibers in each, so key runs
+    # cross chunk boundaries
+    if chunk_cells is not None:
+        monkeypatch.setattr(partitions, "_BLOCK_SUMS_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    edges = {"random": rng.random(shape) < 0.4,
+             "empty": np.zeros(shape, dtype=bool),
+             "complete": np.ones(shape, dtype=bool)}[fill]
+    h = KPartiteHypergraph.from_dense(edges)
+    for parts in (blocks_with_gaps(shape, 1),
+                  blocks_with_gaps(shape, 2, singleton_lead=True)):
+        sums, volumes = block_sums(h, parts)
+        want_sums, want_volumes = brute_block_sums(edges, parts)
+        assert sums.dtype == want_sums.dtype
+        assert sums.tobytes() == want_sums.tobytes()
+        assert np.array_equal(volumes, want_volumes)
+        dense_sums, _ = block_sums(edges, parts)
+        assert sums.tobytes() == dense_sums.tobytes()
 
 
 def test_homogeneous_boundaries():
