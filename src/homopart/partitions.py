@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitops
 from .hypercore import KPartiteHypergraph, VertexSet, _frozen
 
 
@@ -326,17 +327,20 @@ def _packed_sums(h: KPartiteHypergraph, parts) -> np.ndarray:
 
     The fibers are ordered by their block key over the first k-1
     parts with a stable sort. A bounded chunk of them at a time is
-    unpacked and multiplied by a float32 one-hot matrix of the last
-    part's labels, which is exact since every count is at most
-    n_last < 2^24. An int64 cumsum over the sorted fibers, differenced
-    at the end of each key's run, gives that key's row; a run that
-    crosses into the next chunk carries its partial sum there. A chunk
-    in which every fiber is a run of its own, as under singleton
-    blocks, writes its counts directly.
+    unpacked and multiplied by a one-hot matrix of the last part's
+    labels. The matrix is float32 while every count fits its 24-bit
+    significand (n_last < 2^24) and float64 beyond, so the counts are
+    exact. An int64 cumsum over the sorted fibers, differenced at the
+    end of each key's run, gives that key's row; a run that crosses
+    into the next chunk carries its partial sum there. A chunk in
+    which every fiber is a run of its own, as under singleton blocks,
+    writes its counts directly; there the cumsum's int64 passes over
+    the counts would make the count about four times slower.
     """
     *lead, last = parts
     n_last = h.part_sizes[-1]
-    onehot = np.zeros((n_last, last.n_blocks), dtype=np.float32)
+    exact = np.float32 if n_last < 1 << 24 else np.float64
+    onehot = np.zeros((n_last, last.n_blocks), dtype=exact)
     onehot[np.arange(n_last), last.labels] = 1.0
     lead_shape = tuple(p.n_blocks for p in lead)
     keys = np.ravel_multi_index(np.ix_(*[p.labels for p in lead]),
@@ -350,9 +354,8 @@ def _packed_sums(h: KPartiteHypergraph, parts) -> np.ndarray:
     carry = np.zeros(last.n_blocks, dtype=np.int64)  # open run's partial sum
     for start in range(0, keys.size, chunk):
         stop = min(start + chunk, keys.size)
-        bits = np.unpackbits(rows[order[start:stop]].view(np.uint8), axis=-1,
-                             bitorder="little")[:, :n_last]
-        counts = bits.astype(np.float32) @ onehot
+        bits = bitops.unpack(rows[order[start:stop]], n_last)
+        counts = bits.astype(exact) @ onehot
         run_ends = ends[np.searchsorted(ends, start):np.searchsorted(ends, stop)]
         if run_ends.size == stop - start and not carry.any():
             sums[keys[run_ends]] = counts  # every fiber is a run of its own

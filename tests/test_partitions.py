@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from homopart import (
     KPartiteHypergraph,
+    LayeredPartition,
     PartPartition,
     VertexSet,
     beta_refines,
     common_refinement,
     equalize,
+    homogeneity_audit,
 )
 from homopart import partitions
 from homopart.partitions import block_sums, homogeneous
@@ -299,6 +301,20 @@ def test_packed_block_sums_match_brute(monkeypatch, shape, fill, chunk_cells):
         assert np.array_equal(volumes, want_volumes)
         dense_sums, _ = block_sums(edges, parts)
         assert sums.tobytes() == dense_sums.tobytes()
+
+
+def test_packed_block_sums_exact_past_float32():
+    # a one-block last part of 2^24 + 1 vertices: its count lies past
+    # the integers float32 holds exactly
+    n = (1 << 24) + 1
+    h = KPartiteHypergraph.complete((1, n))
+    parts = [PartPartition.trivial(1, part=0), PartPartition.trivial(n, part=1)]
+    sums, volumes = block_sums(h, parts)
+    assert sums.tolist() == [[float(n)]]
+    assert volumes.tolist() == [[n]]
+    report = homogeneity_audit(h, LayeredPartition(parts), 0.0)
+    assert report.densities.tolist() == [1.0]
+    assert report.passed
 
 
 def test_homogeneous_boundaries():
