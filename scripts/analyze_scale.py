@@ -12,7 +12,9 @@ otherwise) with n vertices per part, runs ``homogeneous_partition`` at
 eps=0.2, seed 1, and audits its output with ``homogeneity_audit`` at
 the same eps. Prints one JSON line: seconds per stage and
 ``ru_maxrss`` in MB after it, plus the blocks per part and the number
-of audited block tuples. Run one size per process, since peak RSS
+of audited block tuples. When the partition raises
+``CoverageError``, as on uniform-random, the line carries the gen
+stage and the error instead. Run one size per process, since peak RSS
 never falls.
 """
 
@@ -37,6 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import homopart as hp
+    from homopart.errors import CoverageError
 
     eps = 0.2
     out = {"n": args.n, "family": args.family}
@@ -51,8 +54,13 @@ def main(argv=None) -> int:
     inst = stage("gen", lambda: hp.generate(hp.InstanceSpec(
         k=3, n=(args.n,) * 3, family=args.family, r=3, eps_prime=0.1,
         seed=1)))
-    partition, _ = stage("partition", lambda: hp.homogeneous_partition(
-        inst.h, inst.oracle, eps, 1))
+    try:
+        partition, _ = stage("partition", lambda: hp.homogeneous_partition(
+            inst.h, inst.oracle, eps, 1))
+    except CoverageError as exc:
+        out["error"] = str(exc)
+        print(json.dumps(out))
+        return 1
     out["blocks"] = [p.n_blocks for p in partition]
     audit = stage("audit", lambda: hp.homogeneity_audit(inst.h, partition, eps))
     out["block_tuples"] = int(audit.densities.size)

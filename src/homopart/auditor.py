@@ -34,7 +34,7 @@ from .rng import generator
 
 def _as_tensor(h) -> tuple[np.ndarray, bool]:
     """Dense weight tensor plus a flag for genuinely weighted input."""
-    if isinstance(h, KPartiteHypergraph):
+    if isinstance(h, (KPartiteHypergraph, BipartiteGraph)):
         return h.to_dense().astype(np.float64), False
     if isinstance(h, WeightedTripartite):
         return np.asarray(h.weights, dtype=np.float64), True
@@ -103,12 +103,13 @@ def homogeneity_audit(h, partition: LayeredPartition,
     blocks contribute nothing.
 
     The block-tuple sums and volumes come from ``block_sums`` and a
-    density is sum over volume. 0/1 input, a ``KPartiteHypergraph`` or
-    a bool array (packed first), is counted from its packed fiber rows,
-    so every sum is an exact integer and the densities equal the
-    per-block means bit for bit. Weighted input is summed in cell
-    order, so for non-dyadic weights a density can differ in its last
-    bit from a mean summed in another order.
+    density is sum over volume. 0/1 input, a ``KPartiteHypergraph``, a
+    ``BipartiteGraph`` (its rows are the fibers of a 2-partite
+    hypergraph) or a bool array (packed first), is counted from its
+    packed fiber rows, so every sum is an exact integer and the
+    densities equal the per-block means bit for bit. Weighted input is
+    summed in cell order, so for non-dyadic weights a density can
+    differ in its last bit from a mean summed in another order.
 
     A block tuple has non-zero volume exactly when each of its blocks
     is non-empty, so the audited tuples are the grid of non-empty
@@ -125,6 +126,8 @@ def homogeneity_audit(h, partition: LayeredPartition,
         raise InfeasibleParamsError(f"eps={eps} outside [0, 1/2)")
     if isinstance(h, np.ndarray) and h.dtype == bool and h.ndim >= 2:
         h = KPartiteHypergraph.from_dense(h)
+    elif isinstance(h, BipartiteGraph):
+        h = KPartiteHypergraph((h.n_left, h.n_right), h.rows)
     if isinstance(h, KPartiteHypergraph):
         counted, shape, weighted = h, h.part_sizes, False
     else:
@@ -342,8 +345,6 @@ def bipartite_regularity_witness(
     g,
     delta: float,
     *,
-    left=None,
-    right=None,
     exact_bits: int = 22,
     draws: int = 4000,
     seed: int = 0,
@@ -356,17 +357,7 @@ def bipartite_regularity_witness(
     and ``draws < 1`` is a ``ValueError``. The other side is always
     optimized exactly by prefix scan under its size floor.
     """
-    if isinstance(g, BipartiteGraph):
-        adj = g.to_dense().astype(np.float64)
-    else:
-        adj = np.asarray(g, dtype=np.float64)
-    if left is not None or right is not None:
-        li = np.asarray(left if left is not None else np.arange(adj.shape[0]))
-        ri = np.asarray(right if right is not None else np.arange(adj.shape[1]))
-        adj = adj[np.ix_(li, ri)]
-    else:
-        li = np.arange(adj.shape[0])
-        ri = np.arange(adj.shape[1])
+    adj, _ = _as_tensor(g)
     n_a, n_b = adj.shape
     base = float(adj.mean())
     min_a = max(1, math.ceil(delta * n_a - 1e-9))
@@ -401,7 +392,7 @@ def bipartite_regularity_witness(
     ia, ib, dev, d = best
     if flip:
         ia, ib = ib, ia
-    subsets = (li[np.sort(np.asarray(ia))], ri[np.sort(np.asarray(ib))])
+    subsets = (ia, ib)  # both sorted: flatnonzero and _prefix_scan
     return RegularityWitness(
         subsets=subsets,
         sub_density=float(d),

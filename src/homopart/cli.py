@@ -99,12 +99,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_homogenize(args) -> int:
     eps, mode = args.eps, args.mode
-    run = _Run(args, "homogenize",
-               {"eps": eps, "r": args.r, "max_anchors": args.max_anchors},
-               mode, {"instance": args.instance, "links": args.links})
-    h = hio.read_khg(args.instance)
     # the pipeline reads only r; a links file is still parsed in full
     r = hio.read_links(args.links)[1] if args.links else args.r
+    run = _Run(args, "homogenize",
+               {"eps": eps, "r": r, "max_anchors": args.max_anchors},
+               mode, {"instance": args.instance, "links": args.links})
+    h = hio.read_khg(args.instance)
     partition, report = homogeneous_partition(
         h, PlantedOracle({}, r), eps, args.seed, mode=mode,
         max_anchors=args.max_anchors,

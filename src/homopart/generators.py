@@ -1,14 +1,16 @@
 """Seeded instance families for pipeline runs and calibration.
 
 Two families are planted: ``planted-boxes`` (edges constant on a grid
-of blocks, one interval partition per part) and ``product`` (a
-tripartite graph whose every third-part link equals one fixed planted
-bipartite graph). Both carry ground-truth partitions that make every
-link 0-homogeneous with at most r blocks per side, and a PlantedOracle
-holding them with that r; ``homogeneous_partition`` reads only the r.
-``interval-threshold`` plants interval partitions that are only
-approximately homogeneous, and ``uniform-random`` is the negative
-control with no usable link structure.
+of blocks, one interval partition per part) and ``product``, which is
+planted-boxes on three parts with a trivial third partition, so every
+third-part link equals one fixed planted bipartite graph. Both carry
+ground-truth partitions that make every link 0-homogeneous with at
+most r blocks per side, and a PlantedOracle holding them with that r;
+``homogeneous_partition`` reads only the r. ``interval-threshold``
+plants interval partitions that are only approximately homogeneous,
+and ``uniform-random`` is the negative control with no usable link
+structure. Every instance is built straight into the packed words of
+a ``KPartiteHypergraph``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitops
 from .errors import InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph
 from .partitions import PartPartition
@@ -89,7 +92,7 @@ class Instance:
     def bipartite(self) -> BipartiteGraph:
         if self.spec.k != 2:
             raise ValueError("bipartite view needs k=2")
-        return BipartiteGraph.from_dense(self.h.to_dense())
+        return BipartiteGraph(*self.h.part_sizes, self.h.words)
 
 
 def _near_equal_intervals(n: int, blocks: int, part) -> PartPartition:
@@ -111,67 +114,42 @@ def _block_pattern(rng, shape) -> np.ndarray:
 
 
 def generate(spec: InstanceSpec) -> Instance:
-    """Materialize the instance determined by ``spec``."""
+    """Materialize the instance determined by ``spec``, packed word by
+    word with no n^k array.
+
+    Block-constant families pack one last-part row per block tuple and
+    gather the rows by the labels of the first k-1 parts. The other
+    two fill one first-part slab at a time, in the order of the float
+    additions and of the random stream that a whole-tensor build
+    would take, so the bits are the same.
+    """
     rng = generator(spec.seed, f"gen/{spec.family}")
     k, n = spec.k, spec.n
-    if spec.family == "planted-boxes":
-        parts = {
-            i: _near_equal_intervals(n[i], min(spec.r, n[i]), part=i)
-            for i in range(k)
-        }
-        pattern = _block_pattern(rng, tuple(parts[i].n_blocks for i in range(k)))
-        grids = np.ix_(*[parts[i].labels for i in range(k)])
-        dense = pattern[grids]
-        return Instance(
-            spec=spec,
-            h=KPartiteHypergraph.from_dense(dense),
-            oracle=PlantedOracle(parts, spec.r),
-            side_partitions=parts,
-            exact_links=True,
-        )
+    parts = {
+        i: _near_equal_intervals(n[i], min(spec.r, n[i]), part=i)
+        for i in range(k) if spec.r >= 1
+    }
     if spec.family == "product":
-        rows = _near_equal_intervals(n[0], min(spec.r, n[0]), part=0)
-        cols = _near_equal_intervals(n[1], min(spec.r, n[1]), part=1)
-        pattern = _block_pattern(rng, (rows.n_blocks, cols.n_blocks))
-        g = pattern[np.ix_(rows.labels, cols.labels)]
-        dense = np.repeat(g[:, :, None], n[2], axis=2)
-        parts = {0: rows, 1: cols, 2: PartPartition.trivial(n[2], part=2)}
-        return Instance(
-            spec=spec,
-            h=KPartiteHypergraph.from_dense(dense),
-            oracle=PlantedOracle(parts, spec.r),
-            side_partitions=parts,
-            exact_links=True,
-        )
-    if spec.family == "interval-threshold":
-        axes = np.ix_(*[(np.arange(v) + 0.5) / v for v in n])
-        dense = sum(axes) <= k / 2.0
-        parts = {
-            i: _near_equal_intervals(n[i], min(spec.r, n[i]), part=i)
-            for i in range(k)
-        }
-        return Instance(
-            spec=spec,
-            h=KPartiteHypergraph.from_dense(dense),
-            oracle=PlantedOracle(parts, spec.r),
-            side_partitions=parts,
-            exact_links=False,
-        )
-    # uniform-random
-    dense = rng.random(n) < 0.5
-    if spec.r >= 1:
-        parts = {
-            i: _near_equal_intervals(n[i], min(spec.r, n[i]), part=i)
-            for i in range(k)
-        }
-        oracle = PlantedOracle(parts, spec.r)
+        parts[2] = PartPartition.trivial(n[2], part=2)
+    exact = spec.family in ("planted-boxes", "product")
+    if exact:
+        pattern = _block_pattern(rng, tuple(p.n_blocks for p in parts.values()))
+        rows = bitops.pack(pattern[..., parts[k - 1].labels])
+        words = rows[np.ix_(*[parts[i].labels for i in range(k - 1)])]
     else:
-        parts = {}
-        oracle = None
+        words = np.empty(n[:-1] + (bitops.n_words(n[-1]),), dtype=np.uint64)
+        coords = [(np.arange(v) + 0.5) / v for v in n]
+        rest = np.ix_(*coords[1:])
+        for x0, slab in zip(coords[0], words):
+            if spec.family == "interval-threshold":
+                bits = sum(rest, x0) <= k / 2.0
+            else:
+                bits = rng.random(n[1:]) < 0.5
+            slab[...] = bitops.pack(bits)
     return Instance(
         spec=spec,
-        h=KPartiteHypergraph.from_dense(dense),
-        oracle=oracle,
+        h=KPartiteHypergraph(n, words),
+        oracle=PlantedOracle(parts, spec.r) if parts else None,
         side_partitions=parts,
-        exact_links=False,
+        exact_links=exact,
     )

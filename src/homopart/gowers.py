@@ -804,7 +804,7 @@ class QuasirandomnessReport:
 
 
 def quasirandomness_audit(g, delta, *, b_intervals=None, level_M=None,
-                          exact_bits=22, band_tol=None) -> QuasirandomnessReport:
+                          band_tol=None) -> QuasirandomnessReport:
     if isinstance(g, BipartiteGraph):
         adj = g.to_dense().astype(np.float64)
     else:
@@ -824,7 +824,7 @@ def quasirandomness_audit(g, delta, *, b_intervals=None, level_M=None,
     codeg = adj.T @ adj
     f = codeg - d * d * n
 
-    if n <= exact_bits:
+    if n <= 22:  # every subset is enumerated, 2^n of them
         mode = "exact"
         min_size = max(1, math.ceil(delta * n - 1e-9))
         worst = -math.inf

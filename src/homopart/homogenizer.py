@@ -146,9 +146,6 @@ def similarity_partition(
     right: PartPartition,
     gamma: float,
     r: int,
-    *,
-    seed: int = 0,
-    exact_rep_threshold: int = 512,
 ) -> SimilarityResult:
     """Partition the left side into q equal blocks of similar vertices.
 
@@ -185,7 +182,6 @@ def similarity_partition(
     bad_mass = int(left.sizes()[bad].sum())
 
     evict_threshold = gamma * n_y / 2.0
-    rng = generator(seed, "similarity/representatives")
     exceptional = []
     representatives = []
     kept_chunks = []
@@ -197,15 +193,11 @@ def similarity_partition(
             exceptional.append(bx)
             continue
         rows = g.rows[bx]
-        if bx.size <= exact_rep_threshold:
-            totals = _pairwise_symdiff(rows).sum(axis=1)
-        else:
-            # only the existence of a low-participation vertex matters,
-            # so estimate totals from a sample of partners
-            sample = rng.choice(bx.size, size=exact_rep_threshold, replace=False)
-            totals = bitops.popcount(
-                rows[:, None, :] ^ rows[sample][None, :, :], axis=(-1, -2)
-            )
+        # sum_j |N_i ^ N_j| = sum_c s_c + sum_c x_ic (|bx| - 2 s_c), with
+        # x the block's rows and s its column counts
+        x = bitops.unpack(rows, n_y)
+        s = x.sum(axis=0)
+        totals = s.sum() + x @ (bx.size - 2 * s)
         rep_pos = int(np.argmin(totals))
         representatives.append((b, int(bx[rep_pos])))
         dist = bitops.symdiff_sizes(rows, rows[rep_pos])

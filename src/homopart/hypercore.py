@@ -295,7 +295,9 @@ class KPartiteHypergraph:
 
     @classmethod
     def complete(cls, part_sizes):
-        return cls.from_dense(np.ones(tuple(part_sizes), dtype=bool))
+        sizes = tuple(int(s) for s in part_sizes)
+        row = bitops.pack(np.ones(sizes[-1], dtype=bool))
+        return cls(sizes, np.broadcast_to(row, sizes[:-1] + row.shape))
 
     def to_dense(self) -> np.ndarray:
         return bitops.unpack(self.words, self.part_sizes[-1])

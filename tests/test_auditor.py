@@ -498,6 +498,23 @@ class TestBipartiteWitness:
         assert not wit.exact
         assert wit.deviation > 0.3
 
+    @pytest.mark.parametrize("shape", [(22, 22), (9, 70)])
+    def test_graph_input_matches_its_dense_array(self, shape):
+        rng = np.random.default_rng(shape[1])
+        dense = np.tri(*shape, -1, dtype=bool) ^ (rng.random(shape) < 0.1)
+        g = BipartiteGraph.from_dense(dense)
+        wit = bipartite_regularity_witness(g, 0.25)
+        assert wit is not None
+        assert verify_witness(g, wit) == verify_witness(dense, wit) \
+            == pytest.approx(wit.sub_density)
+        layers = LayeredPartition([
+            PartPartition(rng.integers(0, 3, n), part=i, n_blocks=3)
+            for i, n in enumerate(shape)
+        ])
+        assert homogeneity_audit(g, layers, 0.2) == \
+            homogeneity_audit(dense, layers, 0.2)
+        assert disagreement_pairs(g, layers) == disagreement_pairs(dense, layers)
+
 
 def brute_shattered(rows, combo):
     seen = set()

@@ -737,6 +737,16 @@ def test_cli_links_file_contributes_only_r(tmp_path, capsys):
         assert stamp_links != stamp_r
 
 
+def test_cli_homogenize_records_the_links_files_r(tmp_path, capsys):
+    gen_out, hom_out = tmp_path / "gen", tmp_path / "hom"
+    run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--r", 5,
+             "--seed", 3, "--out", gen_out])
+    assert run_cli(["homogenize", gen_out / "instance.khg",
+                    "--links", gen_out / "instance.links",
+                    "--out", hom_out]) == 0
+    assert RunManifest.read(hom_out / "manifest.json").params["r"] == 5
+
+
 def test_cli_audit_agrees_with_homogenize(tmp_path, capsys):
     gen_out = tmp_path / "gen"
     run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--seed", 5,
