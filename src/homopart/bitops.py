@@ -71,11 +71,6 @@ def from_indices(indices, n: int) -> np.ndarray:
     return pack(mask)
 
 
-def to_indices(words: np.ndarray, n: int) -> np.ndarray:
-    """Sorted positions of the set bits."""
-    return np.flatnonzero(unpack(words, n))
-
-
 def extract_bit(words: np.ndarray, j: int) -> np.ndarray:
     """Boolean plane of bit ``j`` across an array of packed rows."""
     word = words[..., j // WORD_BITS]

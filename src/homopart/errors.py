@@ -11,14 +11,6 @@ class HomopartError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EmptySubsetError(HomopartError, ValueError):
-    """A density or witness query received an empty vertex subset."""
-
-    def __init__(self, part):
-        self.part = part
-        super().__init__(f"subset for part {part} is empty")
-
-
 class PinError(HomopartError, ValueError):
     """Link pins out of range or not in distinct parts."""
 

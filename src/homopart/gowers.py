@@ -151,7 +151,12 @@ def build_sequence(eps, delta, mode="paper", *, t=None, growth=None, s0=None,
 
     levels = [1]
     for r in range(1, t + 1):
-        phi = int(grow(levels[-1]))
+        try:
+            phi = int(grow(levels[-1]))
+        except OverflowError:
+            raise InfeasibleParamsError(
+                f"growth({levels[-1]}) at level {r} overflows a float"
+            ) from None
         if phi < 2:
             raise ValueError(f"growth({levels[-1]}) = {phi} is below 2")
         if levels[-1] < s0 and phi >= s0:
@@ -530,28 +535,23 @@ class GowersBuild:
     _quasirandom: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _level_dense(n: int, family: OrthogonalFamily) -> np.ndarray:
-    """Level adjacency from per-interval side choices.
+def level_graph(n: int, family: OrthogonalFamily) -> BipartiteGraph:
+    """Level graph on n+n vertices from per-interval side choices.
 
     A first-part vertex in coarse interval i at fine offset k meets a
     second-part vertex in coarse interval j at fine offset k' exactly
     when k's side in partition j agrees with k's side in partition i,
     which realizes the two complete blocks per interval pair.
     """
+    n = int(n)
     m, M = family.m, family.M
+    if n % (m * M):
+        raise DivisibilityError(f"n={n} is not divisible by {m * M} fine intervals")
     coarse = np.arange(n) // (n // m)
     fine = (np.arange(n) % (n // m)) // (n // (m * M))
     side = family.x_side
-    return side[coarse[None, :], fine[:, None]] == side[coarse[:, None], fine[None, :]]
-
-
-def level_graph(n: int, family: OrthogonalFamily) -> BipartiteGraph:
-    """Standalone level graph on n+n vertices for one family."""
-    n = int(n)
-    fine = family.m * family.M
-    if n % fine:
-        raise DivisibilityError(f"n={n} is not divisible by {fine} fine intervals")
-    return BipartiteGraph.from_dense(_level_dense(n, family))
+    return BipartiteGraph.from_dense(
+        side[coarse[None, :], fine[:, None]] == side[coarse[:, None], fine[None, :]])
 
 
 def build_weighted(params: GowersParams, n: int) -> GowersBuild:
@@ -592,7 +592,7 @@ def build_weighted(params: GowersParams, n: int) -> GowersBuild:
             seed=derive(params.seed, f"gowers/level{r}"),
         )
         families.append(fam)
-        graphs.append(BipartiteGraph.from_dense(_level_dense(n, fam)))
+        graphs.append(level_graph(n, fam))
 
     layering = IntervalLayering(
         n=n,
@@ -781,8 +781,9 @@ class QuasirandomnessReport:
     enumeration at small n and otherwise by the sufficient pointwise
     statistic (cross-interval codegree excess plus the same-interval
     mass term). The optional bands report per-vertex degree and
-    cross-interval codegree against 1/2 and 1/4 at the given
-    tolerance; they are informational.
+    cross-interval codegree against 1/2 and 1/4 at tolerance
+    ``band_tol`` = M^(-1/3) for the level ratio M; they are
+    informational.
     """
 
     n: int
@@ -803,8 +804,8 @@ class QuasirandomnessReport:
         return self.condition1 and self.condition2
 
 
-def quasirandomness_audit(g, delta, *, b_intervals=None, level_M=None,
-                          band_tol=None) -> QuasirandomnessReport:
+def quasirandomness_audit(g, delta, *, b_intervals=None,
+                          level_M=None) -> QuasirandomnessReport:
     if isinstance(g, BipartiteGraph):
         adj = g.to_dense().astype(np.float64)
     else:
@@ -854,7 +855,7 @@ def quasirandomness_audit(g, delta, *, b_intervals=None, level_M=None,
     degree_band = codegree_band = None
     tol = None
     if level_M is not None:
-        tol = float(band_tol) if band_tol is not None else float(level_M) ** (-1.0 / 3.0)
+        tol = float(level_M) ** (-1.0 / 3.0)
         degree_band = bool((np.abs(degs - n / 2.0) <= tol * n + 1e-9).all())
         if b_intervals is not None:
             labels = b_intervals.labels

@@ -74,9 +74,10 @@ class ToleranceParams:
     """Tolerance cascade tying the target homogeneity to the links'.
 
     ``gamma`` is the similarity tolerance handed to the bipartite
-    stage and ``gamma_prime`` the homogeneity that stage expects of its
-    input partition, which is also what the link hypothesis assumes.
-    Both follow the fixed formulas in every mode.
+    stage; ``similarity_input_tolerance(gamma)`` is the homogeneity
+    that stage expects of its input partition, which is also what the
+    link hypothesis assumes. Both follow the fixed formulas in every
+    mode.
     """
 
     eps: float
@@ -97,10 +98,6 @@ class ToleranceParams:
     @property
     def gamma(self) -> float:
         return self.eps / (6.0 * self.k)
-
-    @property
-    def gamma_prime(self) -> float:
-        return self.gamma**3 / 48.0
 
     @property
     def q(self) -> int:
@@ -170,13 +167,13 @@ def similarity_partition(
         raise InfeasibleParamsError(
             f"q={q}, m={m} infeasible for n={n_x} (need q*m <= n and m >= 1)"
         )
-    gamma_prime = similarity_input_tolerance(gamma)
+    input_tol = similarity_input_tolerance(gamma)
 
     # good/bad classification of left blocks by the mass of right
     # blocks forming a non-homogeneous pair with them
     sums, volumes = block_sums(g.to_dense(), (left, right))
     mixed = (volumes > 0) & ~homogeneous(sums / np.maximum(volumes, 1),
-                                         gamma_prime)
+                                         input_tol)
     mass = mixed.astype(np.int64) @ right.sizes()
     bad = [int(b) for b in np.flatnonzero(mass > (gamma**2 / 16.0) * n_y)]
     bad_mass = int(left.sizes()[bad].sum())

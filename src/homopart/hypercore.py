@@ -2,8 +2,6 @@
 
 Types
 -----
-``VertexSet``
-    Immutable subset of one part, stored as a packed bitmask.
 ``BipartiteGraph``
     Adjacency bit-rows per left vertex.
 ``KPartiteHypergraph``
@@ -18,122 +16,25 @@ Types
     ``weights`` of a layered relation are built only when read.
     ``link`` below builds links of unweighted hypergraphs only.
 
-All objects freeze their arrays after construction; the kernels below
-(`density`, `link`, `neighborhood`) are pure functions and safe to
-share across threads.
+All objects freeze their arrays after construction; ``link`` below is
+a pure function and safe to share across threads. Block-tuple
+densities are counted by ``partitions.block_sums``, the last-part
+neighborhood of a (k-1)-tuple ``e`` is the packed row ``h.words[e]``,
+and a vertex degree is the popcount of its row.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import bitops
-from .errors import EmptySubsetError, PinError
+from .errors import PinError
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
-
-
-class VertexSet:
-    """Subset of one vertex part.
-
-    ``part`` is the 0-based part index, or None when the set lives on an
-    unanchored side (e.g. one side of a standalone bipartite graph).
-    The mask length always matches the part size ``n``; operations
-    between sets require matching ``(part, n)``.
-    """
-
-    __slots__ = ("part", "n", "words", "_size")
-
-    def __init__(self, part, n, words):
-        self.part = part
-        self.n = int(n)
-        words = np.asarray(words, dtype=np.uint64)
-        if words.shape != (bitops.n_words(self.n),):
-            raise ValueError(f"mask shape {words.shape} does not fit n={self.n}")
-        self.words = _frozen(words)
-        self._size = None
-
-    @classmethod
-    def from_bool(cls, mask, part=None):
-        mask = np.asarray(mask, dtype=bool)
-        return cls(part, mask.shape[0], bitops.pack(mask))
-
-    @classmethod
-    def from_indices(cls, indices, n, part=None):
-        return cls(part, n, bitops.from_indices(indices, n))
-
-    @classmethod
-    def full(cls, n, part=None):
-        return cls.from_bool(np.ones(n, dtype=bool), part=part)
-
-    @classmethod
-    def empty(cls, n, part=None):
-        return cls.from_bool(np.zeros(n, dtype=bool), part=part)
-
-    @property
-    def size(self) -> int:
-        if self._size is None:
-            self._size = int(bitops.popcount(self.words))
-        return self._size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def to_bool(self) -> np.ndarray:
-        return bitops.unpack(self.words, self.n)
-
-    def indices(self) -> np.ndarray:
-        return bitops.to_indices(self.words, self.n)
-
-    def contains(self, v: int) -> bool:
-        return bool(bitops.extract_bit(self.words, int(v)))
-
-    def complement(self) -> "VertexSet":
-        return VertexSet.from_bool(~self.to_bool(), part=self.part)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, VertexSet):
-            raise TypeError("expected a VertexSet")
-        if self.n != other.n or self.part != other.part:
-            raise ValueError("vertex sets live on different parts")
-
-    def __and__(self, other):
-        self._check_compatible(other)
-        return VertexSet(self.part, self.n, self.words & other.words)
-
-    def __or__(self, other):
-        self._check_compatible(other)
-        return VertexSet(self.part, self.n, self.words | other.words)
-
-    def __xor__(self, other):
-        self._check_compatible(other)
-        return VertexSet(self.part, self.n, self.words ^ other.words)
-
-    def symdiff_size(self, other) -> int:
-        """|self XOR other| as a single popcount pass."""
-        self._check_compatible(other)
-        return int(bitops.popcount(self.words ^ other.words))
-
-    def __eq__(self, other):
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        return (
-            self.part == other.part
-            and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self):
-        return hash((self.part, self.n, self.words.tobytes()))
-
-    def __repr__(self):
-        return f"VertexSet(part={self.part}, n={self.n}, size={self.size})"
 
 
 class BipartiteGraph:
@@ -182,39 +83,8 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return int(bitops.popcount(self.rows))
 
-    def degrees(self) -> np.ndarray:
-        return bitops.popcount(self.rows, axis=-1)
-
-    def degree(self, x) -> int:
-        return int(bitops.popcount(self.rows[x]))
-
-    def neighborhood(self, x) -> VertexSet:
-        """Right-side neighborhood of left vertex ``x`` as a bitmask."""
-        return VertexSet(1, self.n_right, self.rows[x].copy())
-
     def transpose(self) -> "BipartiteGraph":
         return BipartiteGraph.from_dense(self.to_dense().T)
-
-    def density(self, left: VertexSet | None = None, right: VertexSet | None = None) -> float:
-        """Edge density of the induced pair (full sides by default)."""
-        if left is None:
-            idx = np.arange(self.n_left)
-            n_l = self.n_left
-        else:
-            if left.size == 0:
-                raise EmptySubsetError(0)
-            idx = left.indices()
-            n_l = left.size
-        if right is None:
-            words = self.rows[idx]
-            n_r = self.n_right
-        else:
-            if right.size == 0:
-                raise EmptySubsetError(1)
-            words = self.rows[idx] & right.words
-            n_r = right.size
-        edges = int(bitops.popcount(words))
-        return edges / (n_l * n_r)
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
@@ -460,52 +330,6 @@ class WeightedTripartite:
     def __repr__(self):
         sizes = "x".join(str(s) for s in self.part_sizes)
         return f"WeightedTripartite({sizes})"
-
-
-def _validate_subsets(h, subsets):
-    if len(subsets) != h.k:
-        raise ValueError(f"expected {h.k} subsets, got {len(subsets)}")
-    for i, s in enumerate(subsets):
-        if s.n != h.part_sizes[i]:
-            raise ValueError(
-                f"subset for part {i} has length {s.n}, part has {h.part_sizes[i]}"
-            )
-        if s.part is not None and s.part != i:
-            raise ValueError(f"subset at position {i} is labeled part {s.part}")
-        if s.size == 0:
-            raise EmptySubsetError(i)
-
-
-def density(h, subsets) -> float:
-    """Edge density (or mean weight) of the sub-box picked by ``subsets``.
-
-    ``subsets`` holds one nonempty ``VertexSet`` per part, in part
-    order. For unweighted hypergraphs this counts edges inside the box
-    divided by the number of cells; for weighted tripartite input it is
-    the mean weight over the box.
-    """
-    subsets = tuple(subsets)
-    _validate_subsets(h, subsets)
-    if isinstance(h, WeightedTripartite):
-        idx = [s.indices() for s in subsets]
-        return float(h.weights[np.ix_(*idx)].mean())
-    idx = [s.indices() for s in subsets[:-1]]
-    target = subsets[-1]
-    sub = h.words[np.ix_(*idx)] if idx else h.words
-    edges = int(bitops.popcount(sub & target.words))
-    cells = math.prod(s.size for s in subsets)
-    return edges / cells
-
-
-def neighborhood(h: KPartiteHypergraph, e) -> VertexSet:
-    """Last-part neighborhood of a tuple spanning parts 0..k-2."""
-    e = tuple(int(v) for v in e)
-    if len(e) != h.k - 1:
-        raise ValueError(f"tuple arity {len(e)}, expected {h.k - 1}")
-    for i, v in enumerate(e):
-        if not 0 <= v < h.part_sizes[i]:
-            raise PinError(f"vertex {v} out of range for part {i}")
-    return VertexSet(h.k - 1, h.part_sizes[-1], h.words[e].copy())
 
 
 def link(h: KPartiteHypergraph, pins) -> BipartiteGraph:

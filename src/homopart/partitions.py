@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitops
-from .hypercore import KPartiteHypergraph, VertexSet, _frozen
+from .hypercore import KPartiteHypergraph, _frozen
 
 
 class PartPartition:
@@ -188,23 +188,19 @@ class RefinementReport:
 def common_refinement(n: int, sets, part=None) -> PartPartition:
     """Venn-diagram atoms of the given subsets of ``range(n)``.
 
-    Two vertices share an atom exactly when they agree on membership in
-    every input set, so the result has at most ``2**len(sets)`` blocks
-    and refines each input set's two-block partition. Atom labels
-    follow the lexicographic order of membership signatures, which
-    makes the labeling deterministic.
+    Each set is an array-like mask of length ``n``. Two vertices share
+    an atom exactly when they agree on membership in every input set,
+    so the result has at most ``2**len(sets)`` blocks and refines each
+    input set's two-block partition. Atom labels follow the
+    lexicographic order of membership signatures, which makes the
+    labeling deterministic.
     """
     table = np.zeros((n, max(1, len(sets))), dtype=bool)
     for j, s in enumerate(sets):
-        if isinstance(s, VertexSet):
-            if s.n != n:
-                raise ValueError(f"set {j} has length {s.n}, expected {n}")
-            table[:, j] = s.to_bool()
-        else:
-            col = np.asarray(s, dtype=bool)
-            if col.shape != (n,):
-                raise ValueError(f"set {j} has shape {col.shape}, expected ({n},)")
-            table[:, j] = col
+        col = np.asarray(s, dtype=bool)
+        if col.shape != (n,):
+            raise ValueError(f"set {j} has shape {col.shape}, expected ({n},)")
+        table[:, j] = col
     # sort the signatures with the first set as the primary key, then
     # number the runs of equal rows
     order = np.lexsort(table.T[::-1])

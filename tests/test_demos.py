@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script and every measurement script runs to completion
+against the current package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SCRIPTS = ["analyze_scale.py", "tower_scale.py"]
+
+
+def run_script(path, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(path), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 def test_six_demos_found():
@@ -17,8 +27,14 @@ def test_six_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                            env=env, capture_output=True, text=True,
-                            timeout=300)
+    result = run_script(demo, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_scale_script_prints_one_json_line(script, tmp_path):
+    result = run_script(ROOT / "scripts" / script, "24", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["n"] == 24

@@ -282,6 +282,14 @@ class TestSequence:
         params = build_sequence(1e-18, 0.5, mode="toy", t=2, growth=5, s0=3)
         assert params.levels == (1, 3, 15)
 
+    def test_default_growth_overflow_names_the_level(self):
+        # level 7 of the default growth is 269,383,296, and e^(m/16)
+        # at that m is past the largest float
+        assert build_sequence(0.3, 0.5, mode="toy", t=7,
+                              growth=growth_function).levels[7] == 269_383_296
+        with pytest.raises(InfeasibleParamsError, match="level 8"):
+            build_sequence(0.3, 0.5, mode="toy", t=8, growth=growth_function)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GowersParams(eps=0.1, delta=0.1, mode="toy", t=1, s0=4,
@@ -947,11 +955,15 @@ class TestQuasirandomnessAudit:
         adj = np.ones((8, 8), dtype=bool)
         plain = quasirandomness_audit(adj, 0.5)
         assert plain.degree_band is None and plain.codegree_band is None
-        forced = quasirandomness_audit(
+        assert plain.band_tol is None
+        # at M=2 the default tolerance 2^(-1/3) n admits the complete
+        # graph's degrees n and cross codegrees n
+        banded = quasirandomness_audit(
             adj, 0.5, b_intervals=PartPartition.intervals(8, 4, part=1),
-            level_M=2, band_tol=1.0,
+            level_M=2,
         )
-        assert forced.degree_band and forced.codegree_band
+        assert banded.band_tol == 2.0 ** (-1.0 / 3.0)
+        assert banded.degree_band and banded.codegree_band
 
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError):

@@ -82,7 +82,6 @@ class TestToleranceParams:
     def test_derived_tolerances(self):
         p = ToleranceParams(eps=0.2, k=3, r=2)
         assert p.gamma == pytest.approx(0.2 / 18.0)
-        assert p.gamma_prime == pytest.approx(p.gamma**3 / 48.0)
 
     @pytest.mark.parametrize(
         "kwargs",

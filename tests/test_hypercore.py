@@ -1,4 +1,5 @@
-"""Hypergraph core: density, link, neighborhood.
+"""Hypergraph core: packed storage, links, fiber neighborhoods, and
+block densities as ``block_sums`` counts them.
 
 Derived expectations are computed by independent oracles defined at the
 top of this file (naive edge scans over dense tensors), never by the
@@ -15,14 +16,13 @@ from hypothesis import strategies as st
 from homopart import (
     BipartiteGraph,
     KPartiteHypergraph,
-    VertexSet,
+    PartPartition,
     WeightedTripartite,
-    density,
     link,
-    neighborhood,
 )
 from homopart import bitops
-from homopart.errors import EmptySubsetError, PinError
+from homopart.errors import PinError
+from homopart.partitions import block_sums
 from homopart.rng import generator
 
 
@@ -53,6 +53,19 @@ def scan_neighborhood(tensor, e):
     return np.array([bool(tensor[tuple(e) + (v,)]) for v in range(tensor.shape[-1])])
 
 
+def box_density(h, masks):
+    """Density of the sub-box picked by one bool mask per part, read
+    from ``block_sums`` over the partitions {outside, inside}."""
+    parts = [PartPartition(np.asarray(m, dtype=np.int64), n_blocks=2) for m in masks]
+    sums, volumes = block_sums(h, parts)
+    inside = (1,) * len(masks)
+    return sums[inside] / volumes[inside]
+
+
+def full_masks(h):
+    return [np.ones(s, dtype=bool) for s in h.part_sizes]
+
+
 def random_tensor(shape, p, seed, label):
     rng = generator(seed, label)
     return rng.random(shape) < p
@@ -68,8 +81,7 @@ def product_tensor(g_dense, n_c):
 
 def test_density_complete_cube():
     h = KPartiteHypergraph.complete((2, 2, 2))
-    full = [VertexSet.full(2, part=i) for i in range(3)]
-    assert density(h, full) == 1.0
+    assert box_density(h, full_masks(h)) == 1.0
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 130), (2, 3, 2, 65)])
@@ -93,8 +105,7 @@ def test_from_edges_rejects_bad_edges(edges):
 
 def test_density_single_edge():
     h = KPartiteHypergraph.from_edges((2, 2, 2), [(0, 1, 0)])
-    full = [VertexSet.full(2, part=i) for i in range(3)]
-    assert density(h, full) == 1 / 8
+    assert box_density(h, full_masks(h)) == 1 / 8
 
 
 def test_density_weighted_mean():
@@ -102,20 +113,7 @@ def test_density_weighted_mean():
     w[0, 0, 0] = 0.25
     w[0, 0, 1] = 0.75
     h = WeightedTripartite(w)
-    full = [VertexSet.full(s, part=i) for i, s in enumerate(h.part_sizes)]
-    assert density(h, full) == 0.5
-
-
-def test_density_empty_subset_names_part():
-    h = KPartiteHypergraph.complete((3, 3, 3))
-    subsets = [
-        VertexSet.full(3, part=0),
-        VertexSet.empty(3, part=1),
-        VertexSet.full(3, part=2),
-    ]
-    with pytest.raises(EmptySubsetError) as exc:
-        density(h, subsets)
-    assert exc.value.part == 1
+    assert box_density(h.weights, full_masks(h)) == 0.5
 
 
 def test_density_matches_scan_on_random_subboxes():
@@ -129,8 +127,7 @@ def test_density_matches_scan_on_random_subboxes():
             if not m.any():
                 m[int(rng.integers(s))] = True
             masks.append(m)
-        subsets = [VertexSet.from_bool(m, part=i) for i, m in enumerate(masks)]
-        assert density(h, subsets) == pytest.approx(scan_density(tensor, masks))
+        assert box_density(h, masks) == pytest.approx(scan_density(tensor, masks))
 
 
 # ------------------------------------------------------------------- link
@@ -162,10 +159,10 @@ def test_link_degrees_match_scan_seed42():
     for pin_part in range(3):
         left_part = min(p for p in range(3) if p != pin_part)
         for pin_vertex in range(6):
-            g = link(h, [(pin_part, pin_vertex)])
+            degrees = link(h, [(pin_part, pin_vertex)]).to_dense().sum(axis=1)
             for x in range(6):
                 expected = scan_link_degree(tensor, pin_part, pin_vertex, left_part, x)
-                assert g.degree(x) == expected
+                assert degrees[x] == expected
 
 
 def test_link_4graph_pinned_last_axis():
@@ -180,29 +177,28 @@ def test_link_4graph_pinned_last_axis():
 
 
 # ----------------------------------------------------------- neighborhood
+# The last-part neighborhood of a (k-1)-tuple e is the packed row h.words[e].
 
 
 def test_neighborhood_complete_and_empty():
     comp = KPartiteHypergraph.complete((2, 3, 4))
-    assert neighborhood(comp, (1, 2)).size == 4
+    assert bitops.popcount(comp.words[1, 2]) == 4
     emp = KPartiteHypergraph.empty((2, 3, 4))
-    assert neighborhood(emp, (1, 2)).size == 0
+    assert bitops.popcount(emp.words[1, 2]) == 0
 
 
 def test_neighborhood_product_structure():
     g = random_tensor((8, 8), 0.5, seed=42, label="test/product-g")
     h = KPartiteHypergraph.from_dense(product_tensor(g, 8))
-    for a in range(8):
-        for b in range(8):
-            nb = neighborhood(h, (a, b))
-            assert nb.size == (8 if g[a, b] else 0)
+    sizes = bitops.popcount(h.words, axis=-1)
+    assert np.array_equal(sizes, np.where(g, 8, 0))
 
 
 def test_neighborhood_matches_scan():
     tensor = random_tensor((4, 5, 6), 0.5, seed=3, label="test/nbhd")
     h = KPartiteHypergraph.from_dense(tensor)
     for e in itertools.product(range(4), range(5)):
-        got = neighborhood(h, e).to_bool()
+        got = bitops.unpack(h.words[e], 6)
         assert (got == scan_neighborhood(tensor, e)).all()
 
 
@@ -213,9 +209,8 @@ def test_link_neighborhood_consistency():
     for v in range(6):
         g = link(h, [(0, v)])
         for x in range(6):
-            nb = neighborhood(h, (v, x))
             for y in range(6):
-                assert g.has_edge(x, y) == nb.contains(y)
+                assert g.has_edge(x, y) == bool(bitops.extract_bit(h.words[v, x], y))
 
 
 @pytest.mark.parametrize("shape", [(5, 1), (7, 2), (4, 3), (3, 2, 5), (0, 3)])
@@ -260,10 +255,9 @@ def test_symdiff_triangle_inequality():
     rng = generator(21, "test/triangle/pick")
     for _ in range(50):
         ia, ib, ic = rng.choice(len(tuples), size=3)
-        na = neighborhood(h, tuples[ia])
-        nb = neighborhood(h, tuples[ib])
-        nc = neighborhood(h, tuples[ic])
-        assert na.symdiff_size(nc) <= na.symdiff_size(nb) + nb.symdiff_size(nc)
+        na, nb, nc = (h.words[tuples[i]] for i in (ia, ib, ic))
+        count = bitops.popcount
+        assert count(na ^ nc) <= count(na ^ nb) + count(nb ^ nc)
 
 
 # ------------------------------------------------------------- properties
@@ -278,8 +272,7 @@ def test_density_monotone_under_adding_edges(data):
     extra = data.draw(st.sets(st.sampled_from(cells)), label="extra")
     h1 = KPartiteHypergraph.from_edges(shape, base)
     h2 = KPartiteHypergraph.from_edges(shape, base | extra)
-    full = [VertexSet.full(3, part=i) for i in range(3)]
-    assert density(h1, full) <= density(h2, full)
+    assert box_density(h1, full_masks(h1)) <= box_density(h2, full_masks(h2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,28 +284,11 @@ def test_density_invariant_under_part_relabeling(seed):
     h2 = KPartiteHypergraph.from_dense(tensor[perm])
     sub = np.zeros(4, dtype=bool)
     sub[:2] = True
-    subsets = [VertexSet.from_bool(sub, part=0),
-               VertexSet.full(4, part=1), VertexSet.full(4, part=2)]
-    relabeled = [VertexSet.from_bool(sub[perm], part=0),
-                 VertexSet.full(4, part=1), VertexSet.full(4, part=2)]
-    assert density(h, subsets) == pytest.approx(density(h2, relabeled))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=130))
-def test_vertexset_roundtrip(bits):
-    mask = np.array(bits, dtype=bool)
-    s = VertexSet.from_bool(mask)
-    assert (s.to_bool() == mask).all()
-    assert s.size == int(mask.sum())
-    assert s.complement().size == mask.size - s.size
+    full = np.ones(4, dtype=bool)
+    assert box_density(h, [sub, full, full]) == pytest.approx(
+        box_density(h2, [sub[perm], full, full]))
 
 
 def test_bipartite_density_and_transpose():
     g = BipartiteGraph.from_edges(3, 4, [(0, 0), (1, 2), (2, 3), (0, 3)])
-    assert g.density() == 4 / 12
     assert g.transpose().to_dense().tolist() == g.to_dense().T.tolist()
-    left = VertexSet.from_indices([0, 1], 3, part=0)
-    right = VertexSet.from_indices([0, 2, 3], 4, part=1)
-    # edges inside {0,1} x {0,2,3}: (0,0), (1,2), (0,3)
-    assert g.density(left, right) == pytest.approx(3 / 6)

@@ -12,7 +12,6 @@ from homopart import (
     KPartiteHypergraph,
     LayeredPartition,
     PartPartition,
-    VertexSet,
     beta_refines,
     common_refinement,
     equalize,
@@ -43,7 +42,8 @@ def partition_atoms(p):
 
 
 def test_refinement_identical_sets():
-    s = VertexSet.from_indices([1, 2, 5], 8)
+    s = np.zeros(8, dtype=bool)
+    s[[1, 2, 5]] = True
     p = common_refinement(8, [s, s])
     assert p.n_blocks == 2
     assert partition_atoms(p) == {frozenset([1, 2, 5]), frozenset([0, 3, 4, 6, 7])}

@@ -862,6 +862,13 @@ def test_cli_malformed_links_pin(tmp_path, capsys):
     assert "byte 8" in capsys.readouterr().err
 
 
+def test_cli_gowers_growth_overflow_exits_two(tmp_path, capsys):
+    code = run_cli(["gowers", "build", "--mode", "paper", "--eps", "1e-40",
+                    "--delta", "1e-40", "--n", 8, "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: growth(")
+
+
 def test_cli_usage_error(capsys):
     assert run_cli(["nosuch"]) == 2
     assert run_cli([]) == 2
