@@ -44,7 +44,16 @@ def _as_tensor(h) -> tuple[np.ndarray, bool]:
     return arr.astype(np.float64), True
 
 
-@dataclass(frozen=True, eq=False)
+# Label rows built at a time by ``HomogeneityReport._label_chunks``,
+# rounded to whole leading blocks.
+_LABEL_CHUNK_ROWS = 1 << 16
+
+# Block-tuple cells divided at a time by ``homogeneity_audit``, rounded
+# to whole leading blocks.
+_AUDIT_CHUNK_CELLS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class HomogeneityReport:
     """Outcome of a block-tuple density audit.
 
@@ -52,10 +61,18 @@ class HomogeneityReport:
     tuples and ``normalized_mass`` that count over all cells; the
     audit passes when the normalized mass is at most eps. The audited
     tuples (those of non-zero volume, in ``itertools.product`` order
-    over the block labels) are held as arrays: ``labels`` (one row of
-    block labels per tuple), ``densities`` and the ``ok`` mask.
-    ``rows`` zips them into (block labels, density, ok) triples on
-    first read.
+    over the block labels) are held as ``densities`` (float64) and the
+    ``ok`` mask, one entry per tuple.
+
+    Which tuples they are is stored in one of two ways. A report built
+    by ``homogeneity_audit`` keeps ``blocks``, the non-empty block
+    labels of each part; its tuples are their row-major product, and
+    ``labels``, the (tuples, k) int64 array of block labels, is built
+    from them on first read. A report read from a file may list any
+    rows, duplicates included, so it is built with an explicit
+    ``labels`` array and has ``blocks`` None. ``rows`` zips labels,
+    density and verdict into triples on first read; ``failing`` builds
+    the triples of the failing tuples only.
     """
 
     eps: float
@@ -63,17 +80,71 @@ class HomogeneityReport:
     mass: int
     normalized_mass: float
     weighted: bool
-    labels: np.ndarray
     densities: np.ndarray
     ok: np.ndarray
+    blocks: tuple | None
+
+    def __init__(self, eps, passed, mass, normalized_mass, weighted,
+                 densities, ok, *, blocks=None, labels=None):
+        if (blocks is None) == (labels is None):
+            raise ValueError("a report takes either blocks or labels")
+        vars(self).update(eps=eps, passed=passed, mass=mass,
+                          normalized_mass=normalized_mass, weighted=weighted,
+                          densities=densities, ok=ok, blocks=blocks)
+        if labels is not None:
+            vars(self)["labels"] = labels  # in place of the cached build
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        # one chunk as large as the report holds every row
+        return next(self._label_chunks(self.densities.size))
 
     @functools.cached_property
     def rows(self) -> tuple:
         return tuple(zip(map(tuple, self.labels.tolist()),
                          self.densities.tolist(), self.ok.tolist()))
 
-    def failing(self):
-        return tuple(r for r in self.rows if not r[2])
+    def _label_chunks(self, max_rows=None):
+        """The label rows in order, as consecutive (m, k) int64 arrays.
+
+        From ``blocks``, each chunk covers whole leading blocks, at
+        most ``max_rows`` rows (default ``_LABEL_CHUNK_ROWS``) unless
+        one leading block has more, and no array over all rows is
+        built. An explicit ``labels`` array is sliced.
+        """
+        max_rows = max_rows or _LABEL_CHUNK_ROWS
+        if self.blocks is None:
+            labels = self.labels
+            for start in range(0, len(labels), max_rows):
+                yield labels[start:start + max_rows]
+            return
+        lead, *rest = self.blocks
+        k = len(self.blocks)
+        # the label rows under one leading block, copied once per
+        # leading block, so every write to a chunk is contiguous
+        inner = np.empty(tuple(b.size for b in rest) + (k,), dtype=np.int64)
+        for i, axis in enumerate(np.ix_(*rest), 1):
+            inner[..., i] = axis
+        inner = inner.reshape(-1, k)
+        step = max(1, max_rows // len(inner))
+        for start in range(0, lead.size, step):
+            group = lead[start:start + step]
+            chunk = np.empty((group.size,) + inner.shape, dtype=np.int64)
+            chunk[...] = inner
+            chunk[..., 0] = group[:, None]
+            yield chunk.reshape(-1, k)
+
+    def failing(self) -> tuple:
+        """(block labels, density, ok) of each failing tuple, in order."""
+        bad = np.flatnonzero(~self.ok)
+        if self.blocks is None:
+            labels = self.labels[bad]
+        else:
+            grid = np.unravel_index(bad, [b.size for b in self.blocks])
+            labels = np.stack([b[i] for b, i in zip(self.blocks, grid)],
+                              axis=-1)
+        return tuple(zip(map(tuple, labels.tolist()),
+                         self.densities[bad].tolist(), self.ok[bad].tolist()))
 
     def _scalars(self) -> tuple:
         return (self.eps, self.passed, self.mass,
@@ -82,13 +153,29 @@ class HomogeneityReport:
     def __eq__(self, other):
         if not isinstance(other, HomogeneityReport):
             return NotImplemented
-        # same order on both sides, so this is equality of ``rows``; an
-        # empty report read from a file has zero label columns
+        # same order on both sides, so this is equality of ``rows``
         return (self._scalars() == other._scalars()
                 and np.array_equal(self.densities, other.densities)
                 and np.array_equal(self.ok, other.ok)
-                and (self.labels.size == other.labels.size == 0
-                     or np.array_equal(self.labels, other.labels)))
+                and self._same_labels(other))
+
+    def _same_labels(self, other) -> bool:
+        """Equal label rows, given equal row counts, compared chunk by
+        chunk so that neither side builds ``labels``."""
+        if self.blocks is not None and other.blocks is not None:
+            return (len(self.blocks) == len(other.blocks)
+                    and all(map(np.array_equal, self.blocks, other.blocks)))
+        if self.blocks is not None:
+            return other._same_labels(self)
+        labels = self.labels
+        if other.blocks is None and labels.size == other.labels.size == 0:
+            return True  # an empty report read from a file has no columns
+        at = 0
+        for chunk in other._label_chunks():
+            if not np.array_equal(labels[at:at + len(chunk)], chunk):
+                return False
+            at += len(chunk)
+        return at == len(labels)
 
     def __hash__(self):
         return hash(self._scalars())
@@ -102,20 +189,26 @@ def homogeneity_audit(h, partition: LayeredPartition,
     the partition, and hiding them would understate the mass. Empty
     blocks contribute nothing.
 
-    The block-tuple sums and volumes come from ``block_sums`` and a
-    density is sum over volume. 0/1 input, a ``KPartiteHypergraph``, a
-    ``BipartiteGraph`` (its rows are the fibers of a 2-partite
-    hypergraph) or a bool array (packed first), is counted from its
-    packed fiber rows, so every sum is an exact integer and the
-    densities equal the per-block means bit for bit. Weighted input is
-    summed in cell order, so for non-dyadic weights a density can
-    differ in its last bit from a mean summed in another order.
+    The block-tuple sums come from ``block_sums`` and a density is sum
+    over volume, the product of the tuple's k block sizes. 0/1 input,
+    a ``KPartiteHypergraph``, a ``BipartiteGraph`` (its rows are the
+    fibers of a 2-partite hypergraph) or a bool array (packed first),
+    is counted from its packed fiber rows, so every sum is an exact
+    integer and the densities equal the per-block means bit for bit.
+    Weighted input is summed in cell order, so for non-dyadic weights
+    a density can differ in its last bit from a mean summed in another
+    order.
 
     A block tuple has non-zero volume exactly when each of its blocks
     is non-empty, so the audited tuples are the grid of non-empty
     blocks. Each part is relabeled onto its non-empty blocks before
-    counting, so the sums and volumes come out on that grid, in
-    row-major order, with no table over the empty blocks.
+    counting, so the sums come out on that grid, in row-major order,
+    with no table over the empty blocks. The sums are divided in
+    place, a bounded group of leading blocks at a time, by volumes
+    taken as int64 products of the block sizes; no volume table over
+    the whole grid is built. The report keeps the densities, the
+    verdicts and the non-empty block lists, and builds its label rows
+    only when they are read.
 
     A partition must have one part per graph part, each covering that
     part's vertices; otherwise ``ValueError`` names the mismatch. eps
@@ -146,22 +239,18 @@ def homogeneity_audit(h, partition: LayeredPartition,
         rank = np.zeros(p.n_blocks, dtype=np.int64)
         rank[blocks] = np.arange(blocks.size)
         grid.append(PartPartition(rank[p.labels], n_blocks=blocks.size))
-    sums, volumes = block_sums(counted, grid)
-    volumes = volumes.ravel()
-    densities = sums.ravel()
-    densities /= volumes
-    ok = homogeneous(densities, eps)
-    mass = int(volumes[~ok].sum())
-    labels = np.empty(tuple(b.size for b in nonempty) + (len(shape),),
-                      dtype=np.int64)
-    # the label rows under one leading block, copied once per leading
-    # block, so every write to the large array is contiguous
-    rows = np.empty(labels.shape[1:], dtype=np.int64)
-    for i, axis in enumerate(np.ix_(*nonempty[1:]), 1):
-        rows[..., i] = axis
-    for block, first in zip(labels, nonempty[0]):
-        rows[..., 0] = first
-        block[...] = rows
+    lead, *rest = [p.sizes() for p in grid]
+    inner = functools.reduce(np.multiply.outer, rest, np.int64(1)).ravel()
+    densities = block_sums(counted, grid).reshape(lead.size, inner.size)
+    ok = np.empty(densities.shape, dtype=bool)
+    mass = 0
+    step = max(1, _AUDIT_CHUNK_CELLS // inner.size)
+    for start in range(0, lead.size, step):
+        rows = slice(start, start + step)
+        volumes = np.multiply.outer(lead[rows], inner)
+        densities[rows] /= volumes
+        ok[rows] = homogeneous(densities[rows], eps)
+        mass += int(volumes[~ok[rows]].sum())
     total = math.prod(shape)
     normalized = mass / total if total else 0.0
     return HomogeneityReport(
@@ -170,9 +259,9 @@ def homogeneity_audit(h, partition: LayeredPartition,
         mass=mass,
         normalized_mass=normalized,
         weighted=weighted,
-        labels=labels.reshape(-1, len(shape)),
-        densities=densities,
-        ok=ok,
+        densities=densities.ravel(),
+        ok=ok.ravel(),
+        blocks=tuple(nonempty),
     )
 
 
@@ -198,8 +287,9 @@ def disagreement_pairs(h, partition: LayeredPartition) -> tuple:
     for i in range(tensor.ndim):
         parts = [partition[i] if j == i else PartPartition.singletons(n)
                  for j, n in enumerate(tensor.shape)]
-        ones, volumes = block_sums(tensor, parts)
-        ones = ones.astype(np.int64)  # exact: sums of 0/1 cells
+        ones = block_sums(tensor, parts).astype(np.int64)  # exact: 0/1 sums
+        volumes = functools.reduce(np.multiply.outer,
+                                   [p.sizes() for p in parts])
         counts.append(int((ones * (volumes - ones)).sum()))
     return tuple(counts)
 

@@ -745,7 +745,7 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
         rows = lay.graphs[lay.layer_of(cert.vertex) - 1].rows
         masks = bitops.pack(right.labels == np.arange(right.n_blocks)[:, None])
         per_block = bitops.popcount(rows[:, None, :] & masks, axis=-1)
-        edges, _ = block_sums(
+        edges = block_sums(
             per_block, (left, PartPartition.singletons(right.n_blocks))
         )
         cells = np.multiply.outer(left.sizes(), right.sizes())
@@ -753,7 +753,7 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
     else:
         t = lay.t
         bits = lay.level_bits(cert.part, cert.vertex)
-        hits, _ = block_sums(bits, (left, PartPartition.singletons(t)))
+        hits = block_sums(bits, (left, PartPartition.singletons(t)))
         meets = np.bincount(
             right.labels * t + lay.c_layers.labels, minlength=right.n_blocks * t
         ).reshape(-1, t) > 0

@@ -171,7 +171,8 @@ def similarity_partition(
 
     # good/bad classification of left blocks by the mass of right
     # blocks forming a non-homogeneous pair with them
-    sums, volumes = block_sums(g.to_dense(), (left, right))
+    sums = block_sums(g.to_dense(), (left, right))
+    volumes = np.multiply.outer(left.sizes(), right.sizes())
     mixed = (volumes > 0) & ~homogeneous(sums / np.maximum(volumes, 1),
                                          input_tol)
     mass = mixed.astype(np.int64) @ right.sizes()

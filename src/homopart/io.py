@@ -488,10 +488,24 @@ def _audit_columns(labels, densities, ok) -> list:
 
 
 def write_audit(path, report: HomogeneityReport, *, digest=None):
+    """Write the header and one row per audited tuple.
+
+    The rows are formatted a chunk of label rows at a time, from
+    ``HomogeneityReport._label_chunks``, so the full label array and
+    the full byte grid of ``_rows_text`` are never built; a row's text
+    does not depend on the other rows, so the bytes are those of one
+    call over all rows.
+    """
     text = _audit_header(report.eps, report.passed, report.mass,
                          report.normalized_mass, report.weighted)
-    rows = _rows_text(_audit_columns(report.labels, report.densities, report.ok))
-    _atomic_write(path, text.encode("ascii") + rows, digest)
+    parts = [text.encode("ascii")]
+    at = 0
+    for labels in report._label_chunks():
+        rows = slice(at, at + len(labels))
+        parts.append(_rows_text(_audit_columns(
+            labels, report.densities[rows], report.ok[rows])))
+        at = rows.stop
+    _atomic_write(path, b"".join(parts), digest)
 
 
 def read_audit(path) -> HomogeneityReport:

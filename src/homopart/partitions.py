@@ -10,19 +10,20 @@ Conventions used throughout the package:
 * an ``equitable`` partition has all non-exceptional blocks of equal
   size.
 
-``block_sums`` is the one kernel that builds a block-tuple density
-table: the homogeneity audit, disagreement counts, the similarity
+``block_sums`` is the one kernel that sums a tensor over block
+tuples: the homogeneity audit, disagreement counts, the similarity
 stage's good/bad classification and the exact certificate checks all
-read their densities from it, and
-``homogeneous`` is the one verdict on a density. ``block_sums`` counts a
-``KPartiteHypergraph`` from its packed fiber words, a bounded chunk of
-fibers at a time, and sums any array, 0/1 or weighted, with one
-``np.bincount`` over its cells.
+read their densities from it, and ``homogeneous`` is the one verdict
+on a density. ``block_sums`` counts a ``KPartiteHypergraph`` from its
+packed fiber words, a bounded chunk of fibers at a time, and sums any
+array, 0/1 or weighted, with one ``np.bincount`` over its cells. It
+returns only the sums: a tuple's volume is the product of its block
+sizes, and callers build the volumes they divide by from
+``PartPartition.sizes``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -292,13 +293,14 @@ def beta_refines(fine: PartPartition, coarse: PartPartition, beta: float) -> Ref
 _BLOCK_SUMS_CHUNK_CELLS = 1 << 20
 
 
-def block_sums(tensor, parts) -> tuple:
-    """(sums, volumes): weight sum and cell count of every block tuple.
+def block_sums(tensor, parts) -> np.ndarray:
+    """Weight sum of every block tuple, as float64.
 
-    ``parts`` holds one ``PartPartition`` per axis of ``tensor``; both
-    results are indexed by block labels, one axis per part. The
-    volumes are the products of the block sizes. Empty blocks give
-    zero sums and zero volumes.
+    ``parts`` holds one ``PartPartition`` per axis of ``tensor``; the
+    sums are indexed by block labels, one axis per part. Empty blocks
+    give zero sums. No volume table is built: a tuple's cell count is
+    the product of its block sizes, and callers take it from
+    ``PartPartition.sizes`` over just the tuples they divide.
 
     A ``KPartiteHypergraph`` is counted from its packed fiber rows by
     ``_packed_sums``, with no n^k array built. Its counts are exact
@@ -308,14 +310,12 @@ def block_sums(tensor, parts) -> tuple:
     exact on 0/1 or dyadic input; on other weights the sums are taken
     in cell order and may differ in the last bit from another order.
     """
-    volumes = functools.reduce(np.multiply.outer, [p.sizes() for p in parts])
     if isinstance(tensor, KPartiteHypergraph):
-        return _packed_sums(tensor, parts), volumes
+        return _packed_sums(tensor, parts)
     shape = tuple(p.n_blocks for p in parts)
     keys = np.ravel_multi_index(np.ix_(*[p.labels for p in parts]), shape)
-    sums = np.bincount(keys.ravel(), weights=np.ravel(tensor),
+    return np.bincount(keys.ravel(), weights=np.ravel(tensor),
                        minlength=math.prod(shape)).reshape(shape)
-    return sums, volumes
 
 
 def _packed_sums(h: KPartiteHypergraph, parts) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Auditor tests, each checked against a from-scratch recomputation."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -25,6 +26,7 @@ from homopart import (
     weak_regularity_witness,
 )
 from homopart import auditor
+from homopart import io as hio
 from homopart.errors import InfeasibleParamsError
 from homopart.partitions import block_sums, homogeneous
 
@@ -199,7 +201,9 @@ def reference_homogeneity_audit(h, partition, eps):
     block-tuple table, as the audit computed them before it read the
     grid of non-empty blocks."""
     tensor, _ = auditor._as_tensor(h)
-    sums, volumes = block_sums(tensor, [partition[i] for i in range(tensor.ndim)])
+    parts = [partition[i] for i in range(tensor.ndim)]
+    sums = block_sums(tensor, parts)
+    volumes = functools.reduce(np.multiply.outer, [p.sizes() for p in parts])
     audited = volumes > 0
     densities = sums[audited] / volumes[audited]
     ok = homogeneous(densities, eps)
@@ -314,6 +318,122 @@ def assert_same_report(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+def eager_rows(layers, rep):
+    """(labels, rows, failing) of a report built eagerly: the label
+    rows as the product of each part's non-empty blocks, zipped with
+    the report's densities and verdicts."""
+    nonempty = [np.flatnonzero(p.sizes()) for p in layers]
+    labels = np.array(list(itertools.product(*nonempty)), dtype=np.int64)
+    rows = tuple(zip(map(tuple, labels.tolist()), rep.densities.tolist(),
+                     rep.ok.tolist()))
+    return labels, rows, tuple(r for r in rows if not r[2])
+
+
+class TestLazyReport:
+    """An audit keeps its non-empty block lists, not its label rows;
+    everything read from the rows must equal an eager product."""
+
+    @pytest.mark.parametrize("sizes", [(7, 9), (6, 7, 8), (5, 6, 5, 7)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_match_eager_product(self, monkeypatch, tmp_path, sizes,
+                                      weighted):
+        rng = np.random.default_rng(len(sizes))
+        cells = rng.random(sizes)
+        h = cells if weighted else KPartiteHypergraph.from_dense(cells < 0.4)
+        # part 0: empty exceptional block 0 and empty block 2 between
+        # non-empty blocks 1 and 3
+        layers = partition_with_empty_blocks(sizes, 3)
+        rep = homogeneity_audit(h, layers, 0.2)
+        assert not rep.passed and rep.failing()
+        assert [b.tolist() for b in rep.blocks] == [
+            np.flatnonzero(p.sizes()).tolist() for p in layers]
+        assert "labels" not in rep.__dict__
+        labels, rows, failing = eager_rows(layers, rep)
+        assert rep.failing() == failing
+        assert "labels" not in rep.__dict__
+        # a chunk covers whole leading blocks, at least one
+        inner = len(labels) // rep.blocks[0].size
+        for max_rows in (1, inner, 2 * inner + 1, len(labels)):
+            chunks = list(rep._label_chunks(max_rows))
+            assert all(len(c) <= max(max_rows, inner) for c in chunks)
+            assert np.concatenate(chunks).tobytes() == labels.tobytes()
+        assert "labels" not in rep.__dict__
+
+        # the file holds the eager rows, and reads back equal, with
+        # each side compared without building the built side's labels
+        monkeypatch.setattr(auditor, "_LABEL_CHUNK_ROWS", inner)
+        path = tmp_path / "r.audit"
+        hio.write_audit(path, rep)
+        text = path.read_text().splitlines()[3:]
+        assert text == [" ".join(map(str, t)) + f" {d!r} "
+                        + ("pass" if ok else "fail") for t, d, ok in rows]
+        back = hio.read_audit(path)
+        assert back.blocks is None
+        assert back == rep and rep == back
+        assert "labels" not in rep.__dict__
+        assert back.failing() == failing
+
+        assert rep.labels.dtype == np.int64
+        assert rep.labels.tobytes() == labels.tobytes()
+        assert rep.rows == rows
+        assert back.rows == rows
+
+    def test_equality_sees_a_moved_label(self):
+        h = KPartiteHypergraph.from_dense(
+            np.random.default_rng(0).random((4, 5, 6)) < 0.5)
+        rep = homogeneity_audit(h, interval_layers((4, 5, 6), 1), 0.2)
+        labels = rep.labels.copy()
+        fields = dict(eps=rep.eps, passed=rep.passed, mass=rep.mass,
+                      normalized_mass=rep.normalized_mass,
+                      weighted=rep.weighted, densities=rep.densities,
+                      ok=rep.ok)
+        assert auditor.HomogeneityReport(**fields, labels=labels) == rep
+        labels[0, 2] = 5
+        moved = auditor.HomogeneityReport(**fields, labels=labels)
+        assert moved != rep and rep != moved
+        with pytest.raises(ValueError, match="either blocks or labels"):
+            auditor.HomogeneityReport(**fields)
+
+    @pytest.mark.parametrize("sizes", [(7, 9), (6, 7, 8), (5, 6, 5, 7)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_chunked_division_is_bit_identical(self, monkeypatch, sizes,
+                                               weighted):
+        rng = np.random.default_rng(sum(sizes))
+        cells = rng.random(sizes)
+        h = cells if weighted else KPartiteHypergraph.from_dense(cells < 0.4)
+        layers = partition_with_empty_blocks(sizes, 4)
+        whole = homogeneity_audit(h, layers, 0.2)
+        labels, densities, ok, mass = reference_homogeneity_audit(h, layers, 0.2)
+        assert whole.densities.tobytes() == densities.tobytes()
+        assert np.array_equal(whole.ok, ok) and whole.mass == mass
+        for cells_per_chunk in (1, 7, 40):
+            monkeypatch.setattr(auditor, "_AUDIT_CHUNK_CELLS", cells_per_chunk)
+            assert_same_report(homogeneity_audit(h, layers, 0.2), whole)
+
+
+def test_singleton_audit_holds_no_label_rows():
+    """The analyze workload's planted audit at n=144: the pipeline's
+    singleton partition, with its empty exceptional block, over 144^3
+    block tuples. 144^3 label rows alone would take 71 MiB."""
+    import tracemalloc
+
+    n = 144
+    inst = generate(InstanceSpec(k=3, n=(n,) * 3, family="planted-boxes",
+                                 r=3, eps_prime=0.1, seed=1))
+    layers = LayeredPartition([
+        PartPartition(np.arange(1, n + 1), part=i, n_blocks=n + 1,
+                      has_exceptional=True) for i in range(3)])
+    tracemalloc.start()
+    try:
+        rep = homogeneity_audit(inst.h, layers, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.densities.size == n**3 and rep.passed
+    assert "labels" not in rep.__dict__
+    assert peak < 48 * 2**20
+
+
 class TestDisagreementPairs:
     def test_single_edge_line(self):
         dense = np.zeros((1, 1, 2), dtype=bool)
@@ -346,6 +466,15 @@ class TestDisagreementPairs:
         got = disagreement_pairs(inst.h, layers)
         assert got == brute_disagreement(inst.h.to_dense(), layers)
         # the repr enters the determinism blob: Python ints, not np.int64
+        assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize("sizes", [(5, 6), (4, 5, 4), (4, 4, 5, 4)])
+    def test_matches_brute_with_empty_blocks(self, sizes):
+        # volumes from the block sizes, counts from block_sums
+        dense = np.random.default_rng(len(sizes)).random(sizes) < 0.5
+        layers = partition_with_empty_blocks(sizes, 5)
+        got = disagreement_pairs(KPartiteHypergraph.from_dense(dense), layers)
+        assert got == brute_disagreement(dense, layers)
         assert all(type(c) is int for c in got)
 
     @pytest.mark.parametrize("eps", [0.2, 0.25])

@@ -144,12 +144,13 @@ def dense_certificate_check(weights, cert):
     every cell against its block pair's mean from ``block_sums``."""
     link = np.take(weights, cert.vertex, axis=cert.part)
     left, right = cert.partitions
-    sums, volumes = block_sums(link, (left, right))
+    sums = block_sums(link, (left, right))
+    volumes = np.multiply.outer(left.sizes(), right.sizes())
     means = sums / np.maximum(volumes, 1)
     off = link != means[np.ix_(left.labels, right.labels)]
     if not off.any():
         return True, None
-    a, b = np.argwhere(block_sums(off, (left, right))[0] > 0)[0]
+    a, b = np.argwhere(block_sums(off, (left, right)) > 0)[0]
     box = link[np.ix_(left.block_indices(a), right.block_indices(b))]
     return False, ((int(a), int(b)), float(box.min()), float(box.max()))
 

@@ -107,7 +107,8 @@ def test_audit_round_trip(tmp_path):
     assert back == report
     assert back.rows == report.rows
     assert hash(back) == hash(report)
-    shifted = dataclasses.replace(back, densities=back.densities + 0.5)
+    shifted = dataclasses.replace(back, densities=back.densities + 0.5,
+                                  labels=back.labels)
     assert shifted != report
 
 
