@@ -186,16 +186,18 @@ class KPartiteHypergraph:
         """All last-part neighborhoods as a flat (N, n_words) view."""
         return self.words.reshape(-1, self.words.shape[-1])
 
-    def edge_columns(self) -> tuple:
+    def edge_columns(self, start=0, stop=None) -> tuple:
         """Edges as k index columns in row-major order, read from the
-        set bits of the packed words; only nonzero words are unpacked."""
-        rows = self.fiber_rows()
+        set bits of the packed words; only nonzero words are unpacked.
+        ``start`` and ``stop`` bound the fibers read, as flat indices
+        into ``fiber_rows()``."""
+        rows = self.fiber_rows()[start:stop]
         fiber, word = np.nonzero(rows)
         bits = np.unpackbits(rows[fiber, word].view(np.uint8).reshape(-1, 8),
                              axis=1, bitorder="little")
         hit, bit = np.nonzero(bits)
         last = word[hit] * bitops.WORD_BITS + bit
-        return (*np.unravel_index(fiber[hit], self.part_sizes[:-1]), last)
+        return (*np.unravel_index(start + fiber[hit], self.part_sizes[:-1]), last)
 
     def edges(self):
         """Iterate edges as k-tuples in row-major order."""

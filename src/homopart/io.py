@@ -26,24 +26,28 @@ Formats:
   followed by the labels, where ``<pins>`` is ``-`` or
   comma-joined ``part:vertex`` pairs.
 
-Canonical form. The ``.khg``, ``.w3g`` and ``.audit`` writers emit one
-byte string per object: the header line (for ``.audit`` also the
-``#normalized`` and ``#weighted`` lines), then one row per line with
-its fields joined by single spaces, and at most a trailing
-``# manifest`` line. Integers are plain decimal, floats are Python's
-``repr`` (the shortest text that reads back to the same float64), and
-verdicts are ``pass`` or ``fail``. Edges and cells come in row-major
-order, each once.
+Canonical form. The ``.khg``, ``.w3g`` and ``.audit`` writers emit
+the header line (for ``.audit`` also the ``#normalized`` and
+``#weighted`` lines), then one row per line with its fields joined by
+single spaces, and at most a trailing ``# manifest`` line. Integers
+are plain decimal, floats are Python's ``repr`` (the shortest text
+that reads back to the same float64), and verdicts are ``pass`` or
+``fail``. Edges and cells come in row-major order, each once. A row's
+text does not depend on the other rows, so the writers format a
+bounded group of rows at a time (``_CHUNK_BYTES``) and hand each piece
+to the temporary file as it is made; no whole body is ever held.
 
-Fast path and fallback. The readers of those three formats parse the
-rows of a file with one ``np.loadtxt`` call and range-check them with
-array masks. They use the result only if formatting the parsed arrays
-reproduces the file's header and rows byte for byte and no edge or
-cell repeats. Every other file, such as one with comments between
-rows, CRLF line ends, extra spaces, ``+1`` or ``1_0``, or any malformed
-input, goes to the per-line parser. That parser accepts every lenient
-but valid file and raises every FormatError, so both paths give the
-same object for every file.
+Fast path and fallback. The readers of those three formats allocate
+their row arrays once, from the file's line count, and fill them a
+bounded run of whole lines at a time: each run is parsed by one
+``np.loadtxt`` call, range-checked with array masks and formatted
+again, and must reproduce its own bytes exactly. The header must read
+back the same way, and no edge or cell may repeat anywhere in the
+file. Every other file, such as one with comments between rows, CRLF
+line ends, extra spaces, ``+1`` or ``1_0``, or any malformed input,
+goes to the per-line parser. That parser accepts every lenient but
+valid file and raises every FormatError, so both paths give the same
+object for every file.
 
 Parse errors raise FormatError carrying the byte offset of the
 offending line. Writes go through a temp file and an atomic rename.
@@ -51,6 +55,7 @@ offending line. Writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import warnings
@@ -63,14 +68,26 @@ from .hypercore import KPartiteHypergraph, WeightedTripartite
 from .partitions import LayeredPartition, PartPartition
 
 
-def _atomic_write(path, data: bytes, digest=None):
-    if digest is not None:
-        data += f"# manifest {digest}\n".encode("ascii")
+# Bytes of whole lines a canonical reader parses at a time (a longer
+# line is parsed alone). The writers format at most a sixteenth as
+# many cells at a time: one fiber, slab or leading block at least.
+_CHUNK_BYTES = 1 << 18
+
+
+def _atomic_write(path, data, digest=None):
+    """Write ``data``, bytes or an iterable of byte chunks, then the
+    ``# manifest`` stamp, to a temporary file renamed over ``path``.
+    Each chunk goes to the file as it comes; none is joined or copied."""
+    if isinstance(data, bytes):
+        data = (data,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-io-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in data:
+                handle.write(chunk)
+            if digest is not None:
+                handle.write(f"# manifest {digest}\n".encode("ascii"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -110,11 +127,18 @@ def _data_lines(raw: bytes):
 
 
 def read_digest(path):
-    """The embedded manifest digest, or None."""
-    for _, text in _content_lines(_read_ascii(path)):
-        if text.startswith("# manifest "):
-            return text.split()[2]
-    return None
+    """The embedded manifest digest, or None: the third field of the
+    first line that starts with ``# manifest ``."""
+    raw = _read_ascii(path)
+    stamp = b"# manifest "
+    if raw.startswith(stamp):
+        at = 0
+    else:
+        at = raw.find(b"\n" + stamp) + 1
+        if not at:
+            return None
+    end = raw.find(b"\n", at)
+    return raw[at:None if end < 0 else end].decode("ascii").split()[2]
 
 
 def _ints(offset, tokens, count=None):
@@ -191,21 +215,43 @@ def _rows_text(columns) -> bytes:
 
 
 def _canonical_split(raw: bytes, n_head: int):
-    """(header text, row bytes) of a file laid out as the writers lay it
-    out: ``n_head`` header lines, the rows, and at most a trailing
-    ``# manifest`` line. None for any other layout."""
-    at = 0
+    """(header text, start, stop) of a file laid out as the writers lay
+    it out: ``n_head`` header lines, the rows ``raw[start:stop]``, and
+    at most a trailing ``# manifest`` line. None for any other layout.
+    The rows are not copied."""
+    start = 0
     for _ in range(n_head):
-        at = raw.find(b"\n", at) + 1
-        if at == 0:
+        start = raw.find(b"\n", start) + 1
+        if start == 0:
             return None
-    body = raw[at:]
-    last = body.rfind(b"\n", 0, -1) + 1
-    if body.startswith(b"# manifest ", last):
-        body = body[:last]
-    if body and not body.endswith(b"\n"):
+    last = max(raw.rfind(b"\n", start, len(raw) - 1) + 1, start)
+    stop = last if raw.startswith(b"# manifest ", last) else len(raw)
+    if stop > start and not raw.endswith(b"\n", start, stop):
         return None
-    return raw[:at].decode("ascii"), body
+    return raw[:start].decode("ascii"), start, stop
+
+
+def _line_chunks(raw: bytes, start: int, stop: int):
+    """(row slice, bytes) of consecutive runs of whole lines covering
+    ``raw[start:stop]``, which ends in a newline. Each run is at most
+    ``_CHUNK_BYTES`` long unless it is one longer line; the row slice
+    numbers its lines from the first line at ``start``."""
+    row = 0
+    while start < stop:
+        end = raw.rfind(b"\n", start, min(start + _CHUNK_BYTES, stop)) + 1
+        if not end:
+            end = raw.find(b"\n", start, stop) + 1
+        chunk = raw[start:end]
+        rows = slice(row, row + chunk.count(b"\n"))
+        yield rows, chunk
+        row, start = rows.stop, end
+
+
+def _per_chunk(cells: int) -> int:
+    """How many units of ``cells`` cells each (fibers, slabs, audit
+    rows) a writer formats at a time: ``_CHUNK_BYTES // 16`` cells,
+    and one unit at least."""
+    return max(1, _CHUNK_BYTES // 16 // max(cells, 1))
 
 
 def _header_ints(text: str, keyword: str):
@@ -226,38 +272,40 @@ def _sizes_header(keyword: str, values) -> str:
 
 
 def _load_rows(body: bytes, dtype):
-    """The rows of a body parsed by one ``np.loadtxt`` call into a
-    structured array, or None if they do not parse."""
+    """The lines of a body parsed by one ``np.loadtxt`` call into a
+    structured array, one row per line, or None if they do not parse
+    that way."""
     if not body:
         return np.zeros(0, dtype=dtype)
     try:
         with warnings.catch_warnings():
-            # a body of blank lines parses as no rows, with a warning;
-            # the caller's byte comparison rejects it
+            # a body of blank lines parses as no rows, with a warning
             warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(body.decode("ascii").splitlines(), dtype=dtype,
+            rows = np.loadtxt(body.decode("ascii").splitlines(), dtype=dtype,
                               delimiter=" ", comments=None, ndmin=1)
     except ValueError:
         return None
+    return rows if len(rows) == body.count(b"\n") else None
 
 
 def _in_range(rows: np.ndarray, sizes) -> bool:
     return bool(np.all((rows >= 0) & (rows < np.asarray(sizes))))
 
 
-def _has_repeats(rows: np.ndarray, sizes) -> bool:
-    if len(rows) < 2:
-        return False
-    keys = np.ravel_multi_index(tuple(rows.T), tuple(sizes))
-    return not (np.all(keys[1:] > keys[:-1]) or np.unique(keys).size == keys.size)
+def _has_repeats(keys: np.ndarray) -> bool:
+    return keys.size > 1 and not (np.all(keys[1:] > keys[:-1])
+                                  or np.unique(keys).size == keys.size)
 
 
 # --- .khg -----------------------------------------------------------------
 
 
 def write_khg(path, h: KPartiteHypergraph, *, digest=None):
-    text = _sizes_header("khg", (h.k, *h.part_sizes)).encode("ascii")
-    _atomic_write(path, text + _rows_text(h.edge_columns()), digest)
+    header = _sizes_header("khg", (h.k, *h.part_sizes)).encode("ascii")
+    step = _per_chunk(h.part_sizes[-1])
+    fibers = range(0, len(h.fiber_rows()), step)
+    _atomic_write(path, itertools.chain([header], (
+        _rows_text(h.edge_columns(f, f + step)) for f in fibers)), digest)
 
 
 def read_khg(path) -> KPartiteHypergraph:
@@ -270,19 +318,23 @@ def _khg_fast(raw: bytes):
     split = _canonical_split(raw, 1)
     if split is None:
         return None
-    header, body = split
+    header, start, stop = split
     values = _header_ints(header, "khg")
     if values is None or len(values) < 3 or values[0] != len(values) - 1:
         return None
     sizes = tuple(values[1:])
     if min(sizes) < 1:
         return None
-    rows = _load_rows(body, [("edge", np.int64, (len(sizes),))])
-    if rows is None:
-        return None
-    edges = rows["edge"]
-    if (not _in_range(edges, sizes) or _has_repeats(edges, sizes)
-            or _rows_text(list(edges.T)) != body):
+    edges = np.empty((raw.count(b"\n", start, stop), len(sizes)), dtype=np.int64)
+    for rows, chunk in _line_chunks(raw, start, stop):
+        parsed = _load_rows(chunk, [("edge", np.int64, (len(sizes),))])
+        if parsed is None:
+            return None
+        edges[rows] = parsed["edge"]
+        if (not _in_range(edges[rows], sizes)
+                or _rows_text(list(edges[rows].T)) != chunk):
+            return None
+    if _has_repeats(np.ravel_multi_index(tuple(edges.T), sizes)):
         return None
     return KPartiteHypergraph.from_edges(sizes, edges)
 
@@ -320,11 +372,20 @@ def _khg_by_line(raw: bytes) -> KPartiteHypergraph:
 
 
 def write_w3g(path, weighted: WeightedTripartite, *, digest=None):
-    weights = weighted.weights
-    nonzero = weights != 0.0
-    text = _sizes_header("w3g", weights.shape).encode("ascii")
-    rows = _rows_text([*np.nonzero(nonzero), weights[nonzero]])
-    _atomic_write(path, text + rows, digest)
+    """Write the header and each nonzero cell, formatted a group of
+    first-part slabs at a time from ``weighted.slab``, so a layered
+    relation never builds its n^3 ``weights``."""
+    n0, n1, n2 = weighted.part_sizes
+    step = _per_chunk(n1 * n2)
+
+    def slabs(lo):
+        block = np.stack([weighted.slab(i) for i in range(lo, min(lo + step, n0))])
+        a, b, c = np.nonzero(block != 0.0)
+        return _rows_text([a + lo, b, c, block[a, b, c]])
+
+    header = _sizes_header("w3g", weighted.part_sizes).encode("ascii")
+    _atomic_write(path, itertools.chain([header], map(slabs, range(0, n0, step))),
+                  digest)
 
 
 def read_w3g(path) -> WeightedTripartite:
@@ -337,20 +398,24 @@ def _w3g_fast(raw: bytes):
     split = _canonical_split(raw, 1)
     if split is None:
         return None
-    header, body = split
+    header, start, stop = split
     sizes = _header_ints(header, "w3g")
     if sizes is None or len(sizes) != 3 or min(sizes) < 0:
         return None
-    rows = _load_rows(body, [("cell", np.int64, (3,)), ("weight", np.float64)])
-    if rows is None:
-        return None
-    cells, w = rows["cell"], rows["weight"]
-    if (not _in_range(cells, sizes) or not np.all((w >= 0.0) & (w <= 1.0))
-            or _has_repeats(cells, sizes)
-            or _rows_text([*cells.T, w]) != body):
-        return None
+    keys = np.empty(raw.count(b"\n", start, stop), dtype=np.int64)
     weights = np.zeros(tuple(sizes))
-    weights[tuple(cells.T)] = w
+    for rows, chunk in _line_chunks(raw, start, stop):
+        parsed = _load_rows(chunk, [("cell", np.int64, (3,)), ("weight", np.float64)])
+        if parsed is None:
+            return None
+        cells, w = parsed["cell"], parsed["weight"]
+        if (not _in_range(cells, sizes) or not np.all((w >= 0.0) & (w <= 1.0))
+                or _rows_text([*cells.T, w]) != chunk):
+            return None
+        keys[rows] = np.ravel_multi_index(tuple(cells.T), sizes)
+        weights.reshape(-1)[keys[rows]] = w
+    if _has_repeats(keys):
+        return None
     return WeightedTripartite(weights)
 
 
@@ -491,21 +556,25 @@ def write_audit(path, report: HomogeneityReport, *, digest=None):
     """Write the header and one row per audited tuple.
 
     The rows are formatted a chunk of label rows at a time, from
-    ``HomogeneityReport._label_chunks``, so the full label array and
-    the full byte grid of ``_rows_text`` are never built; a row's text
-    does not depend on the other rows, so the bytes are those of one
-    call over all rows.
+    ``HomogeneityReport._label_chunks``, and each piece goes to the
+    file before the next is made, so neither the full label array,
+    the full byte grid of ``_rows_text`` nor the whole body is ever
+    held. A row's text does not depend on the other rows, so the bytes
+    are those of one call over all rows.
     """
-    text = _audit_header(report.eps, report.passed, report.mass,
-                         report.normalized_mass, report.weighted)
-    parts = [text.encode("ascii")]
-    at = 0
-    for labels in report._label_chunks():
-        rows = slice(at, at + len(labels))
-        parts.append(_rows_text(_audit_columns(
-            labels, report.densities[rows], report.ok[rows])))
-        at = rows.stop
-    _atomic_write(path, b"".join(parts), digest)
+    header = _audit_header(report.eps, report.passed, report.mass,
+                           report.normalized_mass, report.weighted)
+
+    def pieces():
+        yield header.encode("ascii")
+        at = 0
+        for labels in report._label_chunks(_per_chunk(1)):
+            rows = slice(at, at + len(labels))
+            yield _rows_text(_audit_columns(
+                labels, report.densities[rows], report.ok[rows]))
+            at = rows.stop
+
+    _atomic_write(path, pieces(), digest)
 
 
 def read_audit(path) -> HomogeneityReport:
@@ -518,7 +587,7 @@ def _audit_fast(raw: bytes):
     split = _canonical_split(raw, 3)
     if split is None:
         return None
-    header, body = split
+    header, start, stop = split
     try:
         first, second, third = header.splitlines()
         _, _, eps, verdict, mass = first.split(" ")
@@ -531,18 +600,24 @@ def _audit_fast(raw: bytes):
         return None
     if _audit_header(**scalars) != header:
         return None
-    width = body[:body.find(b"\n")].count(b" ") - 1
-    if body and width < 1:
+    n = raw.count(b"\n", start, stop)
+    width = raw.count(b" ", start, raw.find(b"\n", start)) - 1 if n else 0
+    if n and width < 1:
         return None
-    rows = _load_rows(body, [("labels", np.int64, (max(width, 0),)),
-                             ("density", np.float64), ("verdict", "S4")])
-    if rows is None:
-        return None
-    labels = np.ascontiguousarray(rows["labels"])
-    densities = np.ascontiguousarray(rows["density"])
-    ok = rows["verdict"] == b"pass"
-    if _rows_text(_audit_columns(labels, densities, ok)) != body:
-        return None
+    labels = np.empty((n, width), dtype=np.int64)
+    densities = np.empty(n)
+    ok = np.empty(n, dtype=bool)
+    dtype = [("labels", np.int64, (width,)), ("density", np.float64),
+             ("verdict", "S4")]
+    for rows, chunk in _line_chunks(raw, start, stop):
+        parsed = _load_rows(chunk, dtype)
+        if parsed is None:
+            return None
+        labels[rows] = parsed["labels"]
+        densities[rows] = parsed["density"]
+        np.equal(parsed["verdict"], b"pass", out=ok[rows])
+        if _rows_text(_audit_columns(labels[rows], densities[rows], ok[rows])) != chunk:
+            return None
     return HomogeneityReport(**scalars, labels=labels, densities=densities, ok=ok)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SCRIPTS = ["analyze_scale.py", "tower_scale.py"]
+SCRIPTS = ["analyze_scale.py", "io_scale.py", "tower_scale.py"]
 
 
 def run_script(path, *args, cwd):

@@ -186,6 +186,32 @@ def test_digest_embedding(tmp_path):
     assert hio.read_digest(bare) is None
 
 
+def line_scan_digest(raw):
+    """The digest as a scan of every content line finds it."""
+    for _, text in hio._content_lines(raw):
+        if text.startswith("# manifest "):
+            return text.split()[2]
+    return None
+
+
+@pytest.mark.parametrize("text, digest", [
+    (b"khg 2 2 2\n0 1\n# manifest abc\n", "abc"),
+    (b"khg 2 2 2\n0 1\n", None),
+    (b"", None),
+    (b"khg 2 2 2\r\n0 1\r\n# manifest abc\r\n", "abc"),
+    (b"khg 2 2 2\n# manifest last", "last"),
+    (b"# manifest first x\nkhg 2 2 2\n# manifest second\n", "first"),
+    (b"khg 2 2 2\n# manifest one\n0 1\n# manifest two\n", "one"),
+    (b"# note\n#manifest a\n# manifestb c\n # manifest d\n\r# manifest e\n"
+     b"khg 2 2 2\n0 1 # manifest f\n# manifest  spaced \t out\n", "spaced"),
+    (b"khg 2 2 2\n# note\n", None),
+])
+def test_read_digest_matches_line_scan(tmp_path, text, digest):
+    path = tmp_path / "g.khg"
+    path.write_bytes(text)
+    assert hio.read_digest(path) == line_scan_digest(text) == digest
+
+
 # --- format errors carry byte offsets ------------------------------------
 
 
@@ -434,6 +460,14 @@ def test_writers_match_per_line_references(tmp_path, digest):
         assert hio._audit_fast(path.read_bytes()) == report
 
 
+@pytest.mark.parametrize("chunk", [1, 64])
+@pytest.mark.parametrize("digest", [None, "0123abcd"])
+def test_chunked_writers_match_per_line_references(tmp_path, monkeypatch,
+                                                   digest, chunk):
+    monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    test_writers_match_per_line_references(tmp_path, digest)
+
+
 @pytest.mark.parametrize("shape", [
     (3, 1), (2, 3, 63), (2, 3, 64), (2, 3, 65), (4, 5, 130), (2, 2, 3, 70),
 ])
@@ -581,6 +615,196 @@ def test_fast_readers_match_per_line_parser(tmp_path, seed):
             # may keep the file in canonical form
             assert (fast(raw) is None or name.startswith("float")
                     or (read is hio.read_audit and name == "duplicated row")), name
+
+
+# --- the fast readers a bounded run of lines at a time -------------------
+
+FORMATS = {
+    "khg": (hio.write_khg, hio.read_khg, hio._khg_fast, hio._khg_by_line, 1),
+    "w3g": (hio.write_w3g, hio.read_w3g, hio._w3g_fast, hio._w3g_by_line, 1),
+    "audit": (hio.write_audit, hio.read_audit, hio._audit_fast,
+              hio._audit_by_line, 3),
+}
+
+
+def chunk_cases():
+    """(format, object) pairs: empty bodies, lines of 4 to over 150
+    bytes, and up to 210 rows."""
+    flat = LayeredPartition([PartPartition(np.zeros(6, dtype=int), part=i)
+                             for i in range(3)])
+    singletons = LayeredPartition([PartPartition.singletons(n, part=i)
+                                   for i, n in enumerate((7, 6, 5))])
+    wide = dataclasses.replace(
+        empty_audit(), labels=np.full((3, 9), 10**15) + np.arange(3)[:, None],
+        densities=np.array([0.125, 1e-300, 0.5]), ok=np.array([True, False, True]))
+    return [
+        ("khg", random_hypergraph((5, 7, 4), seed=0)),
+        ("khg", random_hypergraph((9, 6), seed=1)),
+        ("khg", random_hypergraph((3, 4, 2, 70), seed=2)),
+        ("khg", KPartiteHypergraph.empty((3, 3, 3))),
+        ("w3g", WeightedTripartite(uniform_weights((6, 5, 7), seed=3))),
+        ("w3g", WeightedTripartite(gowers_weights(8, t=2))),
+        ("w3g", WeightedTripartite(np.zeros((3, 2, 4)))),
+        ("audit", homogeneity_audit(random_hypergraph((6, 6, 6), seed=5), flat, 0.2)),
+        ("audit", homogeneity_audit(random_hypergraph((7, 6, 5), seed=6),
+                                    singletons, 0.2)),
+        ("audit", singleton_audit(uniform_weights((6, 5, 7), seed=7), eps=1e-3)),
+        ("audit", empty_audit()),
+        ("audit", wide),
+    ]
+
+
+def written(tmp_path, name, obj, digest):
+    path = tmp_path / f"f.{name}"
+    FORMATS[name][0](path, obj, digest=digest)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_line_chunks_cover_the_rows_in_whole_lines(chunk, monkeypatch):
+    monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    lines = [b"0 1\n", b"2 3\n", b"10 11 12 13 14 15 16 17 18 19 20 21 22 23 24\n",
+             b"4 5\n"] * 20
+    raw = b"khg 2 99 99\n" + b"".join(lines) + b"# manifest abc\n"
+    header, start, stop = hio._canonical_split(raw, 1)
+    assert header == "khg 2 99 99\n" and raw[stop:] == b"# manifest abc\n"
+    row = 0
+    pieces = []
+    for rows, piece in hio._line_chunks(raw, start, stop):
+        assert rows == slice(row, row + piece.count(b"\n"))
+        assert piece.endswith(b"\n")
+        assert len(piece) <= chunk or piece.count(b"\n") == 1
+        row = rows.stop
+        pieces.append(piece)
+    assert b"".join(pieces) == raw[start:stop] and row == len(lines)
+    assert len(pieces) > 1 and (chunk < 64 or max(map(len, pieces)) > 32)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunked_readers_match_default_and_per_line(tmp_path, monkeypatch, chunk):
+    longest = 0
+    for digest in (None, "d1"):
+        for name, obj in chunk_cases():
+            _, read, fast, by_line, _ = FORMATS[name]
+            path, raw = written(tmp_path, name, obj, digest)
+            longest = max(longest, *map(len, raw.splitlines()))
+            assert fast(raw) is not None
+            default = outcome(fast, raw)
+            with monkeypatch.context() as patch:
+                patch.setattr(hio, "_CHUNK_BYTES", chunk)
+                assert fast(raw) is not None, name
+                assert outcome(fast, raw) == default == outcome(by_line, raw), name
+                assert outcome(read, path) == default, name
+    assert longest > 2 * 64
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("digest", [None, "d1"])
+def test_chunked_readers_fall_back_on_the_last_row(tmp_path, monkeypatch,
+                                                   chunk, digest):
+    monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    for name, obj in chunk_cases():
+        _, read, fast, by_line, n_head = FORMATS[name]
+        path, raw = written(tmp_path, name, obj, digest)
+        lines = raw.splitlines(keepends=True)
+        at = len(lines) - (digest is not None) - 1  # the last row
+        if at < n_head:
+            continue  # no rows
+        want = outcome(fast, raw)
+        for row, valid in ((b"+" + lines[at], True),
+                           (lines[at].replace(b" ", b"  ", 1), True),
+                           (lines[at][:-1] + b" x\n", False)):
+            bad = b"".join(lines[:at] + [row] + lines[at + 1:])
+            path.write_bytes(bad)
+            assert fast(bad) is None, (name, row)
+            got = outcome(read, path)
+            assert got == outcome(by_line, bad), (name, row)
+            assert (got == want) if valid else (got[0] == "error"), (name, row)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("name, obj, message", [
+    ("khg", random_hypergraph((5, 7, 4), seed=0), "duplicate edge"),
+    ("w3g", WeightedTripartite(uniform_weights((6, 5, 7), seed=3)),
+     "duplicate cell"),
+])
+def test_chunked_readers_catch_a_duplicate_across_chunks(tmp_path, monkeypatch,
+                                                         chunk, name, obj, message):
+    monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    _, read, fast, by_line, _ = FORMATS[name]
+    path, raw = written(tmp_path, name, obj, "d1")
+    lines = raw.splitlines(keepends=True)
+    # the first row again, after the last one
+    bad = b"".join(lines[:-1] + [lines[1], lines[-1]])
+    _, start, stop = hio._canonical_split(bad, 1)
+    chunks = [piece for _, piece in hio._line_chunks(bad, start, stop)]
+    assert chunks[0].startswith(lines[1]) and chunks[-1].endswith(lines[1])
+    assert len(chunks) > 1
+    path.write_bytes(bad)
+    assert fast(bad) is None
+    with pytest.raises(FormatError, match=message) as err:
+        by_line(bad)
+    assert err.value.offset == stop - len(lines[1])
+    assert outcome(read, path) == outcome(by_line, bad)
+
+
+def test_read_audit_peak_memory_is_bounded(tmp_path):
+    """The files benchmark's audit shape, 48^3 singleton block tuples:
+    a 1.9 MB file whose report holds 3.6 MB of arrays."""
+    import tracemalloc
+
+    n = 48
+    inst = generate(InstanceSpec(k=3, n=(n,) * 3, family="planted-boxes",
+                                 r=16, eps_prime=0.1, seed=1))
+    report = homogeneity_audit(inst.h, LayeredPartition(
+        [PartPartition.singletons(n, part=i) for i in range(3)]), 0.2)
+    path = tmp_path / "r.audit"
+    hio.write_audit(path, report, digest="0" * 64)
+    tracemalloc.start()
+    try:
+        back = hio.read_audit(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == report and back.densities.size == n**3
+    assert peak < 10 * 2**20
+
+
+def test_write_audit_peak_memory_is_bounded(tmp_path):
+    """The analyze benchmark's planted audit at n=144, 144^3 block
+    tuples: a 56 MB file, written with a manifest stamp."""
+    import tracemalloc
+
+    n = 144
+    inst = generate(InstanceSpec(k=3, n=(n,) * 3, family="planted-boxes",
+                                 r=3, eps_prime=0.1, seed=1))
+    report = homogeneity_audit(inst.h, LayeredPartition([
+        PartPartition(np.arange(1, n + 1), part=i, n_blocks=n + 1,
+                      has_exceptional=True) for i in range(3)]), 0.2)
+    path = tmp_path / "r.audit"
+    tracemalloc.start()
+    try:
+        hio.write_audit(path, report, digest="0" * 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert "labels" not in report.__dict__
+    raw = path.read_bytes()
+    assert raw.count(b"\n") == 3 + n**3 + 1
+    assert raw.startswith(b"audit block 0.2 pass 0\n#normalized 0.0\n#weighted 0\n")
+    assert raw.endswith(b"\n144 144 144 0.0 pass\n# manifest " + b"0" * 64 + b"\n")
+
+
+def test_write_w3g_from_layers_builds_no_tensor(tmp_path):
+    params = build_sequence(1e-6, 0.5, mode="toy", t=3, growth=2, s0=4, seed=2)
+    weighted = build_weighted(params, 24).weighted
+    hio.write_w3g(tmp_path / "layers.w3g", weighted, digest="d1")
+    assert weighted._weights is None
+    hio.write_w3g(tmp_path / "dense.w3g", WeightedTripartite(weighted.weights),
+                  digest="d1")
+    assert ((tmp_path / "layers.w3g").read_bytes()
+            == (tmp_path / "dense.w3g").read_bytes())
 
 
 # --- manifests ------------------------------------------------------------
