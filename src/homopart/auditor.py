@@ -5,8 +5,10 @@ densities and disagreement pairs are read off ``partitions.block_sums``,
 one counting pass over every cell. The homogeneity audit hands it 0/1
 input as a packed ``KPartiteHypergraph``, counted from the fiber words
 without a dense copy; weighted tensors, and the disagreement count,
-take its dense path. Regularity witnesses come from one
-subset search: ``_mask_chunks`` enumerates the subsets of the small
+take its dense path. The audited tuples are always the row-major
+product of each part's non-empty blocks, so a ``HomogeneityReport``
+names them by those block lists alone. Regularity witnesses come from
+one subset search: ``_mask_chunks`` enumerates the subsets of the small
 side (or random draws stand in for them), a matmul scores them, and
 ``_prefix_scan`` optimizes the remaining side. VC dimension is found
 by hereditary search: the shattered d-sets are grown only from
@@ -44,35 +46,38 @@ def _as_tensor(h) -> tuple[np.ndarray, bool]:
     return arr.astype(np.float64), True
 
 
-# Label rows built at a time by ``HomogeneityReport._label_chunks``,
-# rounded to whole leading blocks.
-_LABEL_CHUNK_ROWS = 1 << 16
-
 # Block-tuple cells divided at a time by ``homogeneity_audit``, rounded
 # to whole leading blocks.
 _AUDIT_CHUNK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False, init=False)
+def _product_rows(blocks) -> np.ndarray:
+    """The row-major product of the block lists as (rows, k) int64
+    label rows, each column filled once by broadcasting."""
+    k = len(blocks)
+    rows = np.empty(tuple(b.size for b in blocks) + (k,), dtype=np.int64)
+    for i, axis in enumerate(np.ix_(*blocks)):
+        rows[..., i] = axis
+    return rows.reshape(-1, k)
+
+
+@dataclass(frozen=True, eq=False)
 class HomogeneityReport:
     """Outcome of a block-tuple density audit.
 
     ``mass`` is the number of cells inside non-homogeneous block
     tuples and ``normalized_mass`` that count over all cells; the
     audit passes when the normalized mass is at most eps. The audited
-    tuples (those of non-zero volume, in ``itertools.product`` order
-    over the block labels) are held as ``densities`` (float64) and the
-    ``ok`` mask, one entry per tuple.
+    tuples are those of non-zero volume: the row-major product of
+    ``blocks``, the non-empty block labels of each part in ascending
+    order. They are held as ``densities`` (float64) and the ``ok``
+    mask, one entry per tuple.
 
-    Which tuples they are is stored in one of two ways. A report built
-    by ``homogeneity_audit`` keeps ``blocks``, the non-empty block
-    labels of each part; its tuples are their row-major product, and
-    ``labels``, the (tuples, k) int64 array of block labels, is built
-    from them on first read. A report read from a file may list any
-    rows, duplicates included, so it is built with an explicit
-    ``labels`` array and has ``blocks`` None. ``rows`` zips labels,
-    density and verdict into triples on first read; ``failing`` builds
-    the triples of the failing tuples only.
+    ``labels``, the (tuples, k) int64 array of block labels, and
+    ``rows``, the (labels, density, verdict) triples, are built from
+    the block lists on first read; ``failing`` builds the triples of
+    the failing tuples only. Two reports are equal when their scalars,
+    densities, verdicts and block lists are.
     """
 
     eps: float
@@ -82,67 +87,31 @@ class HomogeneityReport:
     weighted: bool
     densities: np.ndarray
     ok: np.ndarray
-    blocks: tuple | None
-
-    def __init__(self, eps, passed, mass, normalized_mass, weighted,
-                 densities, ok, *, blocks=None, labels=None):
-        if (blocks is None) == (labels is None):
-            raise ValueError("a report takes either blocks or labels")
-        vars(self).update(eps=eps, passed=passed, mass=mass,
-                          normalized_mass=normalized_mass, weighted=weighted,
-                          densities=densities, ok=ok, blocks=blocks)
-        if labels is not None:
-            vars(self)["labels"] = labels  # in place of the cached build
+    blocks: tuple
 
     @functools.cached_property
     def labels(self) -> np.ndarray:
-        # one chunk as large as the report holds every row
-        return next(self._label_chunks(self.densities.size))
+        return _product_rows(self.blocks)
 
     @functools.cached_property
     def rows(self) -> tuple:
         return tuple(zip(map(tuple, self.labels.tolist()),
                          self.densities.tolist(), self.ok.tolist()))
 
-    def _label_chunks(self, max_rows=None):
-        """The label rows in order, as consecutive (m, k) int64 arrays.
-
-        From ``blocks``, each chunk covers whole leading blocks, at
-        most ``max_rows`` rows (default ``_LABEL_CHUNK_ROWS``) unless
-        one leading block has more, and no array over all rows is
-        built. An explicit ``labels`` array is sliced.
-        """
-        max_rows = max_rows or _LABEL_CHUNK_ROWS
-        if self.blocks is None:
-            labels = self.labels
-            for start in range(0, len(labels), max_rows):
-                yield labels[start:start + max_rows]
-            return
+    def _label_chunks(self, max_rows):
+        """The label rows in order, as consecutive (m, k) int64 arrays,
+        each covering whole leading blocks: at most ``max_rows`` rows
+        unless one leading block has more."""
         lead, *rest = self.blocks
-        k = len(self.blocks)
-        # the label rows under one leading block, copied once per
-        # leading block, so every write to a chunk is contiguous
-        inner = np.empty(tuple(b.size for b in rest) + (k,), dtype=np.int64)
-        for i, axis in enumerate(np.ix_(*rest), 1):
-            inner[..., i] = axis
-        inner = inner.reshape(-1, k)
-        step = max(1, max_rows // len(inner))
+        step = max(1, max_rows // max(1, math.prod(b.size for b in rest)))
         for start in range(0, lead.size, step):
-            group = lead[start:start + step]
-            chunk = np.empty((group.size,) + inner.shape, dtype=np.int64)
-            chunk[...] = inner
-            chunk[..., 0] = group[:, None]
-            yield chunk.reshape(-1, k)
+            yield _product_rows((lead[start:start + step], *rest))
 
     def failing(self) -> tuple:
         """(block labels, density, ok) of each failing tuple, in order."""
         bad = np.flatnonzero(~self.ok)
-        if self.blocks is None:
-            labels = self.labels[bad]
-        else:
-            grid = np.unravel_index(bad, [b.size for b in self.blocks])
-            labels = np.stack([b[i] for b, i in zip(self.blocks, grid)],
-                              axis=-1)
+        grid = np.unravel_index(bad, [b.size for b in self.blocks])
+        labels = np.stack([b[i] for b, i in zip(self.blocks, grid)], axis=-1)
         return tuple(zip(map(tuple, labels.tolist()),
                          self.densities[bad].tolist(), self.ok[bad].tolist()))
 
@@ -153,29 +122,12 @@ class HomogeneityReport:
     def __eq__(self, other):
         if not isinstance(other, HomogeneityReport):
             return NotImplemented
-        # same order on both sides, so this is equality of ``rows``
+        # equal block lists give equal label rows in the same order
         return (self._scalars() == other._scalars()
                 and np.array_equal(self.densities, other.densities)
                 and np.array_equal(self.ok, other.ok)
-                and self._same_labels(other))
-
-    def _same_labels(self, other) -> bool:
-        """Equal label rows, given equal row counts, compared chunk by
-        chunk so that neither side builds ``labels``."""
-        if self.blocks is not None and other.blocks is not None:
-            return (len(self.blocks) == len(other.blocks)
-                    and all(map(np.array_equal, self.blocks, other.blocks)))
-        if self.blocks is not None:
-            return other._same_labels(self)
-        labels = self.labels
-        if other.blocks is None and labels.size == other.labels.size == 0:
-            return True  # an empty report read from a file has no columns
-        at = 0
-        for chunk in other._label_chunks():
-            if not np.array_equal(labels[at:at + len(chunk)], chunk):
-                return False
-            at += len(chunk)
-        return at == len(labels)
+                and len(self.blocks) == len(other.blocks)
+                and all(map(np.array_equal, self.blocks, other.blocks)))
 
     def __hash__(self):
         return hash(self._scalars())
@@ -206,9 +158,8 @@ def homogeneity_audit(h, partition: LayeredPartition,
     with no table over the empty blocks. The sums are divided in
     place, a bounded group of leading blocks at a time, by volumes
     taken as int64 products of the block sizes; no volume table over
-    the whole grid is built. The report keeps the densities, the
-    verdicts and the non-empty block lists, and builds its label rows
-    only when they are read.
+    the whole grid is built. The report names the tuples by the
+    non-empty block lists alone.
 
     A partition must have one part per graph part, each covering that
     part's vertices; otherwise ``ValueError`` names the mismatch. eps

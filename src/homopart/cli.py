@@ -399,8 +399,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # malformed files, bad pins and infeasible parameters
+    except (ValueError, OSError) as exc:
+        # malformed, missing or unreadable files, bad pins and
+        # infeasible parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoverageError as exc:

@@ -102,6 +102,19 @@ class BipartiteGraph:
         return f"BipartiteGraph({self.n_left}x{self.n_right}, edges={self.edge_count})"
 
 
+def set_edges(words: np.ndarray, edges: np.ndarray) -> None:
+    """Set the bits of the (E, k) int64 ``edges``, each in range, in the
+    writable packed ``words`` of a k-partite hypergraph; an edge listed
+    twice is set once."""
+    fibers = np.ravel_multi_index(tuple(edges[:, :-1].T), words.shape[:-1])
+    last = edges[:, -1]
+    np.bitwise_or.at(
+        words.reshape(-1),
+        fibers * words.shape[-1] + last // bitops.WORD_BITS,
+        np.uint64(1) << (last % bitops.WORD_BITS).astype(np.uint64),
+    )
+
+
 class KPartiteHypergraph:
     """k-partite k-uniform hypergraph on parts of fixed sizes.
 
@@ -148,13 +161,7 @@ class KPartiteHypergraph:
         if np.any((edges < 0) | (edges >= np.asarray(h.part_sizes))):
             raise ValueError("edge vertex out of range for its part")
         words = h.words.copy()
-        fibers = np.ravel_multi_index(tuple(edges[:, :-1].T), h.part_sizes[:-1])
-        last = edges[:, -1]
-        np.bitwise_or.at(
-            words.reshape(-1),
-            fibers * words.shape[-1] + last // bitops.WORD_BITS,
-            np.uint64(1) << (last % bitops.WORD_BITS).astype(np.uint64),
-        )
+        set_edges(words, edges)
         return cls(h.part_sizes, words)
 
     @classmethod

@@ -20,7 +20,9 @@ Formats:
 * ``.audit`` header ``audit block <eps> <pass|fail> <mass>``, then
   per block tuple ``labels... density pass|fail``. Readers require
   the second field but ignore its value, which older files may spell
-  differently.
+  differently. The rows are the row-major product of each column's
+  distinct non-negative labels, each once, which are the report's
+  block lists.
 * ``.links`` header ``links <r>``, then one stored partition per
   line: ``<pins> <side> <nblocks> <exceptional> <equitable> <part>``
   followed by the labels, where ``<pins>`` is ``-`` or
@@ -37,17 +39,19 @@ text does not depend on the other rows, so the writers format a
 bounded group of rows at a time (``_CHUNK_BYTES``) and hand each piece
 to the temporary file as it is made; no whole body is ever held.
 
-Fast path and fallback. The readers of those three formats allocate
-their row arrays once, from the file's line count, and fill them a
+Fast path and fallback. The readers of those three formats read a
 bounded run of whole lines at a time: each run is parsed by one
 ``np.loadtxt`` call, range-checked with array masks and formatted
-again, and must reproduce its own bytes exactly. The header must read
-back the same way, and no edge or cell may repeat anywhere in the
-file. Every other file, such as one with comments between rows, CRLF
-line ends, extra spaces, ``+1`` or ``1_0``, or any malformed input,
-goes to the per-line parser. That parser accepts every lenient but
-valid file and raises every FormatError, so both paths give the same
-object for every file.
+again, and must reproduce its own bytes exactly, as must the header.
+A ``.khg`` run sets its bits in the packed words, so a repeated edge
+shows as a popcount below the row count; a ``.w3g`` cell must not
+repeat anywhere in the file. An ``.audit`` run is checked against
+the row before it, and only that row and each column's distinct
+labels are kept, so no label rows are held. Every other file, such
+as one with comments between rows, CRLF line ends, extra spaces,
+``+1`` or ``1_0``, or any malformed input, goes to the per-line
+parser. That parser accepts every lenient but valid file and raises
+every FormatError, so both paths give the same object for every file.
 
 Parse errors raise FormatError carrying the byte offset of the
 offending line. Writes go through a temp file and an atomic rename.
@@ -56,6 +60,7 @@ offending line. Writes go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import tempfile
 import warnings
@@ -64,7 +69,7 @@ import numpy as np
 
 from .auditor import HomogeneityReport
 from .errors import FormatError
-from .hypercore import KPartiteHypergraph, WeightedTripartite
+from .hypercore import KPartiteHypergraph, WeightedTripartite, set_edges
 from .partitions import LayeredPartition, PartPartition
 
 
@@ -325,18 +330,17 @@ def _khg_fast(raw: bytes):
     sizes = tuple(values[1:])
     if min(sizes) < 1:
         return None
-    edges = np.empty((raw.count(b"\n", start, stop), len(sizes)), dtype=np.int64)
-    for rows, chunk in _line_chunks(raw, start, stop):
+    words = KPartiteHypergraph.empty(sizes).words.copy()
+    for _, chunk in _line_chunks(raw, start, stop):
         parsed = _load_rows(chunk, [("edge", np.int64, (len(sizes),))])
         if parsed is None:
             return None
-        edges[rows] = parsed["edge"]
-        if (not _in_range(edges[rows], sizes)
-                or _rows_text(list(edges[rows].T)) != chunk):
+        edges = parsed["edge"]
+        if not _in_range(edges, sizes) or _rows_text(list(edges.T)) != chunk:
             return None
-    if _has_repeats(np.ravel_multi_index(tuple(edges.T), sizes)):
-        return None
-    return KPartiteHypergraph.from_edges(sizes, edges)
+        set_edges(words, edges)
+    h = KPartiteHypergraph(sizes, words)
+    return h if h.edge_count == raw.count(b"\n", start, stop) else None
 
 
 def _khg_by_line(raw: bytes) -> KPartiteHypergraph:
@@ -555,12 +559,10 @@ def _audit_columns(labels, densities, ok) -> list:
 def write_audit(path, report: HomogeneityReport, *, digest=None):
     """Write the header and one row per audited tuple.
 
-    The rows are formatted a chunk of label rows at a time, from
-    ``HomogeneityReport._label_chunks``, and each piece goes to the
-    file before the next is made, so neither the full label array,
-    the full byte grid of ``_rows_text`` nor the whole body is ever
-    held. A row's text does not depend on the other rows, so the bytes
-    are those of one call over all rows.
+    The rows are formatted a chunk of whole leading blocks at a time,
+    from ``HomogeneityReport._label_chunks``, and each piece goes to
+    the file before the next is made, so neither the full label array,
+    the full byte grid of ``_rows_text`` nor the whole body is held.
     """
     header = _audit_header(report.eps, report.passed, report.mass,
                            report.normalized_mass, report.weighted)
@@ -583,6 +585,16 @@ def read_audit(path) -> HomogeneityReport:
     return _audit_by_line(raw) if report is None else report
 
 
+def _increasing(rows: np.ndarray) -> bool:
+    """Whether the non-negative int64 rows strictly increase in
+    lexicographic order: each step's first non-zero column is positive."""
+    steps = np.diff(rows, axis=0)
+    up = steps[:, -1] > 0
+    for step in steps.T[-2::-1]:
+        up = np.where(step != 0, step > 0, up)
+    return bool(up.all())
+
+
 def _audit_fast(raw: bytes):
     split = _canonical_split(raw, 3)
     if split is None:
@@ -602,23 +614,34 @@ def _audit_fast(raw: bytes):
         return None
     n = raw.count(b"\n", start, stop)
     width = raw.count(b" ", start, raw.find(b"\n", start)) - 1 if n else 0
-    if n and width < 1:
+    if width < 1:
         return None
-    labels = np.empty((n, width), dtype=np.int64)
     densities = np.empty(n)
     ok = np.empty(n, dtype=bool)
     dtype = [("labels", np.int64, (width,)), ("density", np.float64),
              ("verdict", "S4")]
+    last = np.empty((0, width), dtype=np.int64)
+    blocks = [np.empty(0, dtype=np.int64)] * width
     for rows, chunk in _line_chunks(raw, start, stop):
         parsed = _load_rows(chunk, dtype)
         if parsed is None:
             return None
-        labels[rows] = parsed["labels"]
+        labels = parsed["labels"]
         densities[rows] = parsed["density"]
         np.equal(parsed["verdict"], b"pass", out=ok[rows])
-        if _rows_text(_audit_columns(labels[rows], densities[rows], ok[rows])) != chunk:
+        if (labels.min() < 0 or not _increasing(np.concatenate([last, labels]))
+                or _rows_text(_audit_columns(labels, densities[rows],
+                                             ok[rows])) != chunk):
             return None
-    return HomogeneityReport(**scalars, labels=labels, densities=densities, ok=ok)
+        last = labels[-1:]
+        for j, column in enumerate(labels.T):
+            new = column[~np.isin(column, blocks[j])]  # most runs add none
+            if new.size:
+                blocks[j] = np.union1d(blocks[j], new)
+    if n != math.prod(b.size for b in blocks):
+        return None
+    return HomogeneityReport(**scalars, densities=densities, ok=ok,
+                             blocks=tuple(blocks))
 
 
 def _audit_by_line(raw: bytes) -> HomogeneityReport:
@@ -661,18 +684,34 @@ def _audit_by_line(raw: bytes) -> HomogeneityReport:
         row = _ints(offset, tokens[:-2])
         if labels and len(row) != len(labels[0]):
             raise FormatError(offset, f"expected {len(labels[0])} block labels")
+        if min(row) < 0:
+            raise FormatError(offset, "block labels must be nonnegative")
+        if labels and row <= labels[-1]:
+            kind = "repeats" if row == labels[-1] else "comes before"
+            raise FormatError(offset, f"block tuple {tuple(row)} {kind} "
+                                      f"the one above")
         labels.append(row)
         oks.append(tokens[-1] == "pass")
-    width = len(labels[0]) if labels else 0
+    blocks = [sorted(set(column)) for column in zip(*labels)]
+    expected = math.prod(map(len, blocks))
+    if len(labels) != expected:
+        # at the first row out of its place in the product, or at the
+        # end of the body if only rows after the last are missing
+        offset = next((o for (o, _), row, want in zip(
+            data[1:], labels, itertools.product(*blocks)) if tuple(row) != want),
+            raw.find(b"\n", data[-1][0]) + 1 or len(raw))
+        raise FormatError(offset, f"{len(labels)} block tuples, expected the "
+                                  f"{expected} of the product of their labels"
+                          if labels else "expected at least one block tuple")
     return HomogeneityReport(
         eps=eps,
         passed=passed,
         mass=mass,
         normalized_mass=normalized,
         weighted=weighted,
-        labels=np.array(labels, dtype=np.int64).reshape(len(labels), width),
         densities=np.array(densities, dtype=np.float64),
         ok=np.array(oks, dtype=bool),
+        blocks=tuple(np.array(b, dtype=np.int64) for b in blocks),
     )
 
 

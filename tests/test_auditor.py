@@ -1,5 +1,6 @@
 """Auditor tests, each checked against a from-scratch recomputation."""
 
+import dataclasses
 import functools
 import itertools
 
@@ -359,18 +360,20 @@ class TestLazyReport:
             assert np.concatenate(chunks).tobytes() == labels.tobytes()
         assert "labels" not in rep.__dict__
 
-        # the file holds the eager rows, and reads back equal, with
-        # each side compared without building the built side's labels
-        monkeypatch.setattr(auditor, "_LABEL_CHUNK_ROWS", inner)
+        # the file, written one leading block at a time, holds the
+        # eager rows and reads back to equal block lists, with neither
+        # side building its labels
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", 16 * inner)
         path = tmp_path / "r.audit"
         hio.write_audit(path, rep)
         text = path.read_text().splitlines()[3:]
         assert text == [" ".join(map(str, t)) + f" {d!r} "
                         + ("pass" if ok else "fail") for t, d, ok in rows]
         back = hio.read_audit(path)
-        assert back.blocks is None
+        assert [b.tolist() for b in back.blocks] == [
+            b.tolist() for b in rep.blocks]
         assert back == rep and rep == back
-        assert "labels" not in rep.__dict__
+        assert "labels" not in rep.__dict__ and "labels" not in back.__dict__
         assert back.failing() == failing
 
         assert rep.labels.dtype == np.int64
@@ -382,17 +385,12 @@ class TestLazyReport:
         h = KPartiteHypergraph.from_dense(
             np.random.default_rng(0).random((4, 5, 6)) < 0.5)
         rep = homogeneity_audit(h, interval_layers((4, 5, 6), 1), 0.2)
-        labels = rep.labels.copy()
-        fields = dict(eps=rep.eps, passed=rep.passed, mass=rep.mass,
-                      normalized_mass=rep.normalized_mass,
-                      weighted=rep.weighted, densities=rep.densities,
-                      ok=rep.ok)
-        assert auditor.HomogeneityReport(**fields, labels=labels) == rep
-        labels[0, 2] = 5
-        moved = auditor.HomogeneityReport(**fields, labels=labels)
+        blocks = [b.copy() for b in rep.blocks]
+        assert dataclasses.replace(rep, blocks=tuple(blocks)) == rep
+        blocks[2][-1] += 1  # the last block of part 2 moves to a new label
+        moved = dataclasses.replace(rep, blocks=tuple(blocks))
         assert moved != rep and rep != moved
-        with pytest.raises(ValueError, match="either blocks or labels"):
-            auditor.HomogeneityReport(**fields)
+        assert not np.array_equal(moved.labels, rep.labels)
 
     @pytest.mark.parametrize("sizes", [(7, 9), (6, 7, 8), (5, 6, 5, 7)])
     @pytest.mark.parametrize("weighted", [False, True])

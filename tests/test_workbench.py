@@ -107,8 +107,7 @@ def test_audit_round_trip(tmp_path):
     assert back == report
     assert back.rows == report.rows
     assert hash(back) == hash(report)
-    shifted = dataclasses.replace(back, densities=back.densities + 0.5,
-                                  labels=back.labels)
+    shifted = dataclasses.replace(back, densities=back.densities + 0.5)
     assert shifted != report
 
 
@@ -331,6 +330,81 @@ def test_duplicate_rows_rejected(tmp_path, name, text, offset, message):
     assert str(err.value) == f"byte {offset}: {message}"
 
 
+def broken_audit_rows(lines, name):
+    """(lines, index of the line the error names) for a written audit's
+    lines, header first and a manifest stamp last, with its rows broken
+    one way."""
+    head, rows, stamp = lines[:3], lines[3:-1], lines[-1:]
+    if name == "duplicated row":
+        return head + rows[:3] + rows[2:] + stamp, 6
+    if name == "dropped row":
+        return head + rows[:2] + rows[3:] + stamp, 5
+    if name == "dropped last row":
+        return head + rows[:-1] + stamp, len(lines) - 2
+    if name == "rows swapped":
+        return head + rows[:2] + [rows[3], rows[2]] + rows[4:] + stamp, 6
+    if name == "negative label":
+        # still a product in increasing order, of the labels {-1, 1}
+        # in part 0
+        rows = [b"-1" + r[1:] if r.startswith(b"0 ") else r for r in rows]
+        return head + rows + stamp, 3
+    assert name == "header-only body"
+    return head + stamp, 1  # the end of the header line
+
+
+@pytest.mark.parametrize("chunk", [1, 64, None])
+@pytest.mark.parametrize("name, message", [
+    ("duplicated row", "block tuple (0, 1, 0) repeats the one above"),
+    ("dropped row",
+     "7 block tuples, expected the 8 of the product of their labels"),
+    ("dropped last row",
+     "7 block tuples, expected the 8 of the product of their labels"),
+    ("rows swapped", "block tuple (0, 1, 0) comes before the one above"),
+    ("negative label", "block labels must be nonnegative"),
+    ("header-only body", "expected at least one block tuple"),
+])
+def test_audit_rows_must_be_the_product_of_their_labels(tmp_path, monkeypatch,
+                                                        chunk, name, message):
+    if chunk is not None:
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    report = audit_cases()[0]
+    assert [b.tolist() for b in report.blocks] == [[0, 1]] * 3
+    path = tmp_path / "r.audit"
+    hio.write_audit(path, report, digest="d3")
+    lines, at = broken_audit_rows(path.read_bytes().splitlines(keepends=True),
+                                  name)
+    bad = b"".join(lines)
+    path.write_bytes(bad)
+    assert hio._audit_fast(bad) is None
+    with pytest.raises(FormatError) as err:
+        hio.read_audit(path)
+    offset = len(b"".join(lines[:at]))
+    assert err.value.offset == offset
+    assert str(err.value) == f"byte {offset}: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["homogenize", "{missing}.khg"],
+    ["homogenize", "{graph}", "--links", "{missing}.links"],
+    ["audit", "{missing}.khg", "{missing}.part"],
+    ["audit", "{graph}", "{missing}.part"],
+    ["vc", "{missing}.khg"],
+    ["vc", "{directory}"],
+    ["gowers", "cascade", "--toy", "--n", "24", "--candidate", "{missing}.part"],
+])
+def test_cli_missing_or_unreadable_input_exits_two(tmp_path, capsys, argv):
+    graph = tmp_path / "g.khg"
+    hio.write_khg(graph, random_hypergraph((4, 4, 4), seed=0))
+    paths = {"missing": tmp_path / "nope", "graph": graph,
+             "directory": tmp_path}
+    out = tmp_path / "out"
+    code = run_cli([a.format(**paths) for a in argv] + ["--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: [Errno ") and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- canonical writers against the per-line reference writers -------------
 #
 # The writers format whole columns through token tables. These per-line
@@ -387,11 +461,13 @@ def uniform_weights(shape, seed, zeros=0.3):
     return w
 
 
-def empty_audit():
+def product_audit(blocks, densities, ok):
+    """A passing report over the row-major product of ``blocks``."""
     return HomogeneityReport(
         eps=0.2, passed=True, mass=0, normalized_mass=0.0, weighted=False,
-        labels=np.zeros((0, 0), dtype=np.int64),
-        densities=np.zeros(0), ok=np.zeros(0, dtype=bool))
+        densities=np.asarray(densities, dtype=np.float64),
+        ok=np.asarray(ok, dtype=bool),
+        blocks=tuple(np.asarray(b, dtype=np.int64) for b in blocks))
 
 
 def khg_cases():
@@ -433,11 +509,8 @@ def audit_cases():
                           0.2),
         singleton_audit(gowers_weights()),
         singleton_audit(uniform_weights((6, 5, 7), seed=7), eps=1e-3),
-        empty_audit(),
-        # labels spread wider than the rows, and negative, as a read file may hold
-        dataclasses.replace(
-            empty_audit(), labels=np.array([[0, 7], [10**12, -3], [5, 7]]),
-            densities=np.array([0.5, 1.0, 0.25]), ok=np.array([False, True, False])),
+        # block labels spread wider than the rows
+        product_audit([[0, 5, 10**12], [7]], [0.5, 1.0, 0.25], [False, True, False]),
     ]
 
 
@@ -490,10 +563,8 @@ def test_edge_columns_match_dense_reference(tmp_path, shape, density):
 
 
 def test_audit_writer_keeps_signed_zero_and_nan(tmp_path):
-    report = dataclasses.replace(
-        empty_audit(), labels=np.array([[0], [1], [2], [3]]),
-        densities=np.array([0.0, -0.0, np.nan, -np.nan]),
-        ok=np.array([True, False, True, False]))
+    report = product_audit([range(4)], [0.0, -0.0, np.nan, -np.nan],
+                           [True, False, True, False])
     path = tmp_path / "r.audit"
     hio.write_audit(path, report)
     assert path.read_bytes() == reference_audit(report).encode()
@@ -611,10 +682,8 @@ def test_fast_readers_match_per_line_parser(tmp_path, seed):
             path.write_bytes(raw)
             assert outcome(read, path) == outcome(by_line, raw), name
             # only a value with a canonical spelling ("-0.0", "inf",
-            # "nan"), or a repeated audit row, which is not an error,
-            # may keep the file in canonical form
-            assert (fast(raw) is None or name.startswith("float")
-                    or (read is hio.read_audit and name == "duplicated row")), name
+            # "nan") may keep the file in canonical form
+            assert fast(raw) is None or name.startswith("float"), name
 
 
 # --- the fast readers a bounded run of lines at a time -------------------
@@ -634,9 +703,9 @@ def chunk_cases():
                              for i in range(3)])
     singletons = LayeredPartition([PartPartition.singletons(n, part=i)
                                    for i, n in enumerate((7, 6, 5))])
-    wide = dataclasses.replace(
-        empty_audit(), labels=np.full((3, 9), 10**15) + np.arange(3)[:, None],
-        densities=np.array([0.125, 1e-300, 0.5]), ok=np.array([True, False, True]))
+    wide = product_audit(
+        [10**15 + np.arange(3)] + [[10**15 + j] for j in range(8)],
+        [0.125, 1e-300, 0.5], [True, False, True])
     return [
         ("khg", random_hypergraph((5, 7, 4), seed=0)),
         ("khg", random_hypergraph((9, 6), seed=1)),
@@ -649,7 +718,6 @@ def chunk_cases():
         ("audit", homogeneity_audit(random_hypergraph((7, 6, 5), seed=6),
                                     singletons, 0.2)),
         ("audit", singleton_audit(uniform_weights((6, 5, 7), seed=7), eps=1e-3)),
-        ("audit", empty_audit()),
         ("audit", wide),
     ]
 
@@ -767,6 +835,7 @@ def test_read_audit_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert back == report and back.densities.size == n**3
+    assert "labels" not in back.__dict__
     assert peak < 10 * 2**20
 
 
