@@ -13,9 +13,12 @@ instance the files benchmark generates (r=16, eps'=0.1, seed 1) as a
 defaults, s0=4, seed 1) as a ``.w3g``. Each is written with a
 manifest stamp to a temporary directory and read back. Prints one
 JSON line: the bytes of each file, seconds to make, write and read
-each artifact, and ``ru_maxrss`` in MB after each step, plus whether
-every read equals what was written (checked after all timings). Run
-one size per process, since peak RSS never falls.
+each artifact, and ``ru_maxrss`` in MB after each step. After all
+timings each file is read once more under ``tracemalloc``, whose peak
+in MiB is ``{name}_read_traced_mib``: ``ru_maxrss`` never falls, so a
+read that needs less than an earlier step shows only there. Last
+comes whether every read equals what was written. Run one size per
+process.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 
 
 def peak_mb() -> float:
@@ -67,12 +71,20 @@ def main(argv=None) -> int:
     ]
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
+        path = lambda name: os.path.join(tmp, f"artifact.{name}")
         for name, make, write, read in artifacts:
-            path = os.path.join(tmp, f"artifact.{name}")
             obj = stage(f"{name}_make", make)
-            stage(f"{name}_write", lambda: write(path, obj, digest="0" * 64))
-            out[f"{name}_bytes"] = os.path.getsize(path)
-            pairs.append((obj, stage(f"{name}_read", lambda: read(path))))
+            stage(f"{name}_write", lambda: write(path(name), obj, digest="0" * 64))
+            out[f"{name}_bytes"] = os.path.getsize(path(name))
+            pairs.append((obj, stage(f"{name}_read", lambda: read(path(name)))))
+        for name, _, _, read in artifacts:
+            tracemalloc.start()
+            try:
+                read(path(name))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out[f"{name}_read_traced_mib"] = round(peak / 2**20, 1)
     khg, audit, w3g = pairs
     out["round_trip"] = (khg[0] == khg[1] and audit[0] == audit[1]
                          and np.array_equal(w3g[0].weights, w3g[1].weights))

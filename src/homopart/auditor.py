@@ -1,15 +1,18 @@
 """Verification side of the pipeline.
 
 Everything here recomputes its verdicts from first principles. Block
-densities and disagreement pairs are read off ``partitions.block_sums``,
-one counting pass over every cell. The homogeneity audit hands it 0/1
-input as a packed ``KPartiteHypergraph``, counted from the fiber words
-without a dense copy; weighted tensors, and the disagreement count,
-take its dense path. The audited tuples are always the row-major
-product of each part's non-empty blocks, so a ``HomogeneityReport``
-names them by those block lists alone. Regularity witnesses come from
-one subset search: ``_mask_chunks`` enumerates the subsets of the small
-side (or random draws stand in for them), a matmul scores them, and
+densities and disagreement pairs are read off
+``partitions.block_sums``, one counting pass over every cell.
+``_counted`` is the one place that turns input into what it counts:
+0/1 graphs and bool arrays become a packed ``KPartiteHypergraph``,
+counted from the fiber words without a dense copy, and other arrays
+and weighted relations take the dense path. The witness searches,
+``verify_witness`` (the independent recheck) and the VC search read
+dense copies. The audited tuples are always the row-major product of
+each part's non-empty blocks, so a ``HomogeneityReport`` names them by
+those block lists alone. Regularity witnesses come from one subset
+search: ``_mask_chunks`` enumerates the subsets of the small side (or
+random draws stand in for them), a matmul scores them, and
 ``_prefix_scan`` optimizes the remaining side. VC dimension is found
 by hereditary search: the shattered d-sets are grown only from
 shattered (d-1)-sets whose every (d-1)-subset is shattered, each
@@ -44,6 +47,24 @@ def _as_tensor(h) -> tuple[np.ndarray, bool]:
     if arr.dtype == bool:
         return arr.astype(np.float64), False
     return arr.astype(np.float64), True
+
+
+def _counted(h) -> tuple:
+    """(what ``block_sums`` counts for ``h``, its part sizes, weighted
+    flag): a ``KPartiteHypergraph`` for 0/1 graphs (a ``BipartiteGraph``'s
+    rows are 2-partite fibers) and bool arrays, else ``_as_tensor``."""
+    if isinstance(h, np.ndarray) and h.dtype == bool and h.ndim >= 2:
+        h = KPartiteHypergraph.from_dense(h)
+    elif isinstance(h, BipartiteGraph):
+        h = KPartiteHypergraph((h.n_left, h.n_right), h.rows)
+    if isinstance(h, KPartiteHypergraph):
+        return h, h.part_sizes, False
+    tensor, weighted = _as_tensor(h)
+    return tensor, tensor.shape, weighted
+
+
+def _passes(normalized: float, eps: float) -> bool:
+    return normalized <= eps + 1e-12  # the audit verdict, up to rounding
 
 
 # Block-tuple cells divided at a time by ``homogeneity_audit``, rounded
@@ -142,11 +163,10 @@ def homogeneity_audit(h, partition: LayeredPartition,
     blocks contribute nothing.
 
     The block-tuple sums come from ``block_sums`` and a density is sum
-    over volume, the product of the tuple's k block sizes. 0/1 input,
-    a ``KPartiteHypergraph``, a ``BipartiteGraph`` (its rows are the
-    fibers of a 2-partite hypergraph) or a bool array (packed first),
-    is counted from its packed fiber rows, so every sum is an exact
-    integer and the densities equal the per-block means bit for bit.
+    over volume, the product of the tuple's k block sizes. 0/1 input
+    (see ``_counted``) is counted from its packed fiber rows, so every
+    sum is an exact integer and the densities equal the per-block
+    means bit for bit.
     Weighted input is summed in cell order, so for non-dyadic weights
     a density can differ in its last bit from a mean summed in another
     order.
@@ -168,15 +188,7 @@ def homogeneity_audit(h, partition: LayeredPartition,
     """
     if not 0.0 <= eps < 0.5:
         raise InfeasibleParamsError(f"eps={eps} outside [0, 1/2)")
-    if isinstance(h, np.ndarray) and h.dtype == bool and h.ndim >= 2:
-        h = KPartiteHypergraph.from_dense(h)
-    elif isinstance(h, BipartiteGraph):
-        h = KPartiteHypergraph((h.n_left, h.n_right), h.rows)
-    if isinstance(h, KPartiteHypergraph):
-        counted, shape, weighted = h, h.part_sizes, False
-    else:
-        counted, weighted = _as_tensor(h)
-        shape = counted.shape
+    counted, shape, weighted = _counted(h)
     if partition.k != len(shape):
         raise ValueError(f"partition has {partition.k} parts, "
                          f"graph has {len(shape)}")
@@ -206,7 +218,7 @@ def homogeneity_audit(h, partition: LayeredPartition,
     normalized = mass / total if total else 0.0
     return HomogeneityReport(
         eps=eps,
-        passed=normalized <= eps + 1e-12,
+        passed=_passes(normalized, eps),
         mass=mass,
         normalized_mass=normalized,
         weighted=weighted,
@@ -230,15 +242,17 @@ def disagreement_pairs(h, partition: LayeredPartition) -> tuple:
     two part-i vertices in one block of the part-i partition. Within a
     fixed line segment that is (#edges) * (#non-edges), read off
     ``block_sums`` with singleton blocks on every other coordinate.
+    0/1 graphs are counted from their packed words (see ``_counted``);
+    arrays and weighted relations must hold only 0 and 1.
     """
-    tensor, _ = _as_tensor(h)
-    if not ((tensor == 0) | (tensor == 1)).all():
+    counted, shape, weighted = _counted(h)
+    if weighted and not ((counted == 0) | (counted == 1)).all():
         raise ValueError("disagreement pairs need a 0/1 tensor")
     counts = []
-    for i in range(tensor.ndim):
+    for i in range(len(shape)):
         parts = [partition[i] if j == i else PartPartition.singletons(n)
-                 for j, n in enumerate(tensor.shape)]
-        ones = block_sums(tensor, parts).astype(np.int64)  # exact: 0/1 sums
+                 for j, n in enumerate(shape)]
+        ones = block_sums(counted, parts).astype(np.int64)  # exact: 0/1 sums
         volumes = functools.reduce(np.multiply.outer,
                                    [p.sizes() for p in parts])
         counts.append(int((ones * (volumes - ones)).sum()))

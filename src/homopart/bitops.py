@@ -60,17 +60,6 @@ def popcount(words: np.ndarray, axis=None):
     return counts.sum(axis=axis, dtype=np.int64)
 
 
-def from_indices(indices, n: int) -> np.ndarray:
-    """Packed mask with exactly the given bit positions set."""
-    mask = np.zeros(n, dtype=bool)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= n:
-            raise ValueError(f"index out of range for mask of length {n}")
-        mask[idx] = True
-    return pack(mask)
-
-
 def extract_bit(words: np.ndarray, j: int) -> np.ndarray:
     """Boolean plane of bit ``j`` across an array of packed rows."""
     word = words[..., j // WORD_BITS]

@@ -455,6 +455,9 @@ class IntervalLayering:
     ``levels[r]`` equal intervals; each level refines the previous one
     exactly. ``c_layers`` splits the third part into one interval per
     level. ``families[r-1]`` and ``graphs[r-1]`` belong to level r.
+    It counts nothing itself: box sums come from ``box_sums`` on the
+    build's layered ``weighted``, link counts from ``block_sums`` over
+    ``level_bits``.
     """
 
     n: int
@@ -486,36 +489,6 @@ class IntervalLayering:
         if part == 0:
             return bitops.unpack(np.stack([g.rows[v] for g in self.graphs]), self.n).T
         return np.stack([bitops.extract_bit(g.rows, v) for g in self.graphs], axis=1)
-
-    def link(self, part: int, v: int) -> np.ndarray:
-        """n x n link weights of vertex ``v`` of ``part``, from the level rows."""
-        if part == 2:
-            r = self.layer_of(v)
-            adj = bitops.unpack(self.graphs[r - 1].rows, self.n)
-            return np.where(adj, 2.0 ** -r, 0.0)
-        weights = self.level_bits(part, v) * self.layer_weights()
-        return weights[:, self.c_layers.labels]
-
-    def box_mean(self, a, b, c) -> float:
-        """Mean weight of the box a x b x c of index arrays.
-
-        The sum over layers r of 2^-r e_r(a, b) |c in layer r|, where
-        e_r counts the edges of level graph r on a x b, divided by the
-        box's cells. Every term is dyadic and exact, so this equals the
-        mean of the dense box bit for bit.
-        """
-        per_layer = np.bincount(self.c_layers.labels[c], minlength=self.t)
-        total = 0.0
-        for r, size in enumerate(per_layer.tolist(), 1):
-            if size:
-                total += math.ldexp(_edges(self.graphs[r - 1], a, b) * size, -r)
-        return total / (a.size * b.size * c.size)
-
-
-def _edges(g: BipartiteGraph, a, b) -> int:
-    """Edges of ``g`` between left indices ``a`` and right indices ``b``."""
-    mask = bitops.from_indices(b, g.n_right)
-    return int(bitops.popcount(g.rows[a] & mask))
 
 
 @dataclass(frozen=True)
@@ -695,24 +668,25 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
 
     Constant-boxes and layer-constant claims are exact: every certified
     block pair must carry a single weight value. They are counted from
-    the level rows, never from the dense weights. A third-part vertex
-    on layer r has the link 2^-r G_r, so a pair A x B is constant
-    exactly when G_r has 0 or |A||B| edges on it, counted by popcount
-    per right block and ``block_sums`` over the left blocks. For a
-    first- or second-part vertex v, ``block_sums`` of its n x t table
-    of level bits against (left blocks, one block per level) counts
-    |A & N_r(v)|; a pair A x C is constant exactly when every layer C
-    meets has a count of 0 or |A|, and every count is 0 where C meets
-    more than one layer. ``worst`` is the first failing pair in (a, b)
-    order with its least and greatest weight, read from the one link
-    rebuilt from the level rows. Quasirandom claims are checked
-    one-sidedly, by the quasirandomness audit plus a sampled witness
-    search on the level graph; ``ok`` then means no witness surfaced
-    within the budget of ``draws`` subsets, which must be at least 1
-    when the search is sampled. Both depend only on the level, so they
-    run once per (level, delta, draws, seed) on a build, and every
-    later quasirandom certificate on that level gets the same audit and
-    witness objects.
+    the level rows, never from the dense weights. A third-part vertex on
+    layer r has the link 2^-r G_r, so a pair A x B is constant exactly
+    when G_r has 0 or |A||B| edges on it, counted by popcount per right
+    block and ``block_sums`` over the left blocks. For a first- or
+    second-part vertex v, ``block_sums`` of its n x t table of level
+    bits against (left blocks, one block per level) counts |A & N_r(v)|;
+    a pair A x C is constant exactly when every layer C meets has a
+    count of 0 or |A|, and every count is 0 where C meets more than one
+    layer. ``worst`` is the first failing pair in (a, b) order with its
+    least and greatest weight, read from the same counts: 0 and 2^-r for
+    a third-part vertex on layer r; otherwise 2^-l over the layers l
+    that C meets and where A has a hit, and 0 where such a layer lacks a
+    hit in A. Quasirandom claims are checked one-sidedly, by the
+    quasirandomness audit plus a sampled witness search on the level
+    graph; ``ok`` then means no witness surfaced within the budget of
+    ``draws`` subsets, which must be at least 1 when the search is
+    sampled. Both depend only on the level, so they run once per (level,
+    delta, draws, seed) on a build, and every later quasirandom
+    certificate on that level gets the same audit and witness objects.
     """
     if cert.kind == "quasirandom":
         lay = build.layering
@@ -754,18 +728,24 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
         t = lay.t
         bits = lay.level_bits(cert.part, cert.vertex)
         hits = block_sums(bits, (left, PartPartition.singletons(t)))
+        full = hits == left.sizes()[:, None]
         meets = np.bincount(
             right.labels * t + lay.c_layers.labels, minlength=right.n_blocks * t
         ).reshape(-1, t) > 0
         lit = (hits != 0).astype(np.int64)
-        mixed = lit * (hits != left.sizes()[:, None])
+        mixed = lit * ~full
         off = (mixed @ meets.T > 0) | ((lit @ meets.T > 0) & (meets.sum(axis=1) > 1))
     worst = None
     if off.any():
         a, b = np.argwhere(off)[0]
-        link = lay.link(cert.part, cert.vertex)
-        box = link[np.ix_(left.block_indices(a), right.block_indices(b))]
-        worst = ((int(a), int(b)), float(box.min()), float(box.max()))
+        if cert.part == 2:
+            low, high = 0.0, 2.0 ** -lay.layer_of(cert.vertex)
+        else:
+            # a failing pair has a hit on some layer its right block meets
+            weights = lay.layer_weights()[meets[b] & (hits[a] != 0)]
+            high = weights.max()
+            low = 0.0 if (meets[b] & ~full[a]).any() else weights.min()
+        worst = ((int(a), int(b)), float(low), float(high))
     return CertificateCheck(
         kind=cert.kind, exact=True, ok=worst is None, worst=worst
     )
@@ -933,8 +913,10 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
 
     ``side`` names which interval family the fine partition refines;
     the other side supplies the crossing block. All index choices scan
-    in ascending order, so extraction is deterministic. Box densities
-    come from level-graph edge counts (``IntervalLayering.box_mean``).
+    in ascending order, so extraction is deterministic. The base,
+    complete and empty box means come from one ``box_sums`` call on the
+    build's layered weights, exact as dyadic sums; the complete mean
+    is asserted to be exactly 2^-r and the empty one 0.
     """
     lay = build.layering
     params = build.params
@@ -947,7 +929,6 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
     fine_part = candidate[0] if side == "A" else candidate[1]
     other_part = candidate[1] if side == "A" else candidate[0]
     third = candidate[2]
-    g = lay.graphs[r - 1]
 
     lost = np.flatnonzero(prev_fine.matched & ~cur_fine.matched)
     for s in lost:
@@ -994,13 +975,6 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
         if not w_pick.size:
             continue
 
-        if side == "A":
-            assert _edges(g, v_complete, w_pick) == v_complete.size * w_pick.size
-            assert _edges(g, v_empty, w_pick) == 0
-        else:
-            assert _edges(g, w_pick, v_complete) == v_complete.size * w_pick.size
-            assert _edges(g, w_pick, v_empty) == 0
-
         layer = lay.layer_indices(r)
         chosen_ell = None
         for ell in range(third.n_blocks):
@@ -1019,9 +993,16 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
         else:
             box = lambda vv: (w_pick, vv, rc)
             blocks = (other, fine_part.block_indices(int(s)), r_block)
-        base = lay.box_mean(*blocks)
-        d_complete = lay.box_mean(*box(v_complete))
-        d_empty = lay.box_mean(*box(v_empty))
+        boxes = (blocks, box(v_complete), box(v_empty))
+        members = np.zeros((3, n, len(boxes)))
+        for j, picks in enumerate(boxes):
+            for part, idx in enumerate(picks):
+                members[part, idx, j] = 1.0
+        sums, _ = build.weighted.box_sums(members)
+        base, d_complete, d_empty = (
+            float(weight) / math.prod(idx.size for idx in picks)
+            for weight, picks in zip(sums, boxes))
+        assert d_complete == 2.0 ** -r and d_empty == 0.0
 
         complete = RegularityWitness(
             subsets=box(v_complete),

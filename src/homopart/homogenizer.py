@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitops
+from .auditor import _counted
 from .errors import CoverageError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph
 from .partitions import (
@@ -170,8 +171,9 @@ def similarity_partition(
     input_tol = similarity_input_tolerance(gamma)
 
     # good/bad classification of left blocks by the mass of right
-    # blocks forming a non-homogeneous pair with them
-    sums = block_sums(g.to_dense(), (left, right))
+    # blocks forming a non-homogeneous pair with them, counted from the
+    # packed rows
+    sums = block_sums(_counted(g)[0], (left, right))
     volumes = np.multiply.outer(left.sizes(), right.sizes())
     mixed = (volumes > 0) & ~homogeneous(sums / np.maximum(volumes, 1),
                                          input_tol)

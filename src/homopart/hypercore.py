@@ -314,8 +314,9 @@ class WeightedTripartite:
         one first-part slab at a time. From layers, box b gets
         sum_j s_j e_j(b) |C_b & layer j|, and the same with
         s_j (1 - s_j), where e_j(b) counts graph j's edges on
-        A_b x B_b; with dyadic scales every term is exact, so both
-        equal the dense sums bit for bit.
+        A_b x B_b by popcount of its rows against B_b's packed mask,
+        with no graph unpacked; with dyadic scales every term is
+        exact, so both equal the dense sums bit for bit.
         """
         m0, m1, m2 = members
         if self._layers is None:
@@ -325,8 +326,9 @@ class WeightedTripartite:
                     by_vertex[k, i] = ((cells @ m2) * m1).sum(axis=0)
             return tuple((by_vertex * m0).sum(axis=1))
         graphs, labels, scales = self._layers
+        right = bitops.pack(m1.T != 0)  # each box's second-part side
         edges = np.array([
-            ((bitops.unpack(g.rows, g.n_right) @ m1) * m0).sum(axis=0)
+            (bitops.popcount(g.rows[:, None] & right, axis=-1) * m0).sum(axis=0)
             for g in graphs])
         cells = edges * np.array([m2[labels == j].sum(axis=0)
                                   for j in range(len(graphs))])

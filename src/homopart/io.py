@@ -22,7 +22,9 @@ Formats:
   the second field but ignore its value, which older files may spell
   differently. The rows are the row-major product of each column's
   distinct non-negative labels, each once, which are the report's
-  block lists.
+  block lists. Verdicts match the densities: a row passes exactly
+  when ``homogeneous(density, eps)``, the header when ``normalized <=
+  eps + 1e-12``, and the mass is 0 exactly when every row passes.
 * ``.links`` header ``links <r>``, then one stored partition per
   line: ``<pins> <side> <nblocks> <exceptional> <equitable> <part>``
   followed by the labels, where ``<pins>`` is ``-`` or
@@ -42,16 +44,17 @@ to the temporary file as it is made; no whole body is ever held.
 Fast path and fallback. The readers of those three formats read a
 bounded run of whole lines at a time: each run is parsed by one
 ``np.loadtxt`` call, range-checked with array masks and formatted
-again, and must reproduce its own bytes exactly, as must the header.
-A ``.khg`` run sets its bits in the packed words, so a repeated edge
-shows as a popcount below the row count; a ``.w3g`` cell must not
-repeat anywhere in the file. An ``.audit`` run is checked against
-the row before it, and only that row and each column's distinct
-labels are kept, so no label rows are held. Every other file, such
-as one with comments between rows, CRLF line ends, extra spaces,
-``+1`` or ``1_0``, or any malformed input, goes to the per-line
-parser. That parser accepts every lenient but valid file and raises
-every FormatError, so both paths give the same object for every file.
+again, and must reproduce its own bytes exactly, as must the header. A
+``.khg`` run sets its bits in the packed words, so a repeated edge
+shows as a popcount below the row count. A ``.w3g`` or ``.audit`` run
+must strictly increase from the row before it, so only that row is
+kept: cells go straight into the tensor, and of an audit only each
+column's distinct labels are kept besides. An audit run's verdicts
+must be those of its densities. Every other file, such as one with
+comments between rows, CRLF line ends, extra spaces, ``+1`` or
+``1_0``, or any malformed input, goes to the per-line parser. That
+parser accepts every lenient but valid file and raises every
+FormatError, so both paths give the same object for every file.
 
 Parse errors raise FormatError carrying the byte offset of the
 offending line. Writes go through a temp file and an atomic rename.
@@ -67,10 +70,10 @@ import warnings
 
 import numpy as np
 
-from .auditor import HomogeneityReport
+from .auditor import HomogeneityReport, _passes
 from .errors import FormatError
 from .hypercore import KPartiteHypergraph, WeightedTripartite, set_edges
-from .partitions import LayeredPartition, PartPartition
+from .partitions import LayeredPartition, PartPartition, homogeneous
 
 
 # Bytes of whole lines a canonical reader parses at a time (a longer
@@ -297,9 +300,14 @@ def _in_range(rows: np.ndarray, sizes) -> bool:
     return bool(np.all((rows >= 0) & (rows < np.asarray(sizes))))
 
 
-def _has_repeats(keys: np.ndarray) -> bool:
-    return keys.size > 1 and not (np.all(keys[1:] > keys[:-1])
-                                  or np.unique(keys).size == keys.size)
+def _increasing(rows: np.ndarray) -> bool:
+    """Whether the non-negative int64 rows strictly increase in
+    lexicographic order: each step's first non-zero column is positive."""
+    steps = np.diff(rows, axis=0)
+    up = steps[:, -1] > 0
+    for step in steps.T[-2::-1]:
+        up = np.where(step != 0, step > 0, up)
+    return bool(up.all())
 
 
 # --- .khg -----------------------------------------------------------------
@@ -406,20 +414,19 @@ def _w3g_fast(raw: bytes):
     sizes = _header_ints(header, "w3g")
     if sizes is None or len(sizes) != 3 or min(sizes) < 0:
         return None
-    keys = np.empty(raw.count(b"\n", start, stop), dtype=np.int64)
     weights = np.zeros(tuple(sizes))
-    for rows, chunk in _line_chunks(raw, start, stop):
+    last = np.empty((0, 3), dtype=np.int64)
+    for _, chunk in _line_chunks(raw, start, stop):
         parsed = _load_rows(chunk, [("cell", np.int64, (3,)), ("weight", np.float64)])
         if parsed is None:
             return None
         cells, w = parsed["cell"], parsed["weight"]
         if (not _in_range(cells, sizes) or not np.all((w >= 0.0) & (w <= 1.0))
+                or not _increasing(np.concatenate([last, cells]))
                 or _rows_text([*cells.T, w]) != chunk):
             return None
-        keys[rows] = np.ravel_multi_index(tuple(cells.T), sizes)
-        weights.reshape(-1)[keys[rows]] = w
-    if _has_repeats(keys):
-        return None
+        last = cells[-1:]
+        weights[tuple(cells.T)] = w
     return WeightedTripartite(weights)
 
 
@@ -585,16 +592,6 @@ def read_audit(path) -> HomogeneityReport:
     return _audit_by_line(raw) if report is None else report
 
 
-def _increasing(rows: np.ndarray) -> bool:
-    """Whether the non-negative int64 rows strictly increase in
-    lexicographic order: each step's first non-zero column is positive."""
-    steps = np.diff(rows, axis=0)
-    up = steps[:, -1] > 0
-    for step in steps.T[-2::-1]:
-        up = np.where(step != 0, step > 0, up)
-    return bool(up.all())
-
-
 def _audit_fast(raw: bytes):
     split = _canonical_split(raw, 3)
     if split is None:
@@ -605,12 +602,14 @@ def _audit_fast(raw: bytes):
         _, _, eps, verdict, mass = first.split(" ")
         _, normalized = second.split(" ")
         _, weighted = third.split(" ")
-        scalars = {"eps": float(eps), "passed": verdict == "pass",
-                   "mass": int(mass), "normalized_mass": float(normalized),
+        eps, normalized = float(eps), float(normalized)
+        scalars = {"eps": eps, "passed": verdict == "pass",
+                   "mass": int(mass), "normalized_mass": normalized,
                    "weighted": bool(int(weighted))}
     except ValueError:
         return None
-    if _audit_header(**scalars) != header:
+    if (_audit_header(**scalars) != header
+            or scalars["passed"] != _passes(normalized, eps)):
         return None
     n = raw.count(b"\n", start, stop)
     width = raw.count(b" ", start, raw.find(b"\n", start)) - 1 if n else 0
@@ -630,6 +629,7 @@ def _audit_fast(raw: bytes):
         densities[rows] = parsed["density"]
         np.equal(parsed["verdict"], b"pass", out=ok[rows])
         if (labels.min() < 0 or not _increasing(np.concatenate([last, labels]))
+                or not np.array_equal(homogeneous(densities[rows], eps), ok[rows])
                 or _rows_text(_audit_columns(labels, densities[rows],
                                              ok[rows])) != chunk):
             return None
@@ -638,7 +638,8 @@ def _audit_fast(raw: bytes):
             new = column[~np.isin(column, blocks[j])]  # most runs add none
             if new.size:
                 blocks[j] = np.union1d(blocks[j], new)
-    if n != math.prod(b.size for b in blocks):
+    if (n != math.prod(b.size for b in blocks)
+            or (scalars["mass"] == 0) != ok.all()):
         return None
     return HomogeneityReport(**scalars, densities=densities, ok=ok,
                              blocks=tuple(blocks))
@@ -669,6 +670,9 @@ def _audit_by_line(raw: bytes) -> HomogeneityReport:
             normalized = _comment_value(o, text, float)
         elif text.startswith("#weighted"):
             weighted = bool(_comment_value(o, text, int))
+    if passed != _passes(normalized, eps):
+        raise FormatError(offset, f"verdict {tokens[3]} contradicts normalized "
+                                  f"mass {normalized!r} at eps {eps!r}")
 
     labels, densities, oks = [], [], []
     for offset, text in data[1:]:
@@ -678,7 +682,7 @@ def _audit_by_line(raw: bytes) -> HomogeneityReport:
         if tokens[-1] not in ("pass", "fail"):
             raise FormatError(offset, f"verdict must be pass or fail, got {tokens[-1]!r}")
         try:
-            densities.append(float(tokens[-2]))
+            density = float(tokens[-2])
         except ValueError:
             raise FormatError(offset, f"bad density {tokens[-2]!r}") from None
         row = _ints(offset, tokens[:-2])
@@ -690,7 +694,11 @@ def _audit_by_line(raw: bytes) -> HomogeneityReport:
             kind = "repeats" if row == labels[-1] else "comes before"
             raise FormatError(offset, f"block tuple {tuple(row)} {kind} "
                                       f"the one above")
+        if (tokens[-1] == "pass") != homogeneous(density, eps):
+            raise FormatError(offset, f"verdict {tokens[-1]} contradicts "
+                                      f"density {density!r} at eps {eps!r}")
         labels.append(row)
+        densities.append(density)
         oks.append(tokens[-1] == "pass")
     blocks = [sorted(set(column)) for column in zip(*labels)]
     expected = math.prod(map(len, blocks))
@@ -703,6 +711,9 @@ def _audit_by_line(raw: bytes) -> HomogeneityReport:
         raise FormatError(offset, f"{len(labels)} block tuples, expected the "
                                   f"{expected} of the product of their labels"
                           if labels else "expected at least one block tuple")
+    if (mass == 0) != all(oks):
+        raise FormatError(data[0][0], f"mass {mass} but " + (
+            "a block tuple fails" if mass == 0 else "every block tuple passes"))
     return HomogeneityReport(
         eps=eps,
         passed=passed,

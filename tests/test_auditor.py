@@ -82,6 +82,30 @@ def brute_disagreement(dense, layers):
     return tuple(counts)
 
 
+def numpy_disagreement(dense, layers):
+    """Per-coordinate disagreement pairs from boolean masks: on every
+    line along coordinate i and in every block of part i, the edges
+    times the non-edges."""
+    counts = []
+    for i in range(dense.ndim):
+        lines = np.moveaxis(dense, i, -1)
+        total = 0
+        for b in range(layers[i].n_blocks):
+            mask = layers[i].labels == b
+            ones = lines[..., mask].sum(axis=-1, dtype=np.int64)
+            total += int((ones * (mask.sum() - ones)).sum())
+        counts.append(total)
+    return tuple(counts)
+
+
+def forbid_dense_copies(monkeypatch):
+    """Make unpacking a whole packed graph an error."""
+    def to_dense(self):
+        raise AssertionError(f"dense copy of {self!r}")
+    monkeypatch.setattr(KPartiteHypergraph, "to_dense", to_dense)
+    monkeypatch.setattr(BipartiteGraph, "to_dense", to_dense)
+
+
 def brute_density(dense, subsets):
     total = 0
     vol = 1
@@ -474,6 +498,34 @@ class TestDisagreementPairs:
         got = disagreement_pairs(KPartiteHypergraph.from_dense(dense), layers)
         assert got == brute_disagreement(dense, layers)
         assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize("sizes", [(5, 6, 4), (9, 70), (5, 6, 66),
+                                       (5, 5, 6, 65)])
+    def test_counts_packed_words_without_dense_copies(self, monkeypatch,
+                                                      sizes):
+        # bool, float 0/1 and packed input give the plain-numpy counts,
+        # and no packed graph is unpacked whole on the way
+        dense = np.random.default_rng(sum(sizes)).random(sizes) < 0.5
+        layers = partition_with_empty_blocks(sizes, len(sizes))
+        want = numpy_disagreement(dense, layers)
+        if dense.size <= 120:
+            assert want == brute_disagreement(dense, layers)
+        inputs = [dense, dense.astype(np.float64),
+                  KPartiteHypergraph.from_dense(dense)]
+        if len(sizes) == 2:
+            inputs.append(BipartiteGraph.from_dense(dense))
+        forbid_dense_copies(monkeypatch)
+        for h in inputs:
+            assert disagreement_pairs(h, layers) == want, type(h)
+
+    def test_rejects_weights_other_than_zero_and_one(self):
+        cells = np.zeros((3, 3, 3))
+        cells[0, 1, 2] = 0.5
+        with pytest.raises(ValueError, match="0/1"):
+            disagreement_pairs(cells, interval_layers((3, 3, 3), 1))
+        with pytest.raises(ValueError, match="0/1"):
+            disagreement_pairs(WeightedTripartite(cells),
+                               interval_layers((3, 3, 3), 1))
 
     @pytest.mark.parametrize("eps", [0.2, 0.25])
     def test_failed_audit_forces_pairs(self, eps):

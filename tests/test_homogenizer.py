@@ -211,6 +211,36 @@ class TestSimilarityPartition:
         assert res.bad_mass == 120 and type(res.bad_mass) is int
         assert not res.contract_met
 
+    @pytest.mark.parametrize("n", [60, 130])
+    def test_classification_counts_packed_rows(self, monkeypatch, n):
+        # left block 1 is half random against right block 0, so it is
+        # bad; the others are constant. The bad blocks must follow from
+        # plain-numpy block means, with no graph unpacked whole.
+        rng = np.random.default_rng(n)
+        left = PartPartition.intervals(n, 2, part=0)
+        right = PartPartition(np.arange(n) * 3 // n, part=1)
+        dense = (left.labels[:, None] + right.labels[None, :]) % 2 == 0
+        noisy = np.ix_(left.block_indices(1), right.block_indices(0))
+        dense[noisy] = rng.random(dense[noisy].shape) < 0.5
+        gamma, r = 0.3, 2
+        means = np.array([[dense[np.ix_(left.block_indices(a),
+                                        right.block_indices(b))].mean()
+                           for b in range(3)] for a in range(2)])
+        tol = similarity_input_tolerance(gamma)
+        mixed = (means > tol) & (means < 1.0 - tol)
+        mass = mixed.astype(np.int64) @ right.sizes()
+        bad = tuple(np.flatnonzero(mass > gamma**2 / 16.0 * n).tolist())
+        assert bad == (1,)
+
+        def to_dense(self):
+            raise AssertionError("dense copy of a packed graph")
+        monkeypatch.setattr(KPartiteHypergraph, "to_dense", to_dense)
+        monkeypatch.setattr(BipartiteGraph, "to_dense", to_dense)
+        res = similarity_partition(BipartiteGraph.from_dense(dense), left,
+                                   right, gamma, r)
+        assert res.bad_blocks == bad
+        assert res.bad_mass == left.sizes()[1]
+
 
 class TestTuplePartition:
     def test_product_two_anchors_cover_everything(self):

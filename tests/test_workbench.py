@@ -26,6 +26,7 @@ from homopart import (
 from homopart import io as hio
 from homopart.cli import main
 from homopart.errors import FormatError
+from homopart.partitions import homogeneous
 
 
 def random_hypergraph(shape, seed):
@@ -461,12 +462,17 @@ def uniform_weights(shape, seed, zeros=0.3):
     return w
 
 
-def product_audit(blocks, densities, ok):
-    """A passing report over the row-major product of ``blocks``."""
+def product_audit(blocks, densities, eps=0.2):
+    """A report over the row-major product of ``blocks`` whose verdicts,
+    mass and pass flag follow from ``densities`` as the audit's do,
+    with one cell per tuple."""
+    densities = np.asarray(densities, dtype=np.float64)
+    ok = homogeneous(densities, eps)
+    mass = int(np.count_nonzero(~ok))
+    normalized = mass / densities.size
     return HomogeneityReport(
-        eps=0.2, passed=True, mass=0, normalized_mass=0.0, weighted=False,
-        densities=np.asarray(densities, dtype=np.float64),
-        ok=np.asarray(ok, dtype=bool),
+        eps=eps, passed=normalized <= eps + 1e-12, mass=mass,
+        normalized_mass=normalized, weighted=False, densities=densities, ok=ok,
         blocks=tuple(np.asarray(b, dtype=np.int64) for b in blocks))
 
 
@@ -510,7 +516,7 @@ def audit_cases():
         singleton_audit(gowers_weights()),
         singleton_audit(uniform_weights((6, 5, 7), seed=7), eps=1e-3),
         # block labels spread wider than the rows
-        product_audit([[0, 5, 10**12], [7]], [0.5, 1.0, 0.25], [False, True, False]),
+        product_audit([[0, 5, 10**12], [7]], [0.5, 1.0, 0.25]),
     ]
 
 
@@ -563,12 +569,11 @@ def test_edge_columns_match_dense_reference(tmp_path, shape, density):
 
 
 def test_audit_writer_keeps_signed_zero_and_nan(tmp_path):
-    report = product_audit([range(4)], [0.0, -0.0, np.nan, -np.nan],
-                           [True, False, True, False])
+    report = product_audit([range(4)], [0.0, -0.0, np.nan, -np.nan])
     path = tmp_path / "r.audit"
     hio.write_audit(path, report)
     assert path.read_bytes() == reference_audit(report).encode()
-    assert path.read_bytes().endswith(b"0 0.0 pass\n1 -0.0 fail\n2 nan pass\n3 nan fail\n")
+    assert path.read_bytes().endswith(b"0 0.0 pass\n1 -0.0 pass\n2 nan fail\n3 nan fail\n")
 
 
 # --- the fast readers against the per-line parser --------------------------
@@ -705,7 +710,7 @@ def chunk_cases():
                                    for i, n in enumerate((7, 6, 5))])
     wide = product_audit(
         [10**15 + np.arange(3)] + [[10**15 + j] for j in range(8)],
-        [0.125, 1e-300, 0.5], [True, False, True])
+        [0.125, 1e-300, 0.5])
     return [
         ("khg", random_hypergraph((5, 7, 4), seed=0)),
         ("khg", random_hypergraph((9, 6), seed=1)),
@@ -814,6 +819,68 @@ def test_chunked_readers_catch_a_duplicate_across_chunks(tmp_path, monkeypatch,
         by_line(bad)
     assert err.value.offset == stop - len(lines[1])
     assert outcome(read, path) == outcome(by_line, bad)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, None])
+def test_w3g_cells_out_of_order_read_by_line(tmp_path, monkeypatch, chunk):
+    # two cells swapped: no longer canonical, but the same relation
+    if chunk is not None:
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    weighted = WeightedTripartite(uniform_weights((6, 5, 7), seed=3))
+    path, raw = written(tmp_path, "w3g", weighted, "d1")
+    lines = raw.splitlines(keepends=True)
+    lines[5], lines[6] = lines[6], lines[5]
+    swapped = b"".join(lines)
+    path.write_bytes(swapped)
+    assert hio._w3g_fast(swapped) is None
+    assert hio.read_w3g(path).weights.tobytes() == weighted.weights.tobytes()
+
+
+AUDIT_HEAD = b"audit block 0.2 pass 0\n#normalized 0.0\n#weighted 0\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 64, None])
+@pytest.mark.parametrize("raw, offset, message", [
+    # a passing report with mass 0, though 0.5 is not within 0.2 of 0 or 1
+    (AUDIT_HEAD + b"0 0 0.5 pass\n", 51,
+     "verdict pass contradicts density 0.5 at eps 0.2"),
+    (AUDIT_HEAD + b"0 0 0.0 pass\n0 1 0.7 pass\n# manifest d\n", 64,
+     "verdict pass contradicts density 0.7 at eps 0.2"),
+    (AUDIT_HEAD + b"0 0 nan pass\n", 51,
+     "verdict pass contradicts density nan at eps 0.2"),
+    (AUDIT_HEAD + b"0 0 1.0 fail\n", 51,
+     "verdict fail contradicts density 1.0 at eps 0.2"),
+    (b"audit block 0.2 pass 1\n#normalized 0.5\n#weighted 0\n0 0 0.5 fail\n",
+     0, "verdict pass contradicts normalized mass 0.5 at eps 0.2"),
+    (b"audit block 0.2 fail 0\n#normalized 0.0\n#weighted 0\n0 0 0.5 fail\n",
+     0, "verdict fail contradicts normalized mass 0.0 at eps 0.2"),
+    (AUDIT_HEAD + b"0 0 0.5 fail\n", 0, "mass 0 but a block tuple fails"),
+    (b"audit block 0.2 fail 3\n#normalized 0.5\n#weighted 0\n0 0 0.0 pass\n",
+     0, "mass 3 but every block tuple passes"),
+])
+def test_audit_verdicts_must_match_the_densities(tmp_path, monkeypatch, chunk,
+                                                raw, offset, message):
+    if chunk is not None:
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "r.audit"
+    path.write_bytes(raw)
+    assert hio._audit_fast(raw) is None
+    for read in (lambda: hio.read_audit(path), lambda: hio._audit_by_line(raw)):
+        with pytest.raises(FormatError) as err:
+            read()
+        assert err.value.offset == offset
+        assert str(err.value) == f"byte {offset}: {message}"
+
+
+@pytest.mark.parametrize("chunk", [1, 64, None])
+def test_audit_with_matching_verdicts_reads_fast(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    raw = (b"audit block 0.2 fail 2\n#normalized 0.5\n#weighted 0\n"
+           b"0 0 0.0 pass\n0 1 nan fail\n1 0 1.0 pass\n1 1 0.5 fail\n")
+    report = hio._audit_fast(raw)
+    assert report is not None and report.ok.tolist() == [True, False, True, False]
+    assert outcome(hio._audit_fast, raw) == outcome(hio._audit_by_line, raw)
 
 
 def test_read_audit_peak_memory_is_bounded(tmp_path):
