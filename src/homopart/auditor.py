@@ -94,11 +94,11 @@ class HomogeneityReport:
     order. They are held as ``densities`` (float64) and the ``ok``
     mask, one entry per tuple.
 
-    ``labels``, the (tuples, k) int64 array of block labels, and
-    ``rows``, the (labels, density, verdict) triples, are built from
-    the block lists on first read; ``failing`` builds the triples of
-    the failing tuples only. Two reports are equal when their scalars,
-    densities, verdicts and block lists are.
+    ``labels``, the (tuples, k) int64 array of block labels, is built
+    from the block lists on first read; ``failing`` builds the
+    (labels, density, verdict) triples of the failing tuples. Two
+    reports are equal when their scalars, densities, verdicts and block
+    lists are.
     """
 
     eps: float
@@ -113,11 +113,6 @@ class HomogeneityReport:
     @functools.cached_property
     def labels(self) -> np.ndarray:
         return _product_rows(self.blocks)
-
-    @functools.cached_property
-    def rows(self) -> tuple:
-        return tuple(zip(map(tuple, self.labels.tolist()),
-                         self.densities.tolist(), self.ok.tolist()))
 
     def _label_chunks(self, max_rows):
         """The label rows in order, as consecutive (m, k) int64 arrays,
@@ -462,9 +457,6 @@ class VCResult:
     dim: int
     at_cap: bool
     witness: tuple
-
-    def __int__(self):
-        return self.dim
 
 
 # Row codes that vc_dimension scores at once; candidates beyond that

@@ -182,9 +182,8 @@ class OrthogonalFamily:
 
     ``x_side[i, j]`` says element j sits on the X side of partition i.
     The acceptance event bounds by 3m/4 the number of indices on which
-    any two distinct elements agree; ``_agreement_counts(x_side)``
-    recomputes that M x M table. ``item1_checked`` records whether the
-    size and intersection bands were in scope for this M, and
+    any two distinct elements agree. ``item1_checked`` records whether
+    the size and intersection bands were in scope for this M, and
     ``construction`` how the sides were drawn: ``"coins"`` or
     ``"code"`` (see ``orthogonal_family``).
     """
@@ -221,23 +220,14 @@ def _item1_violations(side: np.ndarray) -> int:
     return bad
 
 
-def _agreement_counts(side: np.ndarray) -> np.ndarray:
-    # one +-1 float matmul so BLAS carries the M x M product: S.T @ S is
-    # agreements minus disagreements, so (m + S.T @ S) / 2 counts the
-    # agreements, and every term is a small exact integer
-    s = 2.0 * side - 1.0
-    z = (side.shape[0] + s.T @ s) / 2.0
-    return np.rint(z).astype(np.int64)
-
-
 def _agreement_excess(side: np.ndarray, cap: float) -> tuple:
     """(pairs of distinct elements agreeing on more than ``cap``
     partitions, the most agreements of any such pair).
 
-    The +-1 Gram entry of a pair is agreements minus disagreements (see
-    ``_agreement_counts``). It is formed 256 rows at a time, over the
-    pairs right of the diagonal only, so no M x M array is built.
-    Every entry is an integer of size at most m, exact in float32.
+    The +-1 Gram entry of a pair is agreements minus disagreements. It
+    is formed 256 rows at a time, over the pairs right of the diagonal
+    only, so no M x M array is built. Every entry is an integer of size
+    at most m, exact in float32.
     """
     m, M = side.shape
     s = np.where(side.T, np.float32(1.0), np.float32(-1.0))
@@ -394,9 +384,6 @@ class Item2Report:
     hypothesis_ok: bool
     problems: tuple
     mins: np.ndarray
-
-    def __int__(self):
-        return self.count
 
 
 def item2_margin(family: OrthogonalFamily, lam, eps, zeta, eta) -> Item2Report:
@@ -580,9 +567,6 @@ def build_weighted(params: GowersParams, n: int) -> GowersBuild:
         layering.graphs, c_layers.labels, layering.layer_weights()
     )
     return GowersBuild(params=params, n=n, weighted=weighted, layering=layering)
-
-
-CERTIFICATE_KINDS = ("quasirandom", "constant-boxes", "layer-constant")
 
 
 @dataclass(frozen=True)
@@ -899,12 +883,6 @@ class CascadeReport:
     eps: float
     betas: tuple
     levels: tuple
-
-    def first_failure(self):
-        for level in self.levels:
-            if level.refines is False:
-                return level
-        return None
 
 
 def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,

@@ -1,16 +1,19 @@
 """Homogeneous-partition pipeline for k-partite k-graphs.
 
-The pipeline runs in three stages:
+The pipeline runs in two stages:
 
-1. ``similarity_partition`` turns a homogeneous partition of a bipartite
-   graph into an equipartition of the left side whose blocks have
-   pairwise-similar neighborhoods.
-2. ``tuple_partition`` covers the (k-1)-tuple product by anchor classes
+1. ``tuple_partition`` covers the (k-1)-tuple product by anchor classes
    whose members have pairwise-similar neighborhoods in the target
-   part.
-3. ``homogeneous_partition`` runs stage 2 once per target part, reads
-   off one neighborhood per class, and refines each part by the Venn
-   atoms of those neighborhoods, equalized to a fixed block size.
+   part, and keeps one packed neighborhood per non-empty class.
+2. ``homogeneous_partition`` runs stage 1 once per target part and
+   refines each part by the Venn atoms of those neighborhoods,
+   equalized to a fixed block size.
+
+``similarity_partition`` is the bipartite stage on its own: it turns a
+homogeneous partition of a bipartite graph into an equipartition of
+the left side whose blocks have pairwise-similar neighborhoods. The
+acceptance tests check its contract; ``homogeneous_partition`` does
+not call it.
 
 Paper-mode constants are implemented exactly and fail loudly when they
 exceed desk scale; practical mode keeps every structural step and
@@ -36,7 +39,7 @@ from .partitions import (
     equalize,
     homogeneous,
 )
-from .rng import generator
+from .rng import derive, generator
 
 MODES = ("paper", "practical")
 
@@ -266,7 +269,9 @@ class TuplePartition:
     order, the target part removed); label 0 is the uncovered class,
     label i >= 1 collects the tuples whose neighborhood lies within
     ``threshold`` of anchor i's. ``anchors[i-1]`` is that anchor tuple
-    in the same coordinate convention.
+    in the same coordinate convention. ``representative_rows`` holds
+    the packed neighborhood of each non-empty class's lexicographically
+    least member, in label order.
     """
 
     source_parts: tuple
@@ -274,6 +279,7 @@ class TuplePartition:
     labels: np.ndarray
     anchors: tuple
     anchor_rows: np.ndarray
+    representative_rows: np.ndarray
     threshold: float
     eps: float
     mode: str
@@ -437,6 +443,9 @@ def tuple_partition(
     uncovered = int(np.count_nonzero(labels == 0))
     if uncovered > budget + 1e-9:
         raise CoverageError(uncovered, budget, len(anchors))
+    # first occurrence in row-major order is the lexicographically
+    # least member; labels come out ascending, empty classes absent
+    classes, first = np.unique(labels, return_index=True)
     result = TuplePartition(
         source_parts=sources,
         target_part=target_part,
@@ -445,6 +454,7 @@ def tuple_partition(
         anchor_rows=np.array(anchor_rows, dtype=np.uint64).reshape(
             len(anchors), -1
         ),
+        representative_rows=rows[first[classes > 0]],
         threshold=threshold,
         eps=params.eps,
         mode=params.mode,
@@ -453,19 +463,6 @@ def tuple_partition(
     )
     _verify_tuple_partition(result, rows)
     return result
-
-
-def _neighborhoods(h: KPartiteHypergraph, part: int, tuples) -> np.ndarray:
-    """Bool rows of the part-``part`` neighborhoods of the given tuples
-    over the other parts (one index array per part, ascending), read
-    from the packed words."""
-    if part == h.k - 1:
-        return bitops.unpack(h.words[tuples], h.part_sizes[-1])
-    *lead, last = (np.asarray(v)[:, None] for v in tuples)
-    lead.insert(part, np.arange(h.part_sizes[part])[None, :])
-    words = h.words[(*lead, last // bitops.WORD_BITS)]
-    shift = (last % bitops.WORD_BITS).astype(np.uint64)
-    return ((words >> shift) & np.uint64(1)).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -493,12 +490,14 @@ def homogeneous_partition(
     """Equipartition of every part, homogeneous at tolerance eps.
 
     Runs ``tuple_partition`` once per target part at the reduced
-    tolerance eps^2/(8k), takes the lexicographically least member of
-    each class as its representative, refines each part by the Venn
-    atoms of the representative neighborhoods, and equalizes at block
-    size eps^2 n/(8kp) where p is the largest atom count. The audit
-    module is the authority on whether the output meets eps; this
-    function guarantees structure, not the verdict.
+    tolerance eps^2/(8k), refines each part by the Venn atoms of the
+    neighborhoods of the classes' representatives (each pass's
+    ``representative_rows``), and equalizes at block size
+    eps^2 n/(8kp) where p is the largest atom count. That size is
+    floored at 1, which makes every block a singleton at desk sizes,
+    where eps^2 n/(8kp) is below one vertex. The audit module is the
+    authority on whether the output meets eps; this function
+    guarantees structure, not the verdict.
 
     ``oracle.r``, the per-side block bound of the link hypothesis, is
     all this function reads of ``oracle``; only paper mode's constants
@@ -512,7 +511,6 @@ def homogeneous_partition(
     r = 0 if oracle is None else oracle.r
     params = ToleranceParams(eps=inner_eps, k=k, r=r, mode=mode)
     passes = []
-    representatives = []
     for target in range(k):
         tp = tuple_partition(
             h,
@@ -522,17 +520,14 @@ def homogeneous_partition(
             max_anchors=max_anchors,
         )
         passes.append(tp)
-        # first occurrence in row-major order is the lexicographically
-        # least member; labels come out ascending, empty classes absent
-        classes, first = np.unique(tp.labels.ravel(), return_index=True)
-        first = first[classes > 0]
-        representatives.append(np.unravel_index(first, tp.labels.shape))
 
     atom_parts = [
-        common_refinement(h.part_sizes[i],
-                          list(_neighborhoods(h, i, representatives[i])),
-                          part=i)
-        for i in range(k)
+        common_refinement(
+            h.part_sizes[i],
+            list(bitops.unpack(tp.representative_rows, h.part_sizes[i])),
+            part=i,
+        )
+        for i, tp in enumerate(passes)
     ]
     p = max(ap.n_blocks for ap in atom_parts)
     sizes = []
@@ -556,6 +551,4 @@ def homogeneous_partition(
 
 
 def derive_pass_seed(seed: int, target: int) -> int:
-    from .rng import derive
-
     return derive(seed, f"pipeline/target{target}")

@@ -58,33 +58,12 @@ class BipartiteGraph:
             raise ValueError("adjacency must be 2-d")
         return cls(adj.shape[0], adj.shape[1], bitops.pack(adj))
 
-    @classmethod
-    def from_edges(cls, n_left, n_right, edges):
-        adj = np.zeros((n_left, n_right), dtype=bool)
-        for x, y in edges:
-            adj[x, y] = True
-        return cls.from_dense(adj)
-
-    @classmethod
-    def complete(cls, n_left, n_right):
-        return cls.from_dense(np.ones((n_left, n_right), dtype=bool))
-
-    @classmethod
-    def empty(cls, n_left, n_right):
-        return cls.from_dense(np.zeros((n_left, n_right), dtype=bool))
-
     def to_dense(self) -> np.ndarray:
         return bitops.unpack(self.rows, self.n_right)
-
-    def has_edge(self, x, y) -> bool:
-        return bool(bitops.extract_bit(self.rows[x], int(y)))
 
     @property
     def edge_count(self) -> int:
         return int(bitops.popcount(self.rows))
-
-    def transpose(self) -> "BipartiteGraph":
-        return BipartiteGraph.from_dense(self.to_dense().T)
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
@@ -170,20 +149,8 @@ class KPartiteHypergraph:
         return cls(sizes, np.zeros(sizes[:-1] + (bitops.n_words(sizes[-1]),),
                                    dtype=np.uint64))
 
-    @classmethod
-    def complete(cls, part_sizes):
-        sizes = tuple(int(s) for s in part_sizes)
-        row = bitops.pack(np.ones(sizes[-1], dtype=bool))
-        return cls(sizes, np.broadcast_to(row, sizes[:-1] + row.shape))
-
     def to_dense(self) -> np.ndarray:
         return bitops.unpack(self.words, self.part_sizes[-1])
-
-    def has_edge(self, e) -> bool:
-        e = tuple(int(v) for v in e)
-        if len(e) != self.k:
-            raise ValueError(f"edge arity {len(e)}, expected {self.k}")
-        return bool(bitops.extract_bit(self.words[e[:-1]], e[-1]))
 
     @property
     def edge_count(self) -> int:
@@ -205,11 +172,6 @@ class KPartiteHypergraph:
         hit, bit = np.nonzero(bits)
         last = word[hit] * bitops.WORD_BITS + bit
         return (*np.unravel_index(start + fiber[hit], self.part_sizes[:-1]), last)
-
-    def edges(self):
-        """Iterate edges as k-tuples in row-major order."""
-        for idx in zip(*self.edge_columns()):
-            yield tuple(int(v) for v in idx)
 
     def __eq__(self, other):
         if not isinstance(other, KPartiteHypergraph):

@@ -73,20 +73,6 @@ class PartPartition:
         return cls(np.arange(n, dtype=np.int64), part=part, equitable=True)
 
     @classmethod
-    def from_blocks(cls, blocks, n, part=None, has_exceptional=False):
-        """Build from explicit index arrays, one per label in order."""
-        labels = np.full(n, -1, dtype=np.int64)
-        for b, idx in enumerate(blocks):
-            idx = np.asarray(idx, dtype=np.int64)
-            if idx.size and labels[idx].max() >= 0:
-                raise ValueError("blocks overlap")
-            labels[idx] = b
-        if (labels < 0).any():
-            raise ValueError("blocks do not cover the part")
-        return cls(labels, part=part, n_blocks=len(blocks),
-                   has_exceptional=has_exceptional)
-
-    @classmethod
     def intervals(cls, n, n_blocks, part=None):
         """``n_blocks`` consecutive equal intervals; requires divisibility."""
         if n % n_blocks != 0:
@@ -104,9 +90,6 @@ class PartPartition:
 
     def block_indices(self, b) -> np.ndarray:
         return np.flatnonzero(self.labels == b)
-
-    def block_mask(self, b) -> np.ndarray:
-        return self.labels == b
 
     def block_of(self, v) -> int:
         return int(self.labels[v])
@@ -163,6 +146,14 @@ class LayeredPartition:
 
     def block_counts(self):
         return tuple(p.n_blocks for p in self.parts)
+
+    def __eq__(self, other):
+        if not isinstance(other, LayeredPartition):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     def __repr__(self):
         return f"LayeredPartition(blocks={self.block_counts()})"

@@ -49,8 +49,8 @@ from homopart import (
     verify_witness,
 )
 from homopart.errors import FamilyRejectionError
-from homopart.gowers import _agreement_counts
 from homopart.rng import generator
+from test_gowers import _agreement_counts
 
 N_SIM = 120
 SIM_COMBOS = [

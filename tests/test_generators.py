@@ -89,8 +89,3 @@ def test_bipartite_view_wraps_the_words():
     g = inst.bipartite()
     assert (g.n_left, g.n_right) == (63, 130)
     assert np.array_equal(g.to_dense(), inst.h.to_dense())
-
-
-def test_complete_hypergraph_sets_every_cell():
-    h = KPartiteHypergraph.complete((3, 2, 65))
-    assert h == KPartiteHypergraph.from_dense(np.ones((3, 2, 65), dtype=bool))

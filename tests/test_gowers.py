@@ -49,7 +49,6 @@ from homopart.errors import (
 from homopart.gowers import (
     BoxCheck,
     GowersParams,
-    _agreement_counts,
     _agreement_excess,
     _item1_violations,
 )
@@ -90,6 +89,23 @@ def brute_weights(layering):
         for c in range((r - 1) * width, r * width):
             w[:, :, c] = np.where(adj, 2.0 ** -r, 0.0)
     return w
+
+
+def _agreement_counts(side):
+    """M x M table of the partitions on which two elements agree.
+
+    One +-1 float matmul so BLAS carries the M x M product: S.T @ S is
+    agreements minus disagreements, so (m + S.T @ S) / 2 counts the
+    agreements, and every term is a small exact integer.
+    """
+    s = 2.0 * side - 1.0
+    z = (side.shape[0] + s.T @ s) / 2.0
+    return np.rint(z).astype(np.int64)
+
+
+def first_failure(rep):
+    """The first cascade level that does not refine, or None."""
+    return next((lv for lv in rep.levels if lv.refines is False), None)
 
 
 def brute_agreement(x_side, j, jp):
@@ -610,6 +626,20 @@ class TestLinkCertificate:
             check = verify_certificate(toy_build, cert)
             assert check.ok and check.exact and check.worst is None
 
+    def test_same_vertex_gives_equal_certificates(self, toy_build):
+        kinds = set()
+        for part in range(3):
+            a = link_certificate(toy_build, part, 5)
+            b = link_certificate(toy_build, part, 5)
+            assert a is not b and a.partitions is not b.partitions
+            assert a == b and a.partitions == b.partitions
+            assert hash(a) == hash(b)
+            kinds.add(a.kind)
+        assert kinds == {"constant-boxes", "layer-constant"}
+        moved = list(a.partitions)
+        moved[0] = PartPartition(np.roll(moved[0].labels, 1), part=0)
+        assert LayeredPartition(moved) != a.partitions
+
     def test_certified_values_are_dyadic(self, toy_build):
         w = toy_build.weighted.weights
         cert = link_certificate(toy_build, 2, 5)
@@ -992,7 +1022,7 @@ class TestRefinementCascade:
 
     def test_trivial_candidate_level1_witness(self, toy_build):
         rep = refinement_cascade(toy_build, _trivial_candidate(8))
-        first = rep.first_failure()
+        first = first_failure(rep)
         assert first.r == 1
         wit = first.witnesses[0]
         assert wit.level == 1
@@ -1004,7 +1034,7 @@ class TestRefinementCascade:
 
     def test_witness_reverifies_through_auditor(self, toy_build):
         rep = refinement_cascade(toy_build, _trivial_candidate(8))
-        wit = rep.first_failure().witnesses[0]
+        wit = first_failure(rep).witnesses[0]
         assert verify_witness(toy_build.weighted, wit.complete) == wit.complete.sub_density
         assert verify_witness(toy_build.weighted, wit.empty) == wit.empty.sub_density
         assert wit.complete.base_density == 0.1875
@@ -1019,7 +1049,7 @@ class TestRefinementCascade:
 
     def test_witness_respects_blocks(self, toy_build):
         rep = refinement_cascade(toy_build, _trivial_candidate(8))
-        wit = rep.first_failure().witnesses[0]
+        wit = first_failure(rep).witnesses[0]
         layer = toy_build.layering.layer_indices(wit.level)
         assert set(wit.complete.subsets[2].tolist()) <= set(layer.tolist())
         assert set(wit.complete.subsets[0].tolist()) <= set(range(8))

@@ -121,7 +121,7 @@ class TestSimilarityConstants:
 
 class TestSimilarityPartition:
     def test_complete_graph_worked_numbers(self):
-        g = BipartiteGraph.complete(120, 120)
+        g = BipartiteGraph.from_dense(np.ones((120, 120), dtype=bool))
         res = similarity_partition(
             g,
             PartPartition.trivial(120, part=0),
@@ -171,7 +171,7 @@ class TestSimilarityPartition:
             )
 
     def test_left_block_cap_enforced(self):
-        g = BipartiteGraph.complete(12, 12)
+        g = BipartiteGraph.from_dense(np.ones((12, 12), dtype=bool))
         left = PartPartition.intervals(12, 3, part=0)
         with pytest.raises(InfeasibleParamsError):
             similarity_partition(
@@ -359,7 +359,7 @@ class TestOracles:
 
 class TestHomogeneousPartition:
     def test_complete_graph_collapses(self):
-        h = KPartiteHypergraph.complete((24, 24, 24))
+        h = KPartiteHypergraph.from_dense(np.ones((24, 24, 24), dtype=bool))
         oracle = PlantedOracle(
             {i: PartPartition.trivial(24, part=i) for i in range(3)}, r=1
         )
@@ -428,7 +428,7 @@ class TestHomogeneousPartition:
             homogeneous_partition(inst.h, inst.oracle, 0.2, 1)
 
     def test_eps_validation(self):
-        h = KPartiteHypergraph.complete((6, 6, 6))
+        h = KPartiteHypergraph.from_dense(np.ones((6, 6, 6), dtype=bool))
         oracle = PlantedOracle(
             {i: PartPartition.trivial(6, part=i) for i in range(3)}, r=1
         )

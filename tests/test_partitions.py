@@ -75,7 +75,7 @@ def test_refinement_idempotent():
     rng = np.random.default_rng(3)
     sets = [rng.random(15) < 0.5 for _ in range(3)]
     p = common_refinement(15, sets)
-    blocks = [p.block_mask(b) for b in range(p.n_blocks)]
+    blocks = [p.labels == b for b in range(p.n_blocks)]
     q = common_refinement(15, blocks)
     assert partition_atoms(q) == partition_atoms(p)
 
@@ -95,7 +95,7 @@ def test_refinement_signatures_property(data):
 
 
 def test_equalize_divisible():
-    p = PartPartition.from_blocks([range(6), range(6, 12)], 12)
+    p = PartPartition([0] * 6 + [1] * 6)
     q = equalize(p, 3)
     sizes = q.sizes()
     assert q.has_exceptional and q.n_blocks == 5
@@ -106,7 +106,7 @@ def test_equalize_divisible():
 def test_equalize_pools_leftovers():
     # blocks {5, 7}, m=3: chunks 3+3 and leftovers 2+1 pooled into one
     # more block of 3, remainder empty.
-    p = PartPartition.from_blocks([range(5), range(5, 12)], 12)
+    p = PartPartition([0] * 5 + [1] * 7)
     q = equalize(p, 3)
     sizes = q.sizes()
     assert q.n_blocks == 5
@@ -123,8 +123,7 @@ def test_equalize_remainder_kept():
 
 def test_equalize_existing_exceptional_pooled_first():
     # an input exceptional block goes whole to the pool, not chunked
-    p = PartPartition.from_blocks([range(4), range(4, 10)], 10,
-                                  has_exceptional=True)
+    p = PartPartition([0] * 4 + [1] * 6, has_exceptional=True)
     q = equalize(p, 3)
     # 6-block gives two chunks; pool = 4 old exceptional -> one chunk + 1
     assert sorted(q.sizes().tolist()) == [1, 3, 3, 3]
@@ -158,7 +157,7 @@ def test_equalize_properties(data):
 
 
 def test_beta_identical_zero_refines():
-    p = PartPartition.from_blocks([range(5), range(5, 9)], 9)
+    p = PartPartition([0] * 5 + [1] * 4)
     rep = beta_refines(p, p, 0.0)
     assert rep.refines
     assert rep.matched.all()
@@ -166,9 +165,8 @@ def test_beta_identical_zero_refines():
 
 
 def test_beta_strict_refinement():
-    coarse = PartPartition.from_blocks([range(6), range(6, 12)], 12)
-    fine = PartPartition.from_blocks([range(3), range(3, 6), range(6, 9),
-                                      range(9, 12)], 12)
+    coarse = PartPartition([0] * 6 + [1] * 6)
+    fine = PartPartition(np.repeat(np.arange(4), 3))
     rep = beta_refines(fine, coarse, 0.0)
     assert rep.refines
     assert rep.parents.tolist() == [0, 0, 1, 1]
@@ -177,7 +175,7 @@ def test_beta_strict_refinement():
 def test_beta_straddling_block_unmatched():
     # fine block split 60/40 across two parents needs >= 70% on one
     # side at beta = 0.3, so it stays unmatched
-    coarse = PartPartition.from_blocks([range(6), range(6, 10)], 10)
+    coarse = PartPartition([0] * 6 + [1] * 4)
     fine = PartPartition.trivial(10)
     rep = beta_refines(fine, coarse, 0.3)
     assert not rep.matched[0]
@@ -314,7 +312,7 @@ def test_packed_block_sums_exact_past_float32():
     # a one-block last part of 2^24 + 1 vertices: its count lies past
     # the integers float32 holds exactly
     n = (1 << 24) + 1
-    h = KPartiteHypergraph.complete((1, n))
+    h = KPartiteHypergraph.from_dense(np.ones((1, n), dtype=bool))
     parts = [PartPartition.trivial(1, part=0), PartPartition.trivial(n, part=1)]
     assert block_sums(h, parts).tolist() == [[float(n)]]
     report = homogeneity_audit(h, LayeredPartition(parts), 0.0)
