@@ -41,23 +41,24 @@ text does not depend on the other rows, so the writers format a
 bounded group of rows at a time (``_CHUNK_BYTES``) and hand each piece
 to the temporary file as it is made; no whole body is ever held.
 
-Fast path and fallback. The readers of those three formats read a
-bounded run of whole lines at a time: each run is parsed by one
-``np.loadtxt`` call, range-checked with array masks and formatted
-again, and must reproduce its own bytes exactly, as must the header. A
-``.khg`` run sets its bits in the packed words, so a repeated edge
-shows as a popcount below the row count. A ``.w3g`` or ``.audit`` run
-must strictly increase from the row before it, so only that row is
-kept: cells go straight into the tensor, and of an audit only each
-column's distinct labels are kept besides. An audit run's verdicts
-must be those of its densities. Every other file, such as one with
-comments between rows, CRLF line ends, extra spaces, ``+1`` or
-``1_0``, or any malformed input, goes to the per-line parser. That
-parser accepts every lenient but valid file and raises every
-FormatError, so both paths give the same object for every file.
+One reader per format. The readers of those three formats take the
+header from the first line that is neither blank nor a comment, and
+leave the blank and comment lines right after it and at the end of
+the file out of the body, which they read a bounded run of whole lines
+at a time. A run that one ``np.loadtxt`` call parses, and that
+``_rows_text`` formats back to its own bytes, is taken whole, as is
+every run the writers write. Any other run (a comment or blank line
+between rows, CRLF, extra spaces, ``+1``, ``1_0``) goes line by line
+through ``_token_rows``, which only splits and converts fields. Each
+rule of a format then runs once on the run's arrays.
 
 Parse errors raise FormatError carrying the byte offset of the
-offending line. Writes go through a temp file and an atomic rename.
+offending line. A file with one fault gets the same error whichever
+way its runs are read. With several, the first run with a fault names
+one: a field that does not convert (or an integer beyond 64 bits)
+before any row rule, else the first offending row, and in it the rule
+checked first. The audit's product, mass and header verdict rules
+come last. Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -65,14 +66,16 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import tempfile
 import warnings
 
 import numpy as np
 
 from .auditor import HomogeneityReport, _passes
+from .bitops import WORD_BITS
 from .errors import FormatError
-from .hypercore import KPartiteHypergraph, WeightedTripartite, set_edges
+from .hypercore import KPartiteHypergraph, WeightedTripartite
 from .partitions import LayeredPartition, PartPartition, homogeneous
 
 
@@ -146,7 +149,10 @@ def read_digest(path):
         if not at:
             return None
     end = raw.find(b"\n", at)
-    return raw[at:None if end < 0 else end].decode("ascii").split()[2]
+    tokens = raw[at:None if end < 0 else end].decode("ascii").split()
+    if len(tokens) < 3:
+        raise FormatError(at, "manifest stamp names no digest")
+    return tokens[2]
 
 
 def _ints(offset, tokens, count=None):
@@ -222,37 +228,16 @@ def _rows_text(columns) -> bytes:
     return grid[grid != 0].tobytes()
 
 
-def _canonical_split(raw: bytes, n_head: int):
-    """(header text, start, stop) of a file laid out as the writers lay
-    it out: ``n_head`` header lines, the rows ``raw[start:stop]``, and
-    at most a trailing ``# manifest`` line. None for any other layout.
-    The rows are not copied."""
-    start = 0
-    for _ in range(n_head):
-        start = raw.find(b"\n", start) + 1
-        if start == 0:
-            return None
-    last = max(raw.rfind(b"\n", start, len(raw) - 1) + 1, start)
-    stop = last if raw.startswith(b"# manifest ", last) else len(raw)
-    if stop > start and not raw.endswith(b"\n", start, stop):
-        return None
-    return raw[:start].decode("ascii"), start, stop
-
-
 def _line_chunks(raw: bytes, start: int, stop: int):
-    """(row slice, bytes) of consecutive runs of whole lines covering
-    ``raw[start:stop]``, which ends in a newline. Each run is at most
-    ``_CHUNK_BYTES`` long unless it is one longer line; the row slice
-    numbers its lines from the first line at ``start``."""
-    row = 0
+    """(offset, bytes) of consecutive runs of whole lines covering
+    ``raw[start:stop]``, which starts a line and ends one. Each run is
+    at most ``_CHUNK_BYTES`` long unless it is one longer line."""
     while start < stop:
         end = raw.rfind(b"\n", start, min(start + _CHUNK_BYTES, stop)) + 1
         if not end:
-            end = raw.find(b"\n", start, stop) + 1
-        chunk = raw[start:end]
-        rows = slice(row, row + chunk.count(b"\n"))
-        yield rows, chunk
-        row, start = rows.stop, end
+            end = raw.find(b"\n", start, stop) + 1 or stop
+        yield start, raw[start:end]
+        start = end
 
 
 def _per_chunk(cells: int) -> int:
@@ -262,52 +247,138 @@ def _per_chunk(cells: int) -> int:
     return max(1, _CHUNK_BYTES // 16 // max(cells, 1))
 
 
-def _header_ints(text: str, keyword: str):
-    """The integers of a canonical header ``keyword v_1 ... v_m``, or
-    None if ``text`` is anything else."""
-    tokens = text.rstrip("\n").split(" ")
-    try:
-        values = [int(t) for t in tokens[1:]]
-    except ValueError:
-        return None
-    if _sizes_header(keyword, values) != text:
-        return None
-    return values
-
-
 def _sizes_header(keyword: str, values) -> str:
     return " ".join([keyword, *map(str, values)]) + "\n"
 
 
-def _load_rows(body: bytes, dtype):
-    """The lines of a body parsed by one ``np.loadtxt`` call into a
-    structured array, one row per line, or None if they do not parse
-    that way."""
-    if not body:
-        return np.zeros(0, dtype=dtype)
+# --- reading: one header, then each run of the body once ------------------
+
+# consecutive blank and comment lines
+_SKIPPED = re.compile(rb"(?:(?:#[^\n]*|\r*)(?:\n|\Z))*")
+
+
+def _layout(raw: bytes, expected: str):
+    """(offset, tokens, start, stop): the header is the first line that
+    is not blank or a comment, at ``offset`` and split into ``tokens``.
+    The body ``raw[start:stop]`` lies between the blank and comment
+    lines right after it and those that end the file."""
+    offset = _SKIPPED.match(raw).end()
+    if offset == len(raw):
+        raise FormatError(0, f"empty file, expected {expected} header")
+    end = raw.find(b"\n", offset) + 1 or len(raw)
+    stop = len(raw)
+    while stop > end:
+        line = max(raw.rfind(b"\n", end, stop - 1) + 1, end)
+        if not _SKIPPED.fullmatch(raw, line, stop):
+            break
+        stop = line
+    start = _SKIPPED.match(raw, end, stop).end()
+    return offset, raw[offset:end].decode("ascii").split(), start, stop
+
+
+def _load_rows(run: bytes, dtype):
+    """The fields of a run's lines as one ``np.loadtxt`` call parses
+    them, one column per value, or None if they do not parse that way."""
     try:
         with warnings.catch_warnings():
-            # a body of blank lines parses as no rows, with a warning
+            # a run of blank lines parses as no rows, with a warning
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(body.decode("ascii").splitlines(), dtype=dtype,
+            rows = np.loadtxt(run.decode("ascii").splitlines(), dtype=dtype,
                               delimiter=" ", comments=None, ndmin=1)
     except ValueError:
         return None
-    return rows if len(rows) == body.count(b"\n") else None
+    if not 0 < len(rows) == run.count(b"\n"):
+        return None
+    return [c for name in rows.dtype.names for c in rows[name].reshape(len(rows), -1).T]
 
 
-def _in_range(rows: np.ndarray, sizes) -> bool:
-    return bool(np.all((rows >= 0) & (rows < np.asarray(sizes))))
+def _token_rows(run: bytes, offset: int, parse, comment=None):
+    """(offsets, rows) of a run at ``offset``, a line at a time: each
+    row is ``parse(offset, fields)``, which converts the fields or
+    raises, blank lines are skipped and comments go to ``comment``."""
+    offsets, rows = [], []
+    for at, text in _content_lines(run):
+        if not text.startswith("#"):
+            offsets.append(offset + at)
+            rows.append(parse(offset + at, text.split()))
+        elif comment is not None:
+            comment(offset + at, text)
+    return offsets, rows
 
 
-def _increasing(rows: np.ndarray) -> bool:
-    """Whether the non-negative int64 rows strictly increase in
-    lexicographic order: each step's first non-zero column is positive."""
-    steps = np.diff(rows, axis=0)
-    up = steps[:, -1] > 0
-    for step in steps.T[-2::-1]:
-        up = np.where(step != 0, step > 0, up)
-    return bool(up.all())
+def _read_runs(raw: bytes, start: int, stop: int, load, parse, take,
+               comment=None):
+    """Call ``take(at, columns)`` on each run of the body ``raw[start:stop]``
+    that holds rows, where ``columns`` are its fields as arrays and
+    ``at(i)`` is the offset of its row i. A run whose columns
+    ``load(run)`` gives, and that ``_rows_text`` formats back to its own
+    bytes, is taken whole; any other goes through ``_token_rows``."""
+    for offset, run in _line_chunks(raw, start, stop):
+        columns = load(run)
+        if columns is not None and _rows_text(columns) == run:
+            take(lambda i: offset + sum(len(line) + 1 for line in run.split(b"\n")[:i]),
+                 columns)
+            continue
+        offsets, rows = _token_rows(run, offset, parse, comment)
+        if rows:
+            take(offsets.__getitem__, [np.array(c) for c in zip(*rows)])
+
+
+def _int64s(offset, tokens, count=None):
+    values = _ints(offset, tokens, count)
+    if any(not -1 << 63 <= v < 1 << 63 for v in values):
+        raise FormatError(offset, "bad integer: beyond 64 bits")
+    return values
+
+
+def _first(bad: np.ndarray) -> int:
+    """The index of the first True of ``bad``, or its length."""
+    return int(np.argmax(bad)) if bad.any() else len(bad)
+
+
+def _check(at, *rules):
+    """Raise at the first row of a run that breaks one of ``rules``,
+    (bad, message) pairs in the order a row is checked: ``bad`` flags
+    the rows of a prefix of the run, ``message(i)`` describes row i."""
+    i, n = min((_first(bad), n) for n, (bad, _) in enumerate(rules))
+    if i < len(rules[n][0]):
+        raise FormatError(at(i), rules[n][1](i))
+
+
+def _row(columns, i) -> tuple:
+    return tuple(int(column[i]) for column in columns)
+
+
+def _in_range(columns, sizes):
+    """The (bad, message) rule that each vertex lies in its part."""
+    fits = np.stack([(c >= 0) & (c < n) for c, n in zip(columns, sizes)])
+
+    def message(i):
+        part = int(np.argmin(fits[:, i]))
+        return f"vertex {int(columns[part][i])} out of range for part {part}"
+    return ~fits.all(axis=0), message
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Per key, whether an earlier key of the run equals it."""
+    if np.all(keys[1:] > keys[:-1]):  # rows in file order need no sort
+        return np.zeros(len(keys), dtype=bool)
+    return ~np.isin(np.arange(len(keys)), np.unique(keys, return_index=True)[1])
+
+
+def _increasing(columns, last) -> np.ndarray:
+    """Per row of the int64 ``columns``, 1, 0 or -1 as it lies above,
+    on or below the row before in lexicographic order: the sign of the
+    step's first non-zero column. The first row is compared with the
+    tuple ``last``, and when that is None it counts as above."""
+    before = [c[:1] for c in columns] if last is None else [[v] for v in last]
+    steps = [np.sign(np.diff(c, prepend=b)) for c, b in zip(columns, before)]
+    up = steps[-1]
+    for step in steps[-2::-1]:
+        up = np.where(step != 0, step, up)
+    if last is None:
+        up[0] = 1
+    return up
 
 
 # --- .khg -----------------------------------------------------------------
@@ -323,41 +394,8 @@ def write_khg(path, h: KPartiteHypergraph, *, digest=None):
 
 def read_khg(path) -> KPartiteHypergraph:
     raw = _read_ascii(path)
-    h = _khg_fast(raw)
-    return _khg_by_line(raw) if h is None else h
-
-
-def _khg_fast(raw: bytes):
-    split = _canonical_split(raw, 1)
-    if split is None:
-        return None
-    header, start, stop = split
-    values = _header_ints(header, "khg")
-    if values is None or len(values) < 3 or values[0] != len(values) - 1:
-        return None
-    sizes = tuple(values[1:])
-    if min(sizes) < 1:
-        return None
-    words = KPartiteHypergraph.empty(sizes).words.copy()
-    for _, chunk in _line_chunks(raw, start, stop):
-        parsed = _load_rows(chunk, [("edge", np.int64, (len(sizes),))])
-        if parsed is None:
-            return None
-        edges = parsed["edge"]
-        if not _in_range(edges, sizes) or _rows_text(list(edges.T)) != chunk:
-            return None
-        set_edges(words, edges)
-    h = KPartiteHypergraph(sizes, words)
-    return h if h.edge_count == raw.count(b"\n", start, stop) else None
-
-
-def _khg_by_line(raw: bytes) -> KPartiteHypergraph:
-    lines = _data_lines(raw)
-    if not lines:
-        raise FormatError(0, "empty file, expected a khg header")
-    offset, header = lines[0]
-    tokens = header.split()
-    if tokens[0] != "khg" or len(tokens) < 2:
+    offset, tokens, start, stop = _layout(raw, "a khg")
+    if tokens[:1] != ["khg"] or len(tokens) < 2:
         raise FormatError(offset, "expected header 'khg k n_1 ... n_k'")
     k = _ints(offset, tokens[1:2])[0]
     sizes = _ints(offset, tokens[2:], count=k)
@@ -365,19 +403,24 @@ def _khg_by_line(raw: bytes) -> KPartiteHypergraph:
         raise FormatError(offset, "need at least two parts")
     if min(sizes) < 1:
         raise FormatError(offset, f"part sizes must be positive: {tuple(sizes)}")
-    edges = []
-    seen = set()
-    for offset, text in lines[1:]:
-        edge = _ints(offset, text.split(), count=k)
-        for i, v in enumerate(edge):
-            if not 0 <= v < sizes[i]:
-                raise FormatError(offset, f"vertex {v} out of range for part {i}")
-        key = tuple(edge)
-        if key in seen:
-            raise FormatError(offset, f"duplicate edge {key}")
-        seen.add(key)
-        edges.append(edge)
-    return KPartiteHypergraph.from_edges(sizes, edges)
+    words = KPartiteHypergraph.empty(sizes).words.copy()
+    flat = words.reshape(-1)
+    dtype = [("edge", np.int64, (k,))]
+
+    def take(at, edges):
+        vertex = _in_range(edges, sizes)
+        fine = _first(vertex[0])
+        *fiber, last = (e[:fine] for e in edges)
+        column, bit = np.divmod(last, WORD_BITS)
+        word = np.ravel_multi_index((*fiber, column), words.shape)
+        mask = np.uint64(1) << bit.astype(np.uint64)
+        repeat = ((flat[word] & mask) != 0) | _repeats(word * WORD_BITS + bit)
+        _check(at, vertex, (repeat, lambda i: f"duplicate edge {_row(edges, i)}"))
+        np.bitwise_or.at(flat, word, mask)
+
+    _read_runs(raw, start, stop, lambda run: _load_rows(run, dtype),
+               lambda at, tokens: _int64s(at, tokens, count=k), take)
+    return KPartiteHypergraph(sizes, words)
 
 
 # --- .w3g -----------------------------------------------------------------
@@ -400,68 +443,45 @@ def write_w3g(path, weighted: WeightedTripartite, *, digest=None):
                   digest)
 
 
+def _w3g_tokens(offset, tokens) -> tuple:
+    if len(tokens) != 4:
+        raise FormatError(offset, f"expected 'a b c w', got {len(tokens)} fields")
+    cell = _int64s(offset, tokens[:3])
+    try:
+        return (*cell, float(tokens[3]))
+    except ValueError:
+        raise FormatError(offset, f"bad weight {tokens[3]!r}") from None
+
+
 def read_w3g(path) -> WeightedTripartite:
+    """Rows may come in any order. A cell holds -1.0 until a row sets
+    it, so a repeat is a row whose cell no longer does."""
     raw = _read_ascii(path)
-    weighted = _w3g_fast(raw)
-    return _w3g_by_line(raw) if weighted is None else weighted
-
-
-def _w3g_fast(raw: bytes):
-    split = _canonical_split(raw, 1)
-    if split is None:
-        return None
-    header, start, stop = split
-    sizes = _header_ints(header, "w3g")
-    if sizes is None or len(sizes) != 3 or min(sizes) < 0:
-        return None
-    weights = np.zeros(tuple(sizes))
-    last = np.empty((0, 3), dtype=np.int64)
-    for _, chunk in _line_chunks(raw, start, stop):
-        parsed = _load_rows(chunk, [("cell", np.int64, (3,)), ("weight", np.float64)])
-        if parsed is None:
-            return None
-        cells, w = parsed["cell"], parsed["weight"]
-        if (not _in_range(cells, sizes) or not np.all((w >= 0.0) & (w <= 1.0))
-                or not _increasing(np.concatenate([last, cells]))
-                or _rows_text([*cells.T, w]) != chunk):
-            return None
-        last = cells[-1:]
-        weights[tuple(cells.T)] = w
-    return WeightedTripartite(weights)
-
-
-def _w3g_by_line(raw: bytes) -> WeightedTripartite:
-    lines = _data_lines(raw)
-    if not lines:
-        raise FormatError(0, "empty file, expected a w3g header")
-    offset, header = lines[0]
-    tokens = header.split()
-    if tokens[0] != "w3g":
+    offset, tokens, start, stop = _layout(raw, "a w3g")
+    if tokens[:1] != ["w3g"]:
         raise FormatError(offset, "expected header 'w3g nA nB nC'")
     sizes = _ints(offset, tokens[1:], count=3)
     if min(sizes) < 0:
         raise FormatError(offset, f"part sizes must be nonnegative: {tuple(sizes)}")
-    weights = np.zeros(tuple(sizes))
-    seen = set()
-    for offset, text in lines[1:]:
-        tokens = text.split()
-        if len(tokens) != 4:
-            raise FormatError(offset, f"expected 'a b c w', got {len(tokens)} fields")
-        cell = _ints(offset, tokens[:3])
-        for i, v in enumerate(cell):
-            if not 0 <= v < sizes[i]:
-                raise FormatError(offset, f"vertex {v} out of range for part {i}")
-        try:
-            w = float(tokens[3])
-        except ValueError:
-            raise FormatError(offset, f"bad weight {tokens[3]!r}") from None
-        if not 0.0 <= w <= 1.0:
-            raise FormatError(offset, f"weight {w} outside [0, 1]")
-        key = tuple(cell)
-        if key in seen:
-            raise FormatError(offset, f"duplicate cell {key}")
-        seen.add(key)
-        weights[key] = w
+    weights = np.full(sizes, -1.0)
+    flat = weights.reshape(-1)
+    dtype = [("cell", np.int64, (3,)), ("weight", np.float64)]
+
+    def take(at, columns):
+        *cell, w = columns
+        vertex = _in_range(cell, sizes)
+        outside = ~((w >= 0.0) & (w <= 1.0))
+        fine = min(_first(vertex[0]), _first(outside))
+        keys = np.ravel_multi_index(tuple(c[:fine] for c in cell), sizes)
+        _check(at, vertex, (outside, lambda i: f"weight {float(w[i])} outside [0, 1]"),
+               ((flat[keys] != -1.0) | _repeats(keys),
+                lambda i: f"duplicate cell {_row(cell, i)}"))
+        flat[keys] = w
+
+    _read_runs(raw, start, stop, lambda run: _load_rows(run, dtype), _w3g_tokens,
+               take)
+    for slab in weights:
+        slab[slab == -1.0] = 0.0
     return WeightedTripartite(weights)
 
 
@@ -551,13 +571,6 @@ def read_part(path) -> LayeredPartition:
 # --- .audit ---------------------------------------------------------------
 
 
-def _audit_header(eps, passed, mass, normalized_mass, weighted) -> str:
-    verdict = "pass" if passed else "fail"
-    return (f"audit block {float(eps)!r} {verdict} {mass}\n"
-            f"#normalized {float(normalized_mass)!r}\n"
-            f"#weighted {int(weighted)}\n")
-
-
 def _audit_columns(labels, densities, ok) -> list:
     return [*np.asarray(labels, dtype=np.int64).T,
             np.asarray(densities, dtype=np.float64), np.asarray(ok, dtype=bool)]
@@ -571,8 +584,10 @@ def write_audit(path, report: HomogeneityReport, *, digest=None):
     the file before the next is made, so neither the full label array,
     the full byte grid of ``_rows_text`` nor the whole body is held.
     """
-    header = _audit_header(report.eps, report.passed, report.mass,
-                           report.normalized_mass, report.weighted)
+    verdict = "pass" if report.passed else "fail"
+    header = (f"audit block {float(report.eps)!r} {verdict} {report.mass}\n"
+              f"#normalized {float(report.normalized_mass)!r}\n"
+              f"#weighted {int(report.weighted)}\n")
 
     def pieces():
         yield header.encode("ascii")
@@ -587,143 +602,126 @@ def write_audit(path, report: HomogeneityReport, *, digest=None):
 
 
 def read_audit(path) -> HomogeneityReport:
+    """``#normalized`` and ``#weighted`` count wherever they stand, the
+    last of each winning. As in every audit, eps lies in [0, 1/2), the
+    mass is not negative, the normalized mass lies in [0, 1] and
+    ``#weighted`` is 0 or 1."""
     raw = _read_ascii(path)
-    report = _audit_fast(raw)
-    return _audit_by_line(raw) if report is None else report
-
-
-def _audit_fast(raw: bytes):
-    split = _canonical_split(raw, 3)
-    if split is None:
-        return None
-    header, start, stop = split
-    try:
-        first, second, third = header.splitlines()
-        _, _, eps, verdict, mass = first.split(" ")
-        _, normalized = second.split(" ")
-        _, weighted = third.split(" ")
-        eps, normalized = float(eps), float(normalized)
-        scalars = {"eps": eps, "passed": verdict == "pass",
-                   "mass": int(mass), "normalized_mass": normalized,
-                   "weighted": bool(int(weighted))}
-    except ValueError:
-        return None
-    if (_audit_header(**scalars) != header
-            or scalars["passed"] != _passes(normalized, eps)):
-        return None
-    n = raw.count(b"\n", start, stop)
-    width = raw.count(b" ", start, raw.find(b"\n", start)) - 1 if n else 0
-    if width < 1:
-        return None
-    densities = np.empty(n)
-    ok = np.empty(n, dtype=bool)
-    dtype = [("labels", np.int64, (width,)), ("density", np.float64),
-             ("verdict", "S4")]
-    last = np.empty((0, width), dtype=np.int64)
-    blocks = [np.empty(0, dtype=np.int64)] * width
-    for rows, chunk in _line_chunks(raw, start, stop):
-        parsed = _load_rows(chunk, dtype)
-        if parsed is None:
-            return None
-        labels = parsed["labels"]
-        densities[rows] = parsed["density"]
-        np.equal(parsed["verdict"], b"pass", out=ok[rows])
-        if (labels.min() < 0 or not _increasing(np.concatenate([last, labels]))
-                or not np.array_equal(homogeneous(densities[rows], eps), ok[rows])
-                or _rows_text(_audit_columns(labels, densities[rows],
-                                             ok[rows])) != chunk):
-            return None
-        last = labels[-1:]
-        for j, column in enumerate(labels.T):
-            new = column[~np.isin(column, blocks[j])]  # most runs add none
-            if new.size:
-                blocks[j] = np.union1d(blocks[j], new)
-    if (n != math.prod(b.size for b in blocks)
-            or (scalars["mass"] == 0) != ok.all()):
-        return None
-    return HomogeneityReport(**scalars, densities=densities, ok=ok,
-                             blocks=tuple(blocks))
-
-
-def _audit_by_line(raw: bytes) -> HomogeneityReport:
-    lines = _content_lines(raw)
-    data = [(o, t) for o, t in lines if not t.startswith("#")]
-    if not data:
-        raise FormatError(0, "empty file, expected an audit header")
-    offset, header = data[0]
-    tokens = header.split()
-    if tokens[0] != "audit" or len(tokens) != 5:
+    offset, tokens, start, stop = _layout(raw, "an audit")
+    if tokens[:1] != ["audit"] or len(tokens) != 5:
         raise FormatError(offset, "expected header 'audit block eps verdict mass'")
     try:
         eps = float(tokens[2])
     except ValueError:
         raise FormatError(offset, f"bad eps {tokens[2]!r}") from None
+    if not 0.0 <= eps < 0.5:
+        raise FormatError(offset, f"eps {eps!r} outside [0, 1/2)")
     if tokens[3] not in ("pass", "fail"):
         raise FormatError(offset, f"verdict must be pass or fail, got {tokens[3]!r}")
-    passed = tokens[3] == "pass"
     mass = _ints(offset, tokens[4:5])[0]
+    if mass < 0:
+        raise FormatError(offset, f"mass {mass} is negative")
+    scalars = {"eps": eps, "passed": tokens[3] == "pass", "mass": mass,
+               "normalized_mass": 0.0, "weighted": False}
 
-    normalized = 0.0
-    weighted = False
-    for o, text in lines:
+    def comment(at, text):
         if text.startswith("#normalized"):
-            normalized = _comment_value(o, text, float)
+            value = _comment_value(at, text, float)
+            if not 0.0 <= value <= 1.0:
+                raise FormatError(at, f"normalized mass {value!r} outside [0, 1]")
+            scalars["normalized_mass"] = value
         elif text.startswith("#weighted"):
-            weighted = bool(_comment_value(o, text, int))
-    if passed != _passes(normalized, eps):
-        raise FormatError(offset, f"verdict {tokens[3]} contradicts normalized "
-                                  f"mass {normalized!r} at eps {eps!r}")
+            value = _comment_value(at, text, int)
+            if value not in (0, 1):
+                raise FormatError(at, f"#weighted must be 0 or 1, got {value}")
+            scalars["weighted"] = bool(value)
 
-    labels, densities, oks = [], [], []
-    for offset, text in data[1:]:
-        tokens = text.split()
+    def parse(at, tokens):
+        nonlocal width
         if len(tokens) < 3:
-            raise FormatError(offset, "expected 'labels... density verdict'")
+            raise FormatError(at, "expected 'labels... density verdict'")
         if tokens[-1] not in ("pass", "fail"):
-            raise FormatError(offset, f"verdict must be pass or fail, got {tokens[-1]!r}")
+            raise FormatError(at, f"verdict must be pass or fail, got {tokens[-1]!r}")
         try:
             density = float(tokens[-2])
         except ValueError:
-            raise FormatError(offset, f"bad density {tokens[-2]!r}") from None
-        row = _ints(offset, tokens[:-2])
-        if labels and len(row) != len(labels[0]):
-            raise FormatError(offset, f"expected {len(labels[0])} block labels")
-        if min(row) < 0:
-            raise FormatError(offset, "block labels must be nonnegative")
-        if labels and row <= labels[-1]:
-            kind = "repeats" if row == labels[-1] else "comes before"
-            raise FormatError(offset, f"block tuple {tuple(row)} {kind} "
-                                      f"the one above")
-        if (tokens[-1] == "pass") != homogeneous(density, eps):
-            raise FormatError(offset, f"verdict {tokens[-1]} contradicts "
-                                      f"density {density!r} at eps {eps!r}")
-        labels.append(row)
-        densities.append(density)
-        oks.append(tokens[-1] == "pass")
-    blocks = [sorted(set(column)) for column in zip(*labels)]
-    expected = math.prod(map(len, blocks))
-    if len(labels) != expected:
-        # at the first row out of its place in the product, or at the
-        # end of the body if only rows after the last are missing
-        offset = next((o for (o, _), row, want in zip(
-            data[1:], labels, itertools.product(*blocks)) if tuple(row) != want),
-            raw.find(b"\n", data[-1][0]) + 1 or len(raw))
-        raise FormatError(offset, f"{len(labels)} block tuples, expected the "
-                                  f"{expected} of the product of their labels"
-                          if labels else "expected at least one block tuple")
-    if (mass == 0) != all(oks):
-        raise FormatError(data[0][0], f"mass {mass} but " + (
+            raise FormatError(at, f"bad density {tokens[-2]!r}") from None
+        labels = _int64s(at, tokens[:-2])
+        width = width or len(labels)
+        if len(labels) != width:
+            raise FormatError(at, f"expected {width} block labels")
+        return (*labels, density, tokens[-1] == "pass")
+
+    def load(run):
+        labels = width or max(1, run.count(b" ", 0, run.find(b"\n")) - 1)
+        columns = _load_rows(run, [("labels", np.int64, (labels,)),
+                                   ("density", np.float64), ("verdict", "S4")])
+        if columns is not None:
+            columns[-1] = columns[-1] == b"pass"
+        return columns
+
+    n = raw.count(b"\n", start, stop) + (not raw.endswith(b"\n", start, stop))
+    densities, ok = np.empty(n), np.empty(n, dtype=bool)
+    count, width, last, blocks = 0, None, None, []
+
+    def take(at, columns):
+        nonlocal count, width, last
+        *labels, density, verdict = columns
+        step = _increasing(labels, last)
+        _check(at, (np.logical_or.reduce([c < 0 for c in labels]),
+                    lambda i: "block labels must be nonnegative"),
+               (step < 1, lambda i: f"block tuple {_row(labels, i)} " + (
+                   "comes before" if step[i] else "repeats") + " the one above"),
+               (verdict != homogeneous(density, eps),
+                lambda i: f"verdict {'pass' if verdict[i] else 'fail'} contradicts"
+                          f" density {float(density[i])!r} at eps {eps!r}"))
+        densities[count:count + len(density)] = density
+        ok[count:count + len(density)] = verdict
+        count, width, last = count + len(density), len(labels), _row(labels, -1)
+        blocks[:] = blocks or [np.empty(0, dtype=np.int64)] * width
+        for j, column in enumerate(labels):
+            new = column[~np.isin(column, blocks[j])]  # most runs add none
+            if new.size:
+                blocks[j] = np.union1d(blocks[j], new)
+
+    for at, text in _content_lines(raw[:start]):
+        comment(at, text)
+    _read_runs(raw, start, stop, load, parse, take, comment)
+    for at, text in _content_lines(raw[stop:]):
+        comment(stop + at, text)
+    if count < n:
+        densities, ok = densities[:count].copy(), ok[:count].copy()
+
+    normalized = scalars["normalized_mass"]
+    if scalars["passed"] != _passes(normalized, eps):
+        raise FormatError(offset, f"verdict {tokens[3]} contradicts normalized "
+                                  f"mass {normalized!r} at eps {eps!r}")
+    expected = math.prod(b.size for b in blocks)
+    if count != expected:
+        message = (f"{count} block tuples, expected the {expected} of the "
+                   f"product of their labels" if count
+                   else "expected at least one block tuple")
+        done = 0
+
+        def place(at, columns):
+            # at the first row out of its place in the product, or at
+            # the end of the body if only rows after the last are missing
+            nonlocal done
+            index = np.unravel_index(done + np.arange(len(columns[0])),
+                                     [b.size for b in blocks])
+            wrong = np.logical_or.reduce([c != b[i] for c, b, i in
+                                          zip(columns, blocks, index)])
+            if wrong.any():
+                raise FormatError(at(_first(wrong)), message)
+            done += len(wrong)
+
+        _read_runs(raw, start, stop, load, parse, place)
+        raise FormatError(stop, message)
+    if (mass == 0) != ok.all():
+        raise FormatError(offset, f"mass {mass} but " + (
             "a block tuple fails" if mass == 0 else "every block tuple passes"))
-    return HomogeneityReport(
-        eps=eps,
-        passed=passed,
-        mass=mass,
-        normalized_mass=normalized,
-        weighted=weighted,
-        densities=np.array(densities, dtype=np.float64),
-        ok=np.array(oks, dtype=bool),
-        blocks=tuple(np.array(b, dtype=np.int64) for b in blocks),
-    )
+    return HomogeneityReport(**scalars, densities=densities, ok=ok,
+                             blocks=tuple(blocks))
 
 
 # --- .links ---------------------------------------------------------------

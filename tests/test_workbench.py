@@ -1,7 +1,10 @@
 """Flat-file formats, run manifests, and the CLI driver."""
 
+import contextlib
 import dataclasses
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -24,6 +27,7 @@ from homopart import (
     slicewise_vc,
 )
 from homopart import io as hio
+from homopart.auditor import _passes
 from homopart.cli import main
 from homopart.errors import FormatError
 from homopart.partitions import homogeneous
@@ -386,9 +390,12 @@ def test_audit_rows_must_be_the_product_of_their_labels(tmp_path, monkeypatch,
                                   name)
     bad = b"".join(lines)
     path.write_bytes(bad)
-    assert hio._audit_fast(bad) is None
-    with pytest.raises(FormatError) as err:
+    # every row is spelled as the writer spells it: the rules catch the
+    # fault on runs read whole
+    with pytest.raises(FormatError) as err, token_route(monkeypatch, allow=False):
         hio.read_audit(path)
+    assert outcome(reference_read_audit, bad) == ("error", err.value.offset,
+                                                  str(err.value))
     offset = len(b"".join(lines[:at]))
     assert err.value.offset == offset
     assert str(err.value) == f"byte {offset}: {message}"
@@ -416,10 +423,12 @@ def test_cli_missing_or_unreadable_input_exits_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# --- canonical writers against the per-line reference writers -------------
+# --- canonical writers and readers against per-line references ----------
 #
 # The writers format whole columns through token tables. These per-line
 # writers are the ones they replaced, kept as the byte-for-byte reference.
+# The per-line parsers below are the readers' reference in turn: what
+# each file reads to, or the FormatError it raises.
 
 
 def reference_khg(h):
@@ -451,6 +460,167 @@ def reference_audit(report):
         labels_text = " ".join(str(int(v)) for v in labels)
         rows.append(f"{labels_text} {float(density)!r} {tuple_verdict}")
     return "\n".join(rows) + "\n"
+
+
+def reference_read_khg(raw: bytes) -> KPartiteHypergraph:
+    lines = hio._data_lines(raw)
+    if not lines:
+        raise FormatError(0, "empty file, expected a khg header")
+    offset, header = lines[0]
+    tokens = header.split()
+    if tokens[0] != "khg" or len(tokens) < 2:
+        raise FormatError(offset, "expected header 'khg k n_1 ... n_k'")
+    k = hio._ints(offset, tokens[1:2])[0]
+    sizes = hio._ints(offset, tokens[2:], count=k)
+    if k < 2:
+        raise FormatError(offset, "need at least two parts")
+    if min(sizes) < 1:
+        raise FormatError(offset, f"part sizes must be positive: {tuple(sizes)}")
+    edges = []
+    seen = set()
+    for offset, text in lines[1:]:
+        edge = hio._ints(offset, text.split(), count=k)
+        for i, v in enumerate(edge):
+            if not 0 <= v < sizes[i]:
+                raise FormatError(offset, f"vertex {v} out of range for part {i}")
+        key = tuple(edge)
+        if key in seen:
+            raise FormatError(offset, f"duplicate edge {key}")
+        seen.add(key)
+        edges.append(edge)
+    dense = np.zeros(sizes, dtype=bool)
+    dense[tuple(np.array(edges, dtype=np.int64).reshape(-1, k).T)] = True
+    return KPartiteHypergraph.from_dense(dense)
+def reference_read_w3g(raw: bytes) -> WeightedTripartite:
+    lines = hio._data_lines(raw)
+    if not lines:
+        raise FormatError(0, "empty file, expected a w3g header")
+    offset, header = lines[0]
+    tokens = header.split()
+    if tokens[0] != "w3g":
+        raise FormatError(offset, "expected header 'w3g nA nB nC'")
+    sizes = hio._ints(offset, tokens[1:], count=3)
+    if min(sizes) < 0:
+        raise FormatError(offset, f"part sizes must be nonnegative: {tuple(sizes)}")
+    weights = np.zeros(tuple(sizes))
+    seen = set()
+    for offset, text in lines[1:]:
+        tokens = text.split()
+        if len(tokens) != 4:
+            raise FormatError(offset, f"expected 'a b c w', got {len(tokens)} fields")
+        cell = hio._ints(offset, tokens[:3])
+        for i, v in enumerate(cell):
+            if not 0 <= v < sizes[i]:
+                raise FormatError(offset, f"vertex {v} out of range for part {i}")
+        try:
+            w = float(tokens[3])
+        except ValueError:
+            raise FormatError(offset, f"bad weight {tokens[3]!r}") from None
+        if not 0.0 <= w <= 1.0:
+            raise FormatError(offset, f"weight {w} outside [0, 1]")
+        key = tuple(cell)
+        if key in seen:
+            raise FormatError(offset, f"duplicate cell {key}")
+        seen.add(key)
+        weights[key] = w
+    return WeightedTripartite(weights)
+def reference_read_audit(raw: bytes) -> HomogeneityReport:
+    lines = hio._content_lines(raw)
+    data = [(o, t) for o, t in lines if not t.startswith("#")]
+    if not data:
+        raise FormatError(0, "empty file, expected an audit header")
+    offset, header = data[0]
+    tokens = header.split()
+    if tokens[0] != "audit" or len(tokens) != 5:
+        raise FormatError(offset, "expected header 'audit block eps verdict mass'")
+    try:
+        eps = float(tokens[2])
+    except ValueError:
+        raise FormatError(offset, f"bad eps {tokens[2]!r}") from None
+    if tokens[3] not in ("pass", "fail"):
+        raise FormatError(offset, f"verdict must be pass or fail, got {tokens[3]!r}")
+    passed = tokens[3] == "pass"
+    mass = hio._ints(offset, tokens[4:5])[0]
+
+    normalized = 0.0
+    weighted = False
+    for o, text in lines:
+        if text.startswith("#normalized"):
+            normalized = hio._comment_value(o, text, float)
+        elif text.startswith("#weighted"):
+            weighted = bool(hio._comment_value(o, text, int))
+    if passed != _passes(normalized, eps):
+        raise FormatError(offset, f"verdict {tokens[3]} contradicts normalized "
+                                  f"mass {normalized!r} at eps {eps!r}")
+
+    labels, densities, oks = [], [], []
+    for offset, text in data[1:]:
+        tokens = text.split()
+        if len(tokens) < 3:
+            raise FormatError(offset, "expected 'labels... density verdict'")
+        if tokens[-1] not in ("pass", "fail"):
+            raise FormatError(offset, f"verdict must be pass or fail, got {tokens[-1]!r}")
+        try:
+            density = float(tokens[-2])
+        except ValueError:
+            raise FormatError(offset, f"bad density {tokens[-2]!r}") from None
+        row = hio._ints(offset, tokens[:-2])
+        if labels and len(row) != len(labels[0]):
+            raise FormatError(offset, f"expected {len(labels[0])} block labels")
+        if min(row) < 0:
+            raise FormatError(offset, "block labels must be nonnegative")
+        if labels and row <= labels[-1]:
+            kind = "repeats" if row == labels[-1] else "comes before"
+            raise FormatError(offset, f"block tuple {tuple(row)} {kind} "
+                                      f"the one above")
+        if (tokens[-1] == "pass") != homogeneous(density, eps):
+            raise FormatError(offset, f"verdict {tokens[-1]} contradicts "
+                                      f"density {density!r} at eps {eps!r}")
+        labels.append(row)
+        densities.append(density)
+        oks.append(tokens[-1] == "pass")
+    blocks = [sorted(set(column)) for column in zip(*labels)]
+    expected = math.prod(map(len, blocks))
+    if len(labels) != expected:
+        # at the first row out of its place in the product, or at the
+        # end of the body if only rows after the last are missing
+        offset = next((o for (o, _), row, want in zip(
+            data[1:], labels, itertools.product(*blocks)) if tuple(row) != want),
+            raw.find(b"\n", data[-1][0]) + 1 or len(raw))
+        raise FormatError(offset, f"{len(labels)} block tuples, expected the "
+                                  f"{expected} of the product of their labels"
+                          if labels else "expected at least one block tuple")
+    if (mass == 0) != all(oks):
+        raise FormatError(data[0][0], f"mass {mass} but " + (
+            "a block tuple fails" if mass == 0 else "every block tuple passes"))
+    return HomogeneityReport(
+        eps=eps,
+        passed=passed,
+        mass=mass,
+        normalized_mass=normalized,
+        weighted=weighted,
+        densities=np.array(densities, dtype=np.float64),
+        ok=np.array(oks, dtype=bool),
+        blocks=tuple(np.array(b, dtype=np.int64) for b in blocks),
+    )
+
+
+@contextlib.contextmanager
+def token_route(monkeypatch, allow=True):
+    """{offset: bytes} of each run the readers hand to the token parser
+    while the block runs; with ``allow=False`` that parser raises."""
+    runs = {}
+    parse = hio._token_rows
+
+    def spy(run, offset, *args):
+        if not allow:
+            raise AssertionError(f"the run at byte {offset} took the token route")
+        runs[offset] = run
+        return parse(run, offset, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hio, "_token_rows", spy)
+        yield runs
 
 
 def singleton_audit(weights, eps=0.2):
@@ -532,22 +702,25 @@ def audit_cases():
 
 
 @pytest.mark.parametrize("digest", [None, "0123abcd"])
-def test_writers_match_per_line_references(tmp_path, digest):
+def test_writers_match_per_line_references(tmp_path, monkeypatch, digest):
     stamp = "" if digest is None else f"# manifest {digest}\n"
     path = tmp_path / "f"
     for h in khg_cases():
         hio.write_khg(path, h, digest=digest)
         assert path.read_bytes() == (reference_khg(h) + stamp).encode()
-        assert hio._khg_fast(path.read_bytes()) == h
+        with token_route(monkeypatch, allow=False):
+            assert hio.read_khg(path) == h
     for weighted in w3g_cases():
         hio.write_w3g(path, weighted, digest=digest)
         assert path.read_bytes() == (reference_w3g(weighted) + stamp).encode()
-        back = hio._w3g_fast(path.read_bytes())
+        with token_route(monkeypatch, allow=False):
+            back = hio.read_w3g(path)
         assert back.weights.tobytes() == weighted.weights.tobytes()
     for report in audit_cases():
         hio.write_audit(path, report, digest=digest)
         assert path.read_bytes() == (reference_audit(report) + stamp).encode()
-        assert hio._audit_fast(path.read_bytes()) == report
+        with token_route(monkeypatch, allow=False):
+            assert hio.read_audit(path) == report
 
 
 @pytest.mark.parametrize("chunk", [1, 64])
@@ -555,7 +728,7 @@ def test_writers_match_per_line_references(tmp_path, digest):
 def test_chunked_writers_match_per_line_references(tmp_path, monkeypatch,
                                                    digest, chunk):
     monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
-    test_writers_match_per_line_references(tmp_path, digest)
+    test_writers_match_per_line_references(tmp_path, monkeypatch, digest)
 
 
 @pytest.mark.parametrize("shape", [
@@ -587,7 +760,7 @@ def test_audit_writer_keeps_signed_zero_and_nan(tmp_path):
     assert path.read_bytes().endswith(b"0 0.0 pass\n1 -0.0 pass\n2 nan fail\n3 nan fail\n")
 
 
-# --- the fast readers against the per-line parser --------------------------
+# --- the readers against the reference parsers ---------------------------
 
 
 def outcome(read, arg):
@@ -670,45 +843,54 @@ def audit_out_of_range(tokens, rng):
     return " ".join(["-1"] + tokens[1:-1] + [str(rng.choice(["maybe", "PASS"]))])
 
 
+# mutations that respell a row, so that some run must go to the token parser
+RESPELLED = {"crlf", "double space", "trailing space", "tab", "plus sign",
+             "underscore", "leading zero", "missing final newline",
+             "truncated row", "extra field", "bad integer"}
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_fast_readers_match_per_line_parser(tmp_path, seed):
+def test_readers_match_the_reference_parsers(tmp_path, monkeypatch, seed):
     path = tmp_path / "f"
     cases = []
     for shape in ((5, 7, 4), (9, 6), (3, 4, 2, 7), (3, 2, 130)):
         h = random_hypergraph(shape, seed=seed)
         hio.write_khg(path, h, digest="d1")
         cases.append((path.read_text(), 1, khg_out_of_range(h.part_sizes),
-                      hio.read_khg, hio._khg_fast, hio._khg_by_line))
+                      hio.read_khg, reference_read_khg))
     for weights in (gowers_weights(8, t=2), uniform_weights((6, 5, 7), seed)):
         hio.write_w3g(path, WeightedTripartite(weights), digest="d2")
         cases.append((path.read_text(), 1, w3g_out_of_range(weights.shape),
-                      hio.read_w3g, hio._w3g_fast, hio._w3g_by_line))
+                      hio.read_w3g, reference_read_w3g))
     for report in (*audit_cases()[:2], singleton_audit(gowers_weights(8, t=2)),
                    singleton_audit(uniform_weights((6, 5, 7), seed), eps=1e-3)):
         hio.write_audit(path, report, digest="d3")
         cases.append((path.read_text(), 3, audit_out_of_range,
-                      hio.read_audit, hio._audit_fast, hio._audit_by_line))
-    for text, n_head, bad, read, fast, by_line in cases:
+                      hio.read_audit, reference_read_audit))
+    for text, n_head, bad, read, reference in cases:
         raw = text.encode()
-        assert fast(raw) is not None
+        written_lines = set(raw.splitlines(keepends=True))
         path.write_bytes(raw)
-        assert outcome(read, path) == outcome(by_line, raw)
+        with token_route(monkeypatch, allow=False):
+            assert outcome(read, path) == outcome(reference, raw)
         for name, mutated in mutations(text, n_head, seed, bad):
             raw = mutated.encode()
             path.write_bytes(raw)
-            assert outcome(read, path) == outcome(by_line, raw), name
-            # only a value with a canonical spelling ("-0.0", "inf",
-            # "nan") may keep the file in canonical form
-            assert fast(raw) is None or name.startswith("float"), name
+            with token_route(monkeypatch) as runs:
+                assert outcome(read, path) == outcome(reference, raw), name
+            # only a run holding a line the writer did not write may go
+            # to the token parser, and a respelled row must
+            assert all(set(run.splitlines(keepends=True)) - written_lines
+                       for run in runs.values()), name
+            assert runs or name not in RESPELLED, name
 
 
-# --- the fast readers a bounded run of lines at a time -------------------
+# --- the readers a bounded run of lines at a time -------------------------
 
 FORMATS = {
-    "khg": (hio.write_khg, hio.read_khg, hio._khg_fast, hio._khg_by_line, 1),
-    "w3g": (hio.write_w3g, hio.read_w3g, hio._w3g_fast, hio._w3g_by_line, 1),
-    "audit": (hio.write_audit, hio.read_audit, hio._audit_fast,
-              hio._audit_by_line, 3),
+    "khg": (hio.write_khg, hio.read_khg, reference_read_khg, 1),
+    "w3g": (hio.write_w3g, hio.read_w3g, reference_read_w3g, 1),
+    "audit": (hio.write_audit, hio.read_audit, reference_read_audit, 3),
 }
 
 
@@ -750,59 +932,67 @@ def test_line_chunks_cover_the_rows_in_whole_lines(chunk, monkeypatch):
     lines = [b"0 1\n", b"2 3\n", b"10 11 12 13 14 15 16 17 18 19 20 21 22 23 24\n",
              b"4 5\n"] * 20
     raw = b"khg 2 99 99\n" + b"".join(lines) + b"# manifest abc\n"
-    header, start, stop = hio._canonical_split(raw, 1)
-    assert header == "khg 2 99 99\n" and raw[stop:] == b"# manifest abc\n"
-    row = 0
+    offset, tokens, start, stop = hio._layout(raw, "a khg")
+    assert (offset, tokens) == (0, ["khg", "2", "99", "99"])
+    assert raw[:start] == b"khg 2 99 99\n" and raw[stop:] == b"# manifest abc\n"
     pieces = []
-    for rows, piece in hio._line_chunks(raw, start, stop):
-        assert rows == slice(row, row + piece.count(b"\n"))
+    for at, piece in hio._line_chunks(raw, start, stop):
+        assert at == start + len(b"".join(pieces))
         assert piece.endswith(b"\n")
         assert len(piece) <= chunk or piece.count(b"\n") == 1
-        row = rows.stop
         pieces.append(piece)
-    assert b"".join(pieces) == raw[start:stop] and row == len(lines)
+    assert b"".join(pieces) == raw[start:stop]
+    assert sum(p.count(b"\n") for p in pieces) == len(lines)
     assert len(pieces) > 1 and (chunk < 64 or max(map(len, pieces)) > 32)
+    # a last line without its newline ends the last run
+    pieces = [piece for _, piece in hio._line_chunks(raw[:-1], start, len(raw) - 1)]
+    assert b"".join(pieces) == raw[start:-1] and pieces[-1].endswith(b"abc")
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_chunked_readers_match_default_and_per_line(tmp_path, monkeypatch, chunk):
+    # no run of a file the writers wrote goes to the token parser
     longest = 0
     for digest in (None, "d1"):
         for name, obj in chunk_cases():
-            _, read, fast, by_line, _ = FORMATS[name]
+            _, read, reference, _ = FORMATS[name]
             path, raw = written(tmp_path, name, obj, digest)
             longest = max(longest, *map(len, raw.splitlines()))
-            assert fast(raw) is not None
-            default = outcome(fast, raw)
-            with monkeypatch.context() as patch:
-                patch.setattr(hio, "_CHUNK_BYTES", chunk)
-                assert fast(raw) is not None, name
-                assert outcome(fast, raw) == default == outcome(by_line, raw), name
-                assert outcome(read, path) == default, name
+            with token_route(monkeypatch, allow=False):
+                default = outcome(read, path)
+                with monkeypatch.context() as patch:
+                    patch.setattr(hio, "_CHUNK_BYTES", chunk)
+                    assert outcome(read, path) == default, name
+            assert default == outcome(reference, raw), name
+            assert default[0] == "ok", name
     assert longest > 2 * 64
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 @pytest.mark.parametrize("digest", [None, "d1"])
-def test_chunked_readers_fall_back_on_the_last_row(tmp_path, monkeypatch,
-                                                   chunk, digest):
+def test_chunked_readers_read_only_the_last_run_by_tokens(tmp_path, monkeypatch,
+                                                          chunk, digest):
     monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
     for name, obj in chunk_cases():
-        _, read, fast, by_line, n_head = FORMATS[name]
+        _, read, reference, n_head = FORMATS[name]
         path, raw = written(tmp_path, name, obj, digest)
         lines = raw.splitlines(keepends=True)
         at = len(lines) - (digest is not None) - 1  # the last row
         if at < n_head:
             continue  # no rows
-        want = outcome(fast, raw)
+        want = outcome(read, path)
         for row, valid in ((b"+" + lines[at], True),
                            (lines[at].replace(b" ", b"  ", 1), True),
                            (lines[at][:-1] + b" x\n", False)):
             bad = b"".join(lines[:at] + [row] + lines[at + 1:])
             path.write_bytes(bad)
-            assert fast(bad) is None, (name, row)
-            got = outcome(read, path)
-            assert got == outcome(by_line, bad), (name, row)
+            with token_route(monkeypatch) as runs:
+                got = outcome(read, path)
+            start = len(b"".join(lines[:n_head]))
+            holding = max(o for o, _ in hio._line_chunks(bad, start, len(bad))
+                          if o <= len(b"".join(lines[:at])))
+            assert list(runs) == [holding], (name, row)
+            assert got == outcome(reference, bad), (name, row)
             assert (got == want) if valid else (got[0] == "error"), (name, row)
 
 
@@ -815,21 +1005,21 @@ def test_chunked_readers_fall_back_on_the_last_row(tmp_path, monkeypatch,
 def test_chunked_readers_catch_a_duplicate_across_chunks(tmp_path, monkeypatch,
                                                          chunk, name, obj, message):
     monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
-    _, read, fast, by_line, _ = FORMATS[name]
+    _, read, reference, _ = FORMATS[name]
     path, raw = written(tmp_path, name, obj, "d1")
     lines = raw.splitlines(keepends=True)
     # the first row again, after the last one
     bad = b"".join(lines[:-1] + [lines[1], lines[-1]])
-    _, start, stop = hio._canonical_split(bad, 1)
+    start, stop = len(lines[0]), len(bad) - len(lines[-1])
     chunks = [piece for _, piece in hio._line_chunks(bad, start, stop)]
     assert chunks[0].startswith(lines[1]) and chunks[-1].endswith(lines[1])
     assert len(chunks) > 1
     path.write_bytes(bad)
-    assert fast(bad) is None
     with pytest.raises(FormatError, match=message) as err:
-        by_line(bad)
+        reference(bad)
     assert err.value.offset == stop - len(lines[1])
-    assert outcome(read, path) == outcome(by_line, bad)
+    with token_route(monkeypatch, allow=False):
+        assert outcome(read, path) == outcome(reference, bad)
 
 
 @pytest.mark.parametrize("chunk", [1, 64, None])
@@ -843,8 +1033,10 @@ def test_w3g_cells_out_of_order_read_by_line(tmp_path, monkeypatch, chunk):
     lines[5], lines[6] = lines[6], lines[5]
     swapped = b"".join(lines)
     path.write_bytes(swapped)
-    assert hio._w3g_fast(swapped) is None
-    assert hio.read_w3g(path).weights.tobytes() == weighted.weights.tobytes()
+    # row order is no rule of the format, so the runs are read whole
+    with token_route(monkeypatch, allow=False):
+        assert hio.read_w3g(path).weights.tobytes() == weighted.weights.tobytes()
+    assert outcome(hio.read_w3g, path) == outcome(reference_read_w3g, swapped)
 
 
 AUDIT_HEAD = b"audit block 0.2 pass 0\n#normalized 0.0\n#weighted 0\n"
@@ -875,23 +1067,101 @@ def test_audit_verdicts_must_match_the_densities(tmp_path, monkeypatch, chunk,
         monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
     path = tmp_path / "r.audit"
     path.write_bytes(raw)
-    assert hio._audit_fast(raw) is None
-    for read in (lambda: hio.read_audit(path), lambda: hio._audit_by_line(raw)):
-        with pytest.raises(FormatError) as err:
+    for read in (lambda: hio.read_audit(path), lambda: reference_read_audit(raw)):
+        with pytest.raises(FormatError) as err, \
+                token_route(monkeypatch, allow=False):
             read()
         assert err.value.offset == offset
         assert str(err.value) == f"byte {offset}: {message}"
 
 
 @pytest.mark.parametrize("chunk", [1, 64, None])
-def test_audit_with_matching_verdicts_reads_fast(monkeypatch, chunk):
+@pytest.mark.parametrize("raw, offset", [
+    (AUDIT_HEAD + b"0 0 0.0 pass\n0 1 0 0.0 pass\n", 64),
+    (AUDIT_HEAD + b"# note\n0 0 0.0 pass\n1\t0.0 pass\n", 71),
+])
+def test_audit_rows_keep_the_width_of_the_first(tmp_path, monkeypatch, chunk, raw,
+                                                offset):
+    if chunk is not None:
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    path = tmp_path / "r.audit"
+    path.write_bytes(raw)
+    assert outcome(hio.read_audit, path) == outcome(reference_read_audit, raw) == (
+        "error", offset, f"byte {offset}: expected 2 block labels")
+
+
+@pytest.mark.parametrize("chunk", [1, 64, None])
+def test_audit_with_matching_verdicts_reads_whole(tmp_path, monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
     raw = (b"audit block 0.2 fail 2\n#normalized 0.5\n#weighted 0\n"
            b"0 0 0.0 pass\n0 1 nan fail\n1 0 1.0 pass\n1 1 0.5 fail\n")
-    report = hio._audit_fast(raw)
-    assert report is not None and report.ok.tolist() == [True, False, True, False]
-    assert outcome(hio._audit_fast, raw) == outcome(hio._audit_by_line, raw)
+    path = tmp_path / "r.audit"
+    path.write_bytes(raw)
+    with token_route(monkeypatch, allow=False):
+        report = hio.read_audit(path)
+    assert report.ok.tolist() == [True, False, True, False]
+    assert outcome(hio.read_audit, path) == outcome(reference_read_audit, raw)
+
+
+@pytest.mark.parametrize("chunk", [16, 64, None])
+def test_hand_edited_khg_reads_only_the_inner_note_by_tokens(tmp_path, monkeypatch,
+                                                             chunk):
+    if chunk is not None:
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+    h = random_hypergraph((5, 7, 4), seed=0)
+    path, raw = written(tmp_path, "khg", h, "d1")
+    lines = raw.splitlines(keepends=True)
+    inner = len(lines) // 2
+    edited = b"".join([lines[0], b"# note\n", *lines[1:inner], b"# note\n",
+                       *lines[inner:]])
+    path.write_bytes(edited)
+    with token_route(monkeypatch) as runs:
+        assert hio.read_khg(path) == h
+    at = len(b"".join([lines[0], b"# note\n", *lines[1:inner]]))
+    assert len(runs) == 1 and b"# note\n" in runs[max(runs)]
+    assert max(runs) <= at < max(runs) + len(runs[max(runs)])
+    assert outcome(hio.read_khg, path) == outcome(reference_read_khg, edited)
+
+
+AUDIT_ROW = b"0 0 0.0 pass\n"
+
+
+@pytest.mark.parametrize("raw, offset, message", [
+    (b"audit block nan fail 1\n#normalized 0.0\n#weighted 0\n0 0 0.0 fail\n", 0,
+     "eps nan outside [0, 1/2)"),
+    (b"audit block -0.1 fail 1\n#normalized 0.0\n#weighted 0\n0 0 0.0 fail\n", 0,
+     "eps -0.1 outside [0, 1/2)"),
+    (b"audit block 0.5 pass 0\n#normalized 0.0\n#weighted 0\n" + AUDIT_ROW, 0,
+     "eps 0.5 outside [0, 1/2)"),
+    (b"audit block 0.7 pass 0\n#normalized 0.0\n#weighted 0\n" + AUDIT_ROW, 0,
+     "eps 0.7 outside [0, 1/2)"),
+    (b"audit block 0.2 fail -3\n#normalized 0.5\n#weighted 0\n0 0 0.5 fail\n", 0,
+     "mass -3 is negative"),
+    (b"audit block 0.2 pass 0\n#normalized -1.0\n#weighted 0\n" + AUDIT_ROW, 23,
+     "normalized mass -1.0 outside [0, 1]"),
+    (b"audit block 0.2 pass 0\n#normalized 0.0\n#weighted 7\n" + AUDIT_ROW, 39,
+     "#weighted must be 0 or 1, got 7"),
+])
+def test_read_audit_refuses_header_values_no_audit_gives(tmp_path, raw, offset,
+                                                         message):
+    # the per-line reference read each of these as a report
+    assert isinstance(reference_read_audit(raw), HomogeneityReport)
+    path = tmp_path / "r.audit"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        hio.read_audit(path)
+    assert err.value.offset == offset
+    assert str(err.value) == f"byte {offset}: {message}"
+
+
+def test_read_digest_refuses_a_stamp_without_digest(tmp_path):
+    path = tmp_path / "g.khg"
+    path.write_bytes(b"khg 2 2 2\n0 1\n# manifest \n")
+    with pytest.raises(FormatError) as err:
+        hio.read_digest(path)
+    assert err.value.offset == 14
+    assert str(err.value) == "byte 14: manifest stamp names no digest"
 
 
 def test_read_audit_peak_memory_is_bounded(tmp_path):
