@@ -81,6 +81,19 @@ class BipartiteGraph:
         return f"BipartiteGraph({self.n_left}x{self.n_right}, edges={self.edge_count})"
 
 
+def set_edges(words: np.ndarray, edges: np.ndarray) -> None:
+    """Set the bits of the (E, k) int64 ``edges``, each in range, in the
+    writable packed ``words`` of a k-partite hypergraph; an edge listed
+    twice is set once."""
+    fibers = np.ravel_multi_index(tuple(edges[:, :-1].T), words.shape[:-1])
+    last = edges[:, -1]
+    np.bitwise_or.at(
+        words.reshape(-1),
+        fibers * words.shape[-1] + last // bitops.WORD_BITS,
+        np.uint64(1) << (last % bitops.WORD_BITS).astype(np.uint64),
+    )
+
+
 class KPartiteHypergraph:
     """k-partite k-uniform hypergraph on parts of fixed sizes.
 
@@ -110,6 +123,25 @@ class KPartiteHypergraph:
     def from_dense(cls, tensor):
         tensor = np.asarray(tensor, dtype=bool)
         return cls(tensor.shape, bitops.pack(tensor))
+
+    @classmethod
+    def from_edges(cls, part_sizes, edges):
+        """Hypergraph with the given edges, set bit by bit in the packed
+        words. ``edges`` is an (E, k) integer array or any iterable of
+        k-tuples; an edge listed twice is set once."""
+        h = cls.empty(part_sizes)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.size == 0:
+            return h
+        if edges.ndim != 2 or edges.shape[1] != h.k:
+            raise ValueError(f"edges must form an (E, {h.k}) array, got {edges.shape}")
+        if np.any((edges < 0) | (edges >= np.asarray(h.part_sizes))):
+            raise ValueError("edge vertex out of range for its part")
+        words = h.words.copy()
+        set_edges(words, edges)
+        return cls(h.part_sizes, words)
 
     @classmethod
     def empty(cls, part_sizes):

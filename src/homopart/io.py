@@ -55,10 +55,10 @@ rule of a format then runs once on the run's arrays.
 Parse errors raise FormatError carrying the byte offset of the
 offending line. A file with one fault gets the same error whichever
 way its runs are read. With several, the first run with a fault names
-one: a field that does not convert (or an integer beyond 64 bits)
-before any row rule, else the first offending row, and in it the rule
-checked first. The audit's product, mass and header verdict rules
-come last. Writes go through a temp file and an atomic rename.
+one: a field that does not convert (or a vertex or label beyond 64
+bits) before any row rule, else the first offending row, and in it
+the rule checked first. The audit's product, mass and header verdict
+rules come last. Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -142,12 +142,9 @@ def read_digest(path):
     first line that starts with ``# manifest ``."""
     raw = _read_ascii(path)
     stamp = b"# manifest "
-    if raw.startswith(stamp):
-        at = 0
-    else:
-        at = raw.find(b"\n" + stamp) + 1
-        if not at:
-            return None
+    at = 0 if raw.startswith(stamp) else raw.find(b"\n" + stamp) + 1
+    if not raw.startswith(stamp, at):
+        return None
     end = raw.find(b"\n", at)
     tokens = raw[at:None if end < 0 else end].decode("ascii").split()
     if len(tokens) < 3:
@@ -324,10 +321,15 @@ def _read_runs(raw: bytes, start: int, stop: int, load, parse, take,
             take(offsets.__getitem__, [np.array(c) for c in zip(*rows)])
 
 
-def _int64s(offset, tokens, count=None):
+def _int64s(offset, tokens, count=None, sizes=()):
+    """The integers of ``tokens``, each within 64 bits. As vertices of
+    parts of ``sizes``, one beyond lies outside its part, and says so."""
     values = _ints(offset, tokens, count)
     if any(not -1 << 63 <= v < 1 << 63 for v in values):
-        raise FormatError(offset, "bad integer: beyond 64 bits")
+        outside = [(v, p) for p, (v, n) in enumerate(zip(values, sizes))
+                   if not 0 <= v < n]
+        raise FormatError(offset, _outside(*outside[0]) if outside
+                          else "bad integer: beyond 64 bits")
     return values
 
 
@@ -355,8 +357,12 @@ def _in_range(columns, sizes):
 
     def message(i):
         part = int(np.argmin(fits[:, i]))
-        return f"vertex {int(columns[part][i])} out of range for part {part}"
+        return _outside(int(columns[part][i]), part)
     return ~fits.all(axis=0), message
+
+
+def _outside(vertex, part) -> str:
+    return f"vertex {vertex} out of range for part {part}"
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:
@@ -371,13 +377,11 @@ def _increasing(columns, last) -> np.ndarray:
     on or below the row before in lexicographic order: the sign of the
     step's first non-zero column. The first row is compared with the
     tuple ``last``, and when that is None it counts as above."""
-    before = [c[:1] for c in columns] if last is None else [[v] for v in last]
+    before = [c[:1] - 1 for c in columns] if last is None else [[v] for v in last]
     steps = [np.sign(np.diff(c, prepend=b)) for c, b in zip(columns, before)]
     up = steps[-1]
     for step in steps[-2::-1]:
         up = np.where(step != 0, step, up)
-    if last is None:
-        up[0] = 1
     return up
 
 
@@ -405,7 +409,6 @@ def read_khg(path) -> KPartiteHypergraph:
         raise FormatError(offset, f"part sizes must be positive: {tuple(sizes)}")
     words = KPartiteHypergraph.empty(sizes).words.copy()
     flat = words.reshape(-1)
-    dtype = [("edge", np.int64, (k,))]
 
     def take(at, edges):
         vertex = _in_range(edges, sizes)
@@ -418,8 +421,8 @@ def read_khg(path) -> KPartiteHypergraph:
         _check(at, vertex, (repeat, lambda i: f"duplicate edge {_row(edges, i)}"))
         np.bitwise_or.at(flat, word, mask)
 
-    _read_runs(raw, start, stop, lambda run: _load_rows(run, dtype),
-               lambda at, tokens: _int64s(at, tokens, count=k), take)
+    _read_runs(raw, start, stop, lambda run: _load_rows(run, [("edge", np.int64, (k,))]),
+               lambda at, tokens: _int64s(at, tokens, k, sizes), take)
     return KPartiteHypergraph(sizes, words)
 
 
@@ -443,16 +446,6 @@ def write_w3g(path, weighted: WeightedTripartite, *, digest=None):
                   digest)
 
 
-def _w3g_tokens(offset, tokens) -> tuple:
-    if len(tokens) != 4:
-        raise FormatError(offset, f"expected 'a b c w', got {len(tokens)} fields")
-    cell = _int64s(offset, tokens[:3])
-    try:
-        return (*cell, float(tokens[3]))
-    except ValueError:
-        raise FormatError(offset, f"bad weight {tokens[3]!r}") from None
-
-
 def read_w3g(path) -> WeightedTripartite:
     """Rows may come in any order. A cell holds -1.0 until a row sets
     it, so a repeat is a row whose cell no longer does."""
@@ -467,6 +460,15 @@ def read_w3g(path) -> WeightedTripartite:
     flat = weights.reshape(-1)
     dtype = [("cell", np.int64, (3,)), ("weight", np.float64)]
 
+    def parse(at, tokens):
+        if len(tokens) != 4:
+            raise FormatError(at, f"expected 'a b c w', got {len(tokens)} fields")
+        cell = _int64s(at, tokens[:3], sizes=sizes)
+        try:
+            return (*cell, float(tokens[3]))
+        except ValueError:
+            raise FormatError(at, f"bad weight {tokens[3]!r}") from None
+
     def take(at, columns):
         *cell, w = columns
         vertex = _in_range(cell, sizes)
@@ -478,8 +480,7 @@ def read_w3g(path) -> WeightedTripartite:
                 lambda i: f"duplicate cell {_row(cell, i)}"))
         flat[keys] = w
 
-    _read_runs(raw, start, stop, lambda run: _load_rows(run, dtype), _w3g_tokens,
-               take)
+    _read_runs(raw, start, stop, lambda run: _load_rows(run, dtype), parse, take)
     for slab in weights:
         slab[slab == -1.0] = 0.0
     return WeightedTripartite(weights)
@@ -704,8 +705,7 @@ def read_audit(path) -> HomogeneityReport:
         done = 0
 
         def place(at, columns):
-            # at the first row out of its place in the product, or at
-            # the end of the body if only rows after the last are missing
+            # at the first row out of its place in the product, else at the end
             nonlocal done
             index = np.unravel_index(done + np.arange(len(columns[0])),
                                      [b.size for b in blocks])

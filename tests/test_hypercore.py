@@ -30,14 +30,6 @@ from homopart.rng import generator
 # ---------------------------------------------------------------- oracles
 
 
-def from_edges(shape, edges):
-    """The hypergraph on parts of ``shape`` with the given edges."""
-    dense = np.zeros(shape, dtype=bool)
-    for edge in edges:
-        dense[tuple(edge)] = True
-    return KPartiteHypergraph.from_dense(dense)
-
-
 def scan_density(tensor, subsets):
     """Edge fraction of a sub-box by direct iteration over all cells."""
     total = 0
@@ -98,8 +90,27 @@ def test_density_complete_cube():
     assert box_density(h, full_masks(h)) == 1.0
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 130), (2, 3, 2, 65)])
+def test_from_edges_matches_dense(shape):
+    tensor = random_tensor(shape, 0.4, seed=3, label="test/from_edges")
+    edges = np.argwhere(tensor)
+    expected = KPartiteHypergraph.from_dense(tensor)
+    assert KPartiteHypergraph.from_edges(shape, edges) == expected
+    assert KPartiteHypergraph.from_edges(shape, map(tuple, edges.tolist())) == expected
+    # a repeated edge is set once, in any order
+    assert KPartiteHypergraph.from_edges(shape, np.concatenate([edges, edges[::-1]])) == expected
+    assert KPartiteHypergraph.from_edges(shape, []) == KPartiteHypergraph.empty(shape)
+
+
+@pytest.mark.parametrize("edges", [[(0, 0)], [(0, 0, 0, 0)], [(0, 0, 3)],
+                                   [(-1, 0, 0)], [0, 0, 0]])
+def test_from_edges_rejects_bad_edges(edges):
+    with pytest.raises(ValueError):
+        KPartiteHypergraph.from_edges((2, 2, 3), edges)
+
+
 def test_density_single_edge():
-    h = from_edges((2, 2, 2), [(0, 1, 0)])
+    h = KPartiteHypergraph.from_edges((2, 2, 2), [(0, 1, 0)])
     assert box_density(h, full_masks(h)) == 1 / 8
 
 
@@ -129,13 +140,13 @@ def test_density_matches_scan_on_random_subboxes():
 
 
 def test_link_perfect_matching():
-    h = from_edges((1, 2, 2), [(0, 0, 0), (0, 1, 1)])
+    h = KPartiteHypergraph.from_edges((1, 2, 2), [(0, 0, 0), (0, 1, 1)])
     g = link(h, [(0, 0)])
     assert g.to_dense().tolist() == [[True, False], [False, True]]
 
 
 def test_link_isolated_pin_is_empty():
-    h = from_edges((2, 2, 2), [(0, 0, 0)])
+    h = KPartiteHypergraph.from_edges((2, 2, 2), [(0, 0, 0)])
     g = link(h, [(0, 1)])
     assert g.edge_count == 0
 
@@ -265,8 +276,8 @@ def test_density_monotone_under_adding_edges(data):
     cells = list(itertools.product(*[range(s) for s in shape]))
     base = data.draw(st.sets(st.sampled_from(cells)), label="base")
     extra = data.draw(st.sets(st.sampled_from(cells)), label="extra")
-    h1 = from_edges(shape, base)
-    h2 = from_edges(shape, base | extra)
+    h1 = KPartiteHypergraph.from_edges(shape, base)
+    h2 = KPartiteHypergraph.from_edges(shape, base | extra)
     assert box_density(h1, full_masks(h1)) <= box_density(h2, full_masks(h2))
 
 

@@ -29,6 +29,11 @@ ALLOWED = {
         "perfbench/spans.py wraps it by its name as a string, for the "
         "per-layer metric auditor.weak_regularity_witness_s"
     ),
+    "from_edges": (
+        "the edge-list constructor, kept with its tests; read_khg sets "
+        "each run's bits in the packed words itself, and the per-line "
+        ".khg reference in tests/test_workbench.py builds with it"
+    ),
 }
 
 

@@ -488,9 +488,9 @@ def reference_read_khg(raw: bytes) -> KPartiteHypergraph:
             raise FormatError(offset, f"duplicate edge {key}")
         seen.add(key)
         edges.append(edge)
-    dense = np.zeros(sizes, dtype=bool)
-    dense[tuple(np.array(edges, dtype=np.int64).reshape(-1, k).T)] = True
-    return KPartiteHypergraph.from_dense(dense)
+    return KPartiteHypergraph.from_edges(sizes, edges)
+
+
 def reference_read_w3g(raw: bytes) -> WeightedTripartite:
     lines = hio._data_lines(raw)
     if not lines:
@@ -524,6 +524,8 @@ def reference_read_w3g(raw: bytes) -> WeightedTripartite:
         seen.add(key)
         weights[key] = w
     return WeightedTripartite(weights)
+
+
 def reference_read_audit(raw: bytes) -> HomogeneityReport:
     lines = hio._content_lines(raw)
     data = [(o, t) for o, t in lines if not t.startswith("#")]
@@ -1162,6 +1164,60 @@ def test_read_digest_refuses_a_stamp_without_digest(tmp_path):
         hio.read_digest(path)
     assert err.value.offset == 14
     assert str(err.value) == "byte 14: manifest stamp names no digest"
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("khg", b"khg 3 2 2 2\n0 0 0\n1 99999999999999999999 0\n"),
+    ("khg", b"khg 3 2 2 2\n5 99999999999999999999 0\n"),
+    ("khg", b"khg 2 2 3\n0 0\n0 -99999999999999999999\n"),
+    ("w3g", b"w3g 2 2 2\n0 0 0 0.5\n1 0 99999999999999999999 0.5\n"),
+    ("w3g", b"w3g 2 2 2\n-99999999999999999999 0 0 0.5\n"),
+])
+def test_vertex_beyond_64_bits_is_out_of_range(tmp_path, name, raw):
+    read, reference = FORMATS[name][1:3]
+    path = tmp_path / f"f.{name}"
+    path.write_bytes(raw)
+    expected = outcome(reference, raw)
+    assert expected[0] == "error" and "out of range for part" in expected[2]
+    assert outcome(read, path) == expected
+
+
+@pytest.mark.parametrize("raw, offset", [
+    (b"audit block 0.2 pass 0\n#normalized 0.0\n#weighted 0\n"
+     b"0 99999999999999999999 1.0 pass\n", 51),
+    (b"audit block 0.2 pass 0\n#normalized 0.0\n#weighted 0\n"
+     b"0 0 1.0 pass\n0 99999999999999999999 1.0 pass\n", 64),
+])
+def test_audit_label_beyond_64_bits_is_a_format_error(tmp_path, raw, offset):
+    # the per-line reference let numpy's OverflowError out
+    with pytest.raises(OverflowError):
+        reference_read_audit(raw)
+    path = tmp_path / "r.audit"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        hio.read_audit(path)
+    assert err.value.offset == offset
+    assert str(err.value) == f"byte {offset}: bad integer: beyond 64 bits"
+
+
+@pytest.mark.parametrize("name, raw, message", [
+    ("khg", b"   \nkhg 3 2 2 2\n0 0 0\n", "expected header 'khg k n_1 ... n_k'"),
+    ("w3g", b" \nw3g 2 2 2\n0 0 0 0.5\n", "expected header 'w3g nA nB nC'"),
+    ("audit", b"\t\naudit block 0.2 pass 0\n#normalized 0.0\n#weighted 0\n"
+              + AUDIT_ROW, "expected header 'audit block eps verdict mass'"),
+])
+def test_header_line_of_blanks_is_a_format_error(tmp_path, name, raw, message):
+    # the per-line references indexed the line's first token and raised
+    # IndexError
+    read, reference = FORMATS[name][1:3]
+    with pytest.raises(IndexError):
+        reference(raw)
+    path = tmp_path / f"f.{name}"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert err.value.offset == 0
+    assert str(err.value) == f"byte 0: {message}"
 
 
 def test_read_audit_peak_memory_is_bounded(tmp_path):
