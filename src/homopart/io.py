@@ -45,12 +45,15 @@ One reader per format. The readers of those three formats take the
 header from the first line that is neither blank nor a comment, and
 leave the blank and comment lines right after it and at the end of
 the file out of the body, which they read a bounded run of whole lines
-at a time. A run that one ``np.loadtxt`` call parses, and that
-``_rows_text`` formats back to its own bytes, is taken whole, as is
-every run the writers write. Any other run (a comment or blank line
-between rows, CRLF, extra spaces, ``+1``, ``1_0``) goes line by line
-through ``_token_rows``, which only splits and converts fields. Each
-rule of a format then runs once on the run's arrays.
+at a time. ``_canonical_columns`` recognizes a run that is byte for
+byte what ``_rows_text`` writes, as every run the writers write is,
+and converts it whole from its bytes: integers by digit arithmetic,
+verdicts by their four bytes and floats by one ``float`` call per
+distinct token, which ``repr`` must give back. Any other run (a
+comment or blank line between rows, CRLF, extra spaces, ``+1``,
+``1_0``, an integer of more than 18 digits) goes line by line through
+``_token_rows``, which only splits and converts fields. Each rule of a
+format then runs once on the run's arrays.
 
 Parse errors raise FormatError carrying the byte offset of the
 offending line. A file with one fault gets the same error whichever
@@ -68,7 +71,6 @@ import math
 import os
 import re
 import tempfile
-import warnings
 
 import numpy as np
 
@@ -273,20 +275,108 @@ def _layout(raw: bytes, expected: str):
     return offset, raw[offset:end].decode("ascii").split(), start, stop
 
 
-def _load_rows(run: bytes, dtype):
-    """The fields of a run's lines as one ``np.loadtxt`` call parses
-    them, one column per value, or None if they do not parse that way."""
-    try:
-        with warnings.catch_warnings():
-            # a run of blank lines parses as no rows, with a warning
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(run.decode("ascii").splitlines(), dtype=dtype,
-                              delimiter=" ", comments=None, ndmin=1)
-    except ValueError:
+_SPACE, _LF, _MINUS, _ZERO = b" \n-0"
+_PASS, _FAIL = np.frombuffer(b"passfail", dtype=np.uint32)
+_FLOAT_REPR_MAX = len(repr(-2.2250738585072014e-308))  # 24, the longest
+
+
+def _canonical_columns(run: bytes, kinds: str):
+    """The columns of a run, exactly when ``_rows_text`` of them is the
+    run, else None. ``kinds`` has a numpy kind letter per field: ``i``
+    for int64, ``f`` for float64, ``b`` for a pass/fail verdict.
+
+    The run is cut at its spaces and LFs: each line must hold
+    ``len(kinds)`` non-empty fields and end with an LF. An integer is
+    ``0`` or ``-?[1-9][0-9]*`` of at most 18 digits, converted by digit
+    arithmetic. A float is a token of at most 24 bytes, the longest
+    ``repr``, that ``repr`` gives back from its ``float``, which is
+    called once per distinct token. Every temporary is an array over
+    the run's bytes, tokens or rows, at most 24 bytes a token, so a
+    small multiple of the run's size bounds it.
+    """
+    text = np.frombuffer(run, dtype=np.uint8)
+    cut = (text == _SPACE) | (text == _LF)
+    ends = np.flatnonzero(cut)
+    rows = len(ends) // len(kinds)
+    if (not run.endswith(b"\n") or len(ends) != rows * len(kinds)
+            or np.count_nonzero(text == _LF) != rows or cut[0]
+            or (cut[1:] & cut[:-1]).any() or not text.all()):
+        return None  # a NUL would pass for the padding of a float token
+    ends = ends.reshape(rows, len(kinds)).T.copy()
+    if (text.take(ends[-1]) != _LF).any():
         return None
-    if not 0 < len(rows) == run.count(b"\n"):
+    columns = []
+    for j, kind in enumerate(kinds):
+        starts = ends[j - 1] + 1 if j else np.concatenate(([0], ends[-1, :-1] + 1))
+        column = _CANONICAL[kind](text, starts, ends[j])
+        if column is None:
+            return None
+        columns.append(column)
+    return columns
+
+
+def _canonical_ints(text, starts, ends):
+    """Horner's rule over each token's last q bytes, q falling to 1."""
+    negative = text.take(starts) == _MINUS
+    first = starts + negative.view(np.uint8)
+    digits = ends - first
+    width = int(digits.max())
+    if width > 18 or not digits.all():
         return None
-    return [c for name in rows.dtype.names for c in rows[name].reshape(len(rows), -1).T]
+    if ((text.take(first) == _ZERO) & ((digits > 1) | negative)).any():
+        return None
+    values = np.zeros(len(ends), dtype=np.int64)
+    for q in range(width, 0, -1):
+        digit = text.take(ends - q) - _ZERO
+        digit *= digits >= q
+        if (digit > 9).any():
+            return None
+        values *= 10
+        values += digit
+    values[negative] *= -1
+    return values
+
+
+def _token_grid(text, starts, ends, width):
+    """Each token's bytes in a row of ``width`` bytes, NUL-padded."""
+    sizes = ends - starts
+    grid = np.zeros((len(starts), width), dtype=np.uint8)
+    for q in range(width):
+        grid[:, q] = text.take(np.minimum(starts + q, ends)) * (sizes > q)
+    return grid
+
+
+def _canonical_verdicts(text, starts, ends):
+    if (ends - starts != 4).any():
+        return None
+    words = _token_grid(text, starts, ends, 4).view(np.uint32)[:, 0]
+    passed = words == _PASS
+    return passed if (passed | (words == _FAIL)).all() else None
+
+
+def _canonical_floats(text, starts, ends):
+    """Each token is keyed by its bytes, so ``float`` and ``repr`` see
+    each distinct token once. A token longer than any float's ``repr``
+    gives None before the key grid, whose size grows with the longest
+    token, is built."""
+    width = int((ends - starts).max())
+    if width > _FLOAT_REPR_MAX:
+        return None
+    keys = _token_grid(text, starts, ends, width).view(f"S{width}")[:, 0]
+    distinct = np.unique(keys)
+    values = np.empty(len(distinct))
+    for i, token in enumerate(distinct.tolist()):
+        try:
+            value = float(token)
+        except ValueError:
+            return None
+        if repr(value).encode() != token:
+            return None
+        values[i] = value
+    return values[np.searchsorted(distinct, keys)]
+
+
+_CANONICAL = {"i": _canonical_ints, "f": _canonical_floats, "b": _canonical_verdicts}
 
 
 def _token_rows(run: bytes, offset: int, parse, comment=None):
@@ -303,16 +393,16 @@ def _token_rows(run: bytes, offset: int, parse, comment=None):
     return offsets, rows
 
 
-def _read_runs(raw: bytes, start: int, stop: int, load, parse, take,
+def _read_runs(raw: bytes, start: int, stop: int, kinds, parse, take,
                comment=None):
     """Call ``take(at, columns)`` on each run of the body ``raw[start:stop]``
     that holds rows, where ``columns`` are its fields as arrays and
-    ``at(i)`` is the offset of its row i. A run whose columns
-    ``load(run)`` gives, and that ``_rows_text`` formats back to its own
-    bytes, is taken whole; any other goes through ``_token_rows``."""
+    ``at(i)`` is the offset of its row i. A run that
+    ``_canonical_columns`` reads as fields of ``kinds(run)`` is converted
+    whole; any other goes through ``_token_rows``."""
     for offset, run in _line_chunks(raw, start, stop):
-        columns = load(run)
-        if columns is not None and _rows_text(columns) == run:
+        columns = _canonical_columns(run, kinds(run))
+        if columns is not None:
             take(lambda i: offset + sum(len(line) + 1 for line in run.split(b"\n")[:i]),
                  columns)
             continue
@@ -421,7 +511,7 @@ def read_khg(path) -> KPartiteHypergraph:
         _check(at, vertex, (repeat, lambda i: f"duplicate edge {_row(edges, i)}"))
         np.bitwise_or.at(flat, word, mask)
 
-    _read_runs(raw, start, stop, lambda run: _load_rows(run, [("edge", np.int64, (k,))]),
+    _read_runs(raw, start, stop, lambda run: "i" * k,
                lambda at, tokens: _int64s(at, tokens, k, sizes), take)
     return KPartiteHypergraph(sizes, words)
 
@@ -458,7 +548,6 @@ def read_w3g(path) -> WeightedTripartite:
         raise FormatError(offset, f"part sizes must be nonnegative: {tuple(sizes)}")
     weights = np.full(sizes, -1.0)
     flat = weights.reshape(-1)
-    dtype = [("cell", np.int64, (3,)), ("weight", np.float64)]
 
     def parse(at, tokens):
         if len(tokens) != 4:
@@ -480,7 +569,7 @@ def read_w3g(path) -> WeightedTripartite:
                 lambda i: f"duplicate cell {_row(cell, i)}"))
         flat[keys] = w
 
-    _read_runs(raw, start, stop, lambda run: _load_rows(run, dtype), parse, take)
+    _read_runs(raw, start, stop, lambda run: "iiif", parse, take)
     for slab in weights:
         slab[slab == -1.0] = 0.0
     return WeightedTripartite(weights)
@@ -526,7 +615,7 @@ def read_part(path) -> LayeredPartition:
         raise FormatError(0, "empty file, expected a part header")
     offset, header = data[0]
     tokens = header.split()
-    if tokens[0] != "part" or len(tokens) != 2:
+    if tokens[:1] != ["part"] or len(tokens) != 2:
         raise FormatError(offset, "expected header 'part k'")
     k = _ints(offset, tokens[1:])[0]
     if k < 1:
@@ -547,7 +636,7 @@ def read_part(path) -> LayeredPartition:
 
     parts = []
     for i, (offset, text) in enumerate(data[1:]):
-        labels = _ints(offset, text.split())
+        labels = _int64s(offset, text.split())
         if any(v < 0 for v in labels):
             raise FormatError(offset, "labels must be nonnegative")
         meta = meta_by_offset.get(offset)
@@ -653,13 +742,9 @@ def read_audit(path) -> HomogeneityReport:
             raise FormatError(at, f"expected {width} block labels")
         return (*labels, density, tokens[-1] == "pass")
 
-    def load(run):
+    def kinds(run):
         labels = width or max(1, run.count(b" ", 0, run.find(b"\n")) - 1)
-        columns = _load_rows(run, [("labels", np.int64, (labels,)),
-                                   ("density", np.float64), ("verdict", "S4")])
-        if columns is not None:
-            columns[-1] = columns[-1] == b"pass"
-        return columns
+        return "i" * labels + "fb"
 
     n = raw.count(b"\n", start, stop) + (not raw.endswith(b"\n", start, stop))
     densities, ok = np.empty(n), np.empty(n, dtype=bool)
@@ -687,7 +772,7 @@ def read_audit(path) -> HomogeneityReport:
 
     for at, text in _content_lines(raw[:start]):
         comment(at, text)
-    _read_runs(raw, start, stop, load, parse, take, comment)
+    _read_runs(raw, start, stop, kinds, parse, take, comment)
     for at, text in _content_lines(raw[stop:]):
         comment(stop + at, text)
     if count < n:
@@ -715,7 +800,7 @@ def read_audit(path) -> HomogeneityReport:
                 raise FormatError(at(_first(wrong)), message)
             done += len(wrong)
 
-        _read_runs(raw, start, stop, load, parse, place)
+        _read_runs(raw, start, stop, kinds, parse, place)
         raise FormatError(stop, message)
     if (mass == 0) != ok.all():
         raise FormatError(offset, f"mass {mass} but " + (
@@ -769,7 +854,7 @@ def read_links(path) -> tuple:
         raise FormatError(0, "empty file, expected a links header")
     offset, header = lines[0]
     tokens = header.split()
-    if tokens[0] != "links" or len(tokens) != 2:
+    if tokens[:1] != ["links"] or len(tokens) != 2:
         raise FormatError(offset, "expected header 'links r'")
     r = _ints(offset, tokens[1:])[0]
     table = {}
@@ -782,7 +867,7 @@ def read_links(path) -> tuple:
         pins = _parse_pins(offset, tokens[0])
         side, n_blocks, exceptional, equitable = _ints(offset, tokens[1:5])
         part = None if tokens[5] == "-" else _ints(offset, tokens[5:6])[0]
-        labels = _ints(offset, tokens[6:])
+        labels = _int64s(offset, tokens[6:])
         try:
             partition = PartPartition(
                 labels,

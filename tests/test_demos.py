@@ -37,4 +37,7 @@ def test_scale_script_prints_one_json_line(script, tmp_path):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["n"] == 24
+    record = json.loads(lines[0])
+    assert record["n"] == 24
+    if script == "io_scale.py":
+        assert record["round_trip"] is True

@@ -9,6 +9,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homopart import (
     HomogeneityReport,
@@ -951,6 +953,108 @@ def test_line_chunks_cover_the_rows_in_whole_lines(chunk, monkeypatch):
     assert b"".join(pieces) == raw[start:-1] and pieces[-1].endswith(b"abc")
 
 
+FIELD_VALUES = {
+    "i": st.one_of(st.integers(-20, 20), st.integers(-2**63, 2**63 - 1)),
+    "f": st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf,
+                                    -math.inf, 5e-324, -2.5e-310, 1e-7, 0.5]),
+                   st.floats(width=64)),
+    "b": st.booleans(),
+}
+DTYPES = {"i": np.int64, "f": np.float64, "b": bool}
+
+
+@st.composite
+def column_tables(draw):
+    """(kinds, columns): one to five int64, float64 or bool columns of
+    one to twelve rows, with -0.0, NaN, infinities and subnormals."""
+    kinds = draw(st.text(alphabet="ifb", min_size=1, max_size=5))
+    rows = draw(st.integers(1, 12))
+    return kinds, [np.array(draw(st.lists(FIELD_VALUES[kind], min_size=rows,
+                                          max_size=rows)), dtype=DTYPES[kind])
+                   for kind in kinds]
+
+
+def same_bits(got, want):
+    if got.dtype.kind != "f":
+        return got.dtype == want.dtype and np.array_equal(got, want)
+    nan = np.isnan(want)
+    return (got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=column_tables())
+def test_canonical_columns_read_back_what_rows_text_writes(table):
+    kinds, columns = table
+    got = hio._canonical_columns(hio._rows_text(columns), kinds)
+    if any(c.dtype.kind == "i" and len(str(abs(int(v)))) > 18
+           for c in columns for v in c):
+        assert got is None  # left to the token parser
+    else:
+        assert len(got) == len(columns)
+        assert all(map(same_bits, got, columns))
+
+
+EDIT_BYTES = b"0123456789 \n\r\t-+._exnaifpsl\0"
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=column_tables(), data=st.data())
+def test_canonical_columns_refuse_every_other_text(table, data):
+    # one to three one-byte edits: a byte replaced, inserted or deleted,
+    # half of them a space or an LF
+    kinds, columns = table
+    text = bytearray(hio._rows_text(columns))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        byte = data.draw(st.one_of(st.sampled_from(b" \n"), st.sampled_from(EDIT_BYTES)))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            text.insert(at, byte)
+        elif at < len(text):
+            text[at:at + 1] = bytes([byte]) if edit == "replace" else b""
+    got = hio._canonical_columns(bytes(text), kinds)
+    if got is not None:
+        assert [c.dtype.kind for c in got] == list(kinds)
+        assert hio._rows_text(got) == bytes(text)
+
+
+def one_byte_edits(text: bytes):
+    """Every text one byte replaced, inserted or deleted, or two bytes
+    swapped, away from ``text``."""
+    for at in range(len(text) + 1):
+        for byte in EDIT_BYTES:
+            yield text[:at] + bytes([byte]) + text[at:]
+            yield text[:at] + bytes([byte]) + text[at + 1:]
+        yield text[:at] + text[at + 1:]
+        for other in range(at + 1, len(text)):
+            yield (text[:at] + text[other:other + 1] + text[at + 1:other]
+                   + text[at:at + 1] + text[other + 1:])
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([0, -12, 7]), np.array([5, 40, -3])],
+    [np.array([3, -1]), np.array([0.25, -0.0]), np.array([True, False])],
+    [np.array([0.25, math.nan, 1e-7, -math.inf])],
+    [np.array([True])],
+], ids=["ii", "ifb", "f", "b"])
+def test_canonical_columns_refuse_every_near_text(columns):
+    kinds = "".join(c.dtype.kind for c in columns)
+    text = hio._rows_text(columns)
+    assert all(map(same_bits, hio._canonical_columns(text, kinds), columns))
+    for edited in one_byte_edits(text):
+        got = hio._canonical_columns(edited, kinds)
+        assert got is None or hio._rows_text(got) == edited, edited
+
+
+@pytest.mark.parametrize("text, kinds", [
+    (b"\n", "i"), (b" \n", "f"), (b"\n\n", "b"), (b"-\n", "i"), (b"1 \n", "ii"),
+    (b"0.5 \n", "ff"), (b"0.5  pass\n", "ffb"), (b" 0.5 pass\n", "ffb"),
+])
+def test_canonical_columns_refuse_empty_fields(text, kinds):
+    assert hio._canonical_columns(text, kinds) is None
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_chunked_readers_match_default_and_per_line(tmp_path, monkeypatch, chunk):
     # no run of a file the writers wrote goes to the token parser
@@ -1220,6 +1324,25 @@ def test_header_line_of_blanks_is_a_format_error(tmp_path, name, raw, message):
     assert str(err.value) == f"byte 0: {message}"
 
 
+@pytest.mark.parametrize("name, raw, offset, message", [
+    ("part", b"   \n0 1\n", 0, "expected header 'part k'"),
+    ("links", b"  \nx\n", 0, "expected header 'links r'"),
+    ("part", b"part 1\n0 99999999999999999999\n", 7, "bad integer: beyond 64 bits"),
+    ("links", b"links 2\n- 0 2 0 0 0 0 99999999999999999999\n", 8,
+     "bad integer: beyond 64 bits"),
+])
+def test_part_and_links_readers_raise_format_errors(tmp_path, name, raw, offset,
+                                                    message):
+    # a header line of blanks raised IndexError, and a label beyond 64
+    # bits numpy's OverflowError
+    path = tmp_path / f"f.{name}"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        getattr(hio, f"read_{name}")(path)
+    assert err.value.offset == offset
+    assert str(err.value) == f"byte {offset}: {message}"
+
+
 def test_read_audit_peak_memory_is_bounded(tmp_path):
     """The files benchmark's audit shape, 48^3 singleton block tuples:
     a 1.9 MB file whose report holds 3.6 MB of arrays."""
@@ -1241,6 +1364,52 @@ def test_read_audit_peak_memory_is_bounded(tmp_path):
     assert back == report and back.densities.size == n**3
     assert "labels" not in back.__dict__
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("name", ["w3g", "audit"])
+def test_long_float_token_reads_in_bounded_memory(tmp_path, name):
+    # one weight or density padded with 32 KiB of zeros among 512
+    # canonical rows: a key grid as wide as that token for every row
+    # would take 16 MB
+    import re
+    import tracemalloc
+
+    n = 8
+    path = tmp_path / f"f.{name}"
+    if name == "w3g":
+        rng = np.random.default_rng(3)
+        value = WeightedTripartite(rng.integers(1, 100, (n,) * 3) / 100)
+        hio.write_w3g(path, value)
+        token = rb"\n\d+ \d+ \d+ (\d+\.\d+)\n"
+    else:
+        inst = generate(InstanceSpec(k=3, n=(n,) * 3, family="planted-boxes",
+                                     r=4, eps_prime=0.1, seed=1))
+        value = homogeneity_audit(inst.h, LayeredPartition(
+            [PartPartition.singletons(n, part=i) for i in range(3)]), 0.2)
+        hio.write_audit(path, value)
+        token = rb"\n\d+ \d+ \d+ (\d+\.\d+) (?:pass|fail)\n"
+    read = getattr(hio, f"read_{name}")
+
+    def same(back):
+        if name == "w3g":
+            return np.array_equal(back.weights, value.weights)
+        return back == value
+
+    # untraced, so that numpy.ma, which numpy imports on the first
+    # np.unique call, does not count against the file
+    assert same(read(path))
+    raw = path.read_bytes()
+    end = re.compile(token).search(raw, len(raw) // 2).end(1)
+    raw = raw[:end] + b"0" * 2**15 + raw[end:]
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        back = read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same(back)
+    assert peak < 16 * len(raw)
 
 
 def test_write_audit_peak_memory_is_bounded(tmp_path):
