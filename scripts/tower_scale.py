@@ -7,13 +7,19 @@ Usage, from the root of a checkout:
 
 Builds the toy tower the tower benchmark uses (t=3, growth 2, s0=4,
 seed 1) at n vertices per part, then verifies one link certificate
-per vertex (3n), runs the refinement cascade on the interval ladder
-(one candidate per level) and samples once with 100 boxes. n must be
-divisible by the finest level 8 and by t=3. Last it draws the two
-orthogonal families the tower benchmark draws, (m, M) = (30, 2000) on
-the code path and (150, 2000) on the coin path, seed 1; they do not
-depend on n. Prints one JSON line: seconds per stage and ``ru_maxrss``
-in MB after it. Run one size per process, since peak RSS never falls.
+per vertex (3n), counts the distinct links among them, runs the
+refinement cascade on the interval ladder (one candidate per level)
+and samples once with 100 boxes. n must be divisible by the finest
+level 8 and by t=3. Last it draws the two orthogonal families the
+tower benchmark draws, (m, M) = (30, 2000) on the code path and
+(150, 2000) on the coin path, seed 1; they do not depend on n. Prints
+one JSON line: seconds per stage and ``ru_maxrss`` in MB after it.
+Run one size per process, since peak RSS never falls.
+
+``distinct_links`` is the number of links the build certifies once
+each: the distinct level-bit tables of the first part, those of the
+second part, and the layers of the third part, against the 3n
+vertices of ``certificates_ok``.
 """
 
 import argparse
@@ -53,6 +59,10 @@ def main(argv=None) -> int:
     out["certificates_ok"] = stage("certify", lambda: sum(
         hp.verify_certificate(build, hp.link_certificate(build, part, v)).ok
         for part in range(3) for v in range(n)))
+    lay = build.layering
+    out["distinct_links"] = sum(
+        len({lay.level_bits(part, v).tobytes() for v in range(n)})
+        for part in (0, 1)) + len({lay.layer_of(v) for v in range(n)})
     ladder = [hp.LayeredPartition([hp.PartPartition.intervals(n, m, part=i)
                                    for i in range(3)])
               for m in params.levels]

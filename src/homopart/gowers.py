@@ -475,7 +475,10 @@ class IntervalLayering:
         (v, x) when ``part`` is 0, or (x, v) when it is 1."""
         if part == 0:
             return bitops.unpack(np.stack([g.rows[v] for g in self.graphs]), self.n).T
-        return np.stack([bitops.extract_bit(g.rows, v) for g in self.graphs], axis=1)
+        # column v's word of every level, so one extraction reads all t bits
+        word, bit = divmod(v, bitops.WORD_BITS)
+        return bitops.extract_bit(
+            np.stack([g.rows[:, word:word + 1] for g in self.graphs], axis=1), bit)
 
 
 @dataclass(frozen=True)
@@ -484,15 +487,31 @@ class GowersBuild:
 
     Its weights are stored only as ``layering.graphs`` and the layer
     labels: ``weighted`` is a layered ``WeightedTripartite`` over them.
+
+    ``_memo`` holds the certificate work of the build, so that each
+    distinct link is certified once. Its keys name everything a value
+    depends on, and the build's level graphs never change:
+
+    - ``("atoms", bits)``: the (atoms, layer partition) pair that
+      ``link_certificate`` gives a first- or second-part vertex whose
+      n x t table of level bits has the bytes ``bits``. The atoms are
+      the Venn atoms of those columns and the layer partition is the
+      same for every vertex, so vertices with equal tables share them.
+    - ``("exact", kind, part, link, partitions)``: the
+      ``CertificateCheck`` of an exact claim. ``link`` is the layer r
+      of a third-part vertex, whose link is 2^-r G_r, or the level-bit
+      bytes of a first- or second-part vertex; with the claimed
+      ``partitions``, compared by value, they fix every count the check
+      reads, so a claim that differs in any of them misses.
+    - ``("quasirandom", r, delta, draws, seed)``: the (audit, witness)
+      pair of level r, which depends on nothing else.
     """
 
     params: GowersParams
     n: int
     weighted: WeightedTripartite
     layering: IntervalLayering
-    # (audit, witness) per (level, delta, draws, seed), filled by
-    # verify_certificate: every quasirandom vertex of a level shares them
-    _quasirandom: dict = field(default_factory=dict, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def level_graph(n: int, family: OrthogonalFamily) -> BipartiteGraph:
@@ -591,6 +610,14 @@ class LinkCertificate:
 
 
 def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
+    """The certificate of the link of vertex ``v`` of ``part``.
+
+    Each call returns a new certificate and a new ``LayeredPartition``.
+    For a first- or second-part vertex the two ``PartPartition`` inside
+    come from the build's memo under ``("atoms", level-bit bytes)``:
+    the atoms depend only on the vertex's level bits, so every vertex
+    with the same table shares them.
+    """
     lay = build.layering
     params = build.params
     n = build.n
@@ -603,14 +630,13 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
     if part == 2:
         r = lay.layer_of(v)
         if params.levels[r - 1] >= params.s0:
+            trivial = PartPartition.trivial(n)
             return LinkCertificate(
                 part=2,
                 vertex=v,
                 kind="quasirandom",
                 level=r,
-                partitions=LayeredPartition(
-                    [PartPartition.trivial(n), PartPartition.trivial(n)]
-                ),
+                partitions=LayeredPartition([trivial, trivial]),
                 size_bound=1,
             )
         return LinkCertificate(
@@ -624,8 +650,14 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
 
     # first- or second-part vertex: the other interval side is atomized
     # by the per-level neighborhoods, the layer side is kept as is
-    atoms = common_refinement(n, list(lay.level_bits(part, v).T))
-    layer_part = PartPartition(lay.c_layers.labels, n_blocks=params.t)
+    bits = lay.level_bits(part, v)
+    key = ("atoms", bits.tobytes())
+    if key not in build._memo:
+        build._memo[key] = (
+            common_refinement(n, list(bits.T)),
+            PartPartition(lay.c_layers.labels, n_blocks=params.t),
+        )
+    atoms, layer_part = build._memo[key]
     return LinkCertificate(
         part=part,
         vertex=v,
@@ -668,16 +700,22 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
     quasirandomness audit plus a sampled witness search on the level
     graph; ``ok`` then means no witness surfaced within the budget of
     ``draws`` subsets, which must be at least 1 when the search is
-    sampled. Both depend only on the level, so they run once per (level,
-    delta, draws, seed) on a build, and every later quasirandom
-    certificate on that level gets the same audit and witness objects.
+    sampled.
+
+    Every check goes through the build's memo (see ``GowersBuild``).
+    An exact check is kept under its kind, part, link (the layer r, or
+    the level-bit bytes) and claimed partitions, which fix all the
+    counts above, and a hit returns the stored check. The audit and
+    witness depend only on the level and the search settings, so they
+    run once per (level, delta, draws, seed), and every quasirandom
+    certificate on that level gets the same two objects.
     """
+    lay = build.layering
     if cert.kind == "quasirandom":
-        lay = build.layering
         r = cert.level
         d = build.params.delta if delta is None else float(delta)
-        key = (r, d, draws, seed)
-        if key not in build._quasirandom:
+        key = ("quasirandom", r, d, draws, seed)
+        if key not in build._memo:
             g = lay.graphs[r - 1]
             audit = quasirandomness_audit(
                 g,
@@ -686,8 +724,8 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
                 level_M=build.params.ratio(r),
             )
             wit = bipartite_regularity_witness(g, d, draws=draws, seed=seed)
-            build._quasirandom[key] = (audit, wit)
-        audit, wit = build._quasirandom[key]
+            build._memo[key] = (audit, wit)
+        audit, wit = build._memo[key]
         return CertificateCheck(
             kind=cert.kind,
             exact=False,
@@ -697,10 +735,24 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
             witness=wit,
         )
 
-    lay = build.layering
+    if cert.part == 2:
+        link = lay.layer_of(cert.vertex)
+        key = ("exact", cert.kind, cert.part, link, cert.partitions)
+    else:
+        link = lay.level_bits(cert.part, cert.vertex)
+        key = ("exact", cert.kind, cert.part, link.tobytes(), cert.partitions)
+    if key not in build._memo:
+        build._memo[key] = _exact_check(lay, cert, link)
+    return build._memo[key]
+
+
+def _exact_check(lay: IntervalLayering, cert: LinkCertificate,
+                 link) -> CertificateCheck:
+    """The exact check of ``cert``, whose link is layer ``link`` of a
+    third-part vertex or the level-bit table ``link`` of another."""
     left, right = cert.partitions[0], cert.partitions[1]
     if cert.part == 2:
-        rows = lay.graphs[lay.layer_of(cert.vertex) - 1].rows
+        rows = lay.graphs[link - 1].rows
         masks = bitops.pack(right.labels == np.arange(right.n_blocks)[:, None])
         per_block = bitops.popcount(rows[:, None, :] & masks, axis=-1)
         edges = block_sums(
@@ -710,8 +762,7 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
         off = (edges != 0) & (edges != cells)
     else:
         t = lay.t
-        bits = lay.level_bits(cert.part, cert.vertex)
-        hits = block_sums(bits, (left, PartPartition.singletons(t)))
+        hits = block_sums(link, (left, PartPartition.singletons(t)))
         full = hits == left.sizes()[:, None]
         meets = np.bincount(
             right.labels * t + lay.c_layers.labels, minlength=right.n_blocks * t
@@ -723,7 +774,7 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
     if off.any():
         a, b = np.argwhere(off)[0]
         if cert.part == 2:
-            low, high = 0.0, 2.0 ** -lay.layer_of(cert.vertex)
+            low, high = 0.0, 2.0 ** -link
         else:
             # a failing pair has a hit on some layer its right block meets
             weights = lay.layer_weights()[meets[b] & (hits[a] != 0)]

@@ -590,14 +590,17 @@ def _parse_meta(offset, text):
         key, _, value = token.partition("=")
         fields[key] = value
     try:
-        return {
-            "part": None if fields["part"] == "-" else int(fields["part"]),
-            "has_exceptional": bool(int(fields["exceptional"])),
-            "equitable": bool(int(fields["equitable"])),
-            "n_blocks": int(fields["nblocks"]),
-        }
-    except (KeyError, ValueError) as exc:
+        part = fields["part"]
+        exceptional, equitable, n_blocks = _int64s(
+            offset, [fields[key] for key in ("exceptional", "equitable", "nblocks")])
+    except KeyError as exc:
         raise FormatError(offset, f"bad #meta line: {exc}") from None
+    return {
+        "part": None if part == "-" else _int64s(offset, [part])[0],
+        "has_exceptional": bool(exceptional),
+        "equitable": bool(equitable),
+        "n_blocks": n_blocks,
+    }
 
 
 def write_part(path, layered: LayeredPartition, *, digest=None):
@@ -826,7 +829,7 @@ def _parse_pins(offset, token):
         part, sep, vertex = piece.partition(":")
         if not sep:
             raise FormatError(offset, f"bad pin {piece!r}, expected part:vertex")
-        pins.append(tuple(_ints(offset, [part, vertex])))
+        pins.append(tuple(_int64s(offset, [part, vertex])))
     return tuple(pins)
 
 
@@ -856,7 +859,7 @@ def read_links(path) -> tuple:
     tokens = header.split()
     if tokens[:1] != ["links"] or len(tokens) != 2:
         raise FormatError(offset, "expected header 'links r'")
-    r = _ints(offset, tokens[1:])[0]
+    r = _int64s(offset, tokens[1:])[0]
     table = {}
     for offset, text in lines[1:]:
         tokens = text.split()
@@ -865,8 +868,8 @@ def read_links(path) -> tuple:
                 offset, "expected 'pins side nblocks exceptional equitable part labels...'"
             )
         pins = _parse_pins(offset, tokens[0])
-        side, n_blocks, exceptional, equitable = _ints(offset, tokens[1:5])
-        part = None if tokens[5] == "-" else _ints(offset, tokens[5:6])[0]
+        side, n_blocks, exceptional, equitable = _int64s(offset, tokens[1:5])
+        part = None if tokens[5] == "-" else _int64s(offset, tokens[5:6])[0]
         labels = _int64s(offset, tokens[6:])
         try:
             partition = PartPartition(

@@ -41,3 +41,6 @@ def test_scale_script_prints_one_json_line(script, tmp_path):
     assert record["n"] == 24
     if script == "io_scale.py":
         assert record["round_trip"] is True
+    if script == "tower_scale.py":
+        assert record["certificates_ok"] == 3 * 24
+        assert 0 < record["distinct_links"] <= 3 * 24

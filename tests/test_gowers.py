@@ -770,6 +770,104 @@ class TestLinkCertificate:
         assert all(type(i) is int for i in check.worst[0])
 
 
+class TestCertificateMemo:
+    """A build certifies each distinct link once; what it serves from
+    its memo must equal what a build without any memo computes."""
+
+    N = 48
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                              seed=1)
+
+    @pytest.fixture(scope="class")
+    def shared(self, params):
+        """One build certified over all 3n vertices."""
+        build = build_weighted(params, self.N)
+        for part in range(3):
+            for v in range(self.N):
+                verify_certificate(build, link_certificate(build, part, v))
+        return build
+
+    def test_shared_build_matches_fresh_build_per_vertex(self, params, shared):
+        kinds = set()
+        for part in range(3):
+            for v in range(self.N):
+                cert = link_certificate(shared, part, v)
+                check = verify_certificate(shared, cert)
+                fresh = build_weighted(params, self.N)
+                want = link_certificate(fresh, part, v)
+                want_check = verify_certificate(fresh, want)
+                assert cert == want, (part, v)
+                assert ((check.kind, check.exact, check.ok, check.worst)
+                        == (want_check.kind, want_check.exact, want_check.ok,
+                            want_check.worst)), (part, v)
+                assert check.audit == want_check.audit
+                assert same_witness(check.witness, want_check.witness)
+                kinds.add(cert.kind)
+        assert kinds == {"quasirandom", "constant-boxes", "layer-constant"}
+        # the memo holds far fewer links than the 3n certified
+        links = sum(key[0] == "exact" for key in shared._memo)
+        assert links < self.N
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_rolled_atoms_get_their_own_failing_check(self, shared, part):
+        w = shared.weighted.weights
+        for v in (0, self.N - 1):
+            cert = link_certificate(shared, part, v)
+            atoms, layers = cert.partitions
+            rolled = LayeredPartition(
+                [PartPartition(np.roll(atoms.labels, 1)), layers])
+            fake = dataclasses.replace(cert, partitions=rolled)
+            check = verify_certificate(shared, fake)
+            assert check.exact and not check.ok and check.worst is not None
+            assert (check.ok, check.worst) == dense_certificate_check(w, fake)
+            # the honest claim keeps its own passing check
+            assert verify_certificate(shared, cert).ok
+
+    def test_same_claim_on_another_layer_gets_its_own_check(self, shared):
+        # the trivial pair fails on every layer, with that layer's weight
+        w = shared.weighted.weights
+        coarse = LayeredPartition([PartPartition.trivial(self.N)] * 2)
+        for r in (1, 2):
+            c = int(shared.layering.layer_indices(r)[0])
+            cert = link_certificate(shared, 2, c)
+            assert cert.kind == "constant-boxes" and cert.level == r
+            fake = dataclasses.replace(cert, partitions=coarse)
+            check = verify_certificate(shared, fake)
+            assert check.worst == ((0, 0), 0.0, 2.0 ** -r)
+            assert (check.ok, check.worst) == dense_certificate_check(w, fake)
+
+    @pytest.mark.parametrize("part, v, kind", [
+        (0, 3, "constant-boxes"), (1, 7, "constant-boxes"),
+        (2, 0, "layer-constant"),
+    ])
+    def test_check_carries_its_own_kind(self, shared, part, v, kind):
+        cert = link_certificate(shared, part, v)
+        honest = verify_certificate(shared, cert)
+        assert honest.kind == cert.kind != kind
+        check = verify_certificate(shared, dataclasses.replace(cert, kind=kind))
+        assert check.kind == kind
+        assert (check.exact, check.ok, check.worst) == (
+            honest.exact, honest.ok, honest.worst)
+        assert verify_certificate(shared, cert).kind == cert.kind
+
+    def test_equal_level_bits_share_atoms(self, shared):
+        lay = shared.layering
+        tables = [lay.level_bits(0, v).tobytes() for v in range(self.N)]
+        same = [v for v in range(1, self.N) if tables[v] == tables[0]]
+        other = next(v for v in range(self.N) if tables[v] != tables[0])
+        assert same
+        a = link_certificate(shared, 0, 0)
+        for v in same:
+            b = link_certificate(shared, 0, v)
+            assert b.partitions is not a.partitions
+            assert b.partitions[0] is a.partitions[0]
+            assert b.partitions[1] is a.partitions[1]
+        assert link_certificate(shared, 0, other).partitions[0] != a.partitions[0]
+
+
 def _ladder(build):
     n = build.n
     return [LayeredPartition([PartPartition.intervals(n, m, part=i)

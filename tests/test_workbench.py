@@ -1330,11 +1330,29 @@ def test_header_line_of_blanks_is_a_format_error(tmp_path, name, raw, message):
     ("part", b"part 1\n0 99999999999999999999\n", 7, "bad integer: beyond 64 bits"),
     ("links", b"links 2\n- 0 2 0 0 0 0 99999999999999999999\n", 8,
      "bad integer: beyond 64 bits"),
+    ("part", b"part 1\n#meta 0 part=0 exceptional=0 equitable=1 "
+     b"nblocks=99999999999999999999\n0 0\n", 7, "bad integer: beyond 64 bits"),
+    ("part", b"part 1\n#meta 0 part=-99999999999999999999 exceptional=0 "
+     b"equitable=1 nblocks=1\n0 0\n", 7, "bad integer: beyond 64 bits"),
+    ("part", b"part 1\n#meta 0 part=0 exceptional=99999999999999999999 "
+     b"equitable=0 nblocks=1\n0 0\n", 7, "bad integer: beyond 64 bits"),
+    ("links", b"links 99999999999999999999\n", 0, "bad integer: beyond 64 bits"),
+    ("links", b"links 2\n- 0 99999999999999999999 0 0 0 0 1\n", 8,
+     "bad integer: beyond 64 bits"),
+    ("links", b"links 2\n- 99999999999999999999 2 0 0 0 0 1\n", 8,
+     "bad integer: beyond 64 bits"),
+    ("links", b"links 2\n- 0 2 0 99999999999999999999 0 0 1\n", 8,
+     "bad integer: beyond 64 bits"),
+    ("links", b"links 2\n- 0 2 0 0 99999999999999999999 0 1\n", 8,
+     "bad integer: beyond 64 bits"),
+    ("links", b"links 2\n0:99999999999999999999 1 2 0 0 0 0 1\n", 8,
+     "bad integer: beyond 64 bits"),
 ])
 def test_part_and_links_readers_raise_format_errors(tmp_path, name, raw, offset,
                                                     message):
-    # a header line of blanks raised IndexError, and a label beyond 64
-    # bits numpy's OverflowError
+    # a header line of blanks raised IndexError, a label or #meta value
+    # beyond 64 bits numpy's OverflowError, and a .links field other than
+    # the labels beyond 64 bits was read as it stood
     path = tmp_path / f"f.{name}"
     path.write_bytes(raw)
     with pytest.raises(FormatError) as err:
