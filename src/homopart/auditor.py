@@ -569,7 +569,10 @@ def slicewise_vc(h: KPartiteHypergraph, *, cap: int = 8) -> dict:
 
     For every vertex of every part, the remaining bipartite link is
     measured in both orientations; the report maps each part to its
-    maximum and carries the overall value under the key "max".
+    maximum and carries the overall value under the key "max". Each
+    distinct link of a part is measured once: links are keyed on their
+    packed rows (``n_right``, the rows' shape and bytes), and a vertex
+    whose link repeats an earlier one of its part adds nothing new.
     """
     if h.k != 3:
         raise ValueError("slicewise VC is defined for tripartite input")
@@ -579,8 +582,14 @@ def slicewise_vc(h: KPartiteHypergraph, *, cap: int = 8) -> dict:
     at_cap = False
     for part in range(3):
         out[part] = 0
+        measured = set()
         for v in range(h.part_sizes[part]):
-            adj = link(h, ((part, v),)).to_dense()
+            g = link(h, ((part, v),))
+            key = (g.n_right, g.rows.shape, g.rows.tobytes())
+            if key in measured:
+                continue
+            measured.add(key)
+            adj = g.to_dense()
             for res in (vc_dimension(adj, cap=cap),
                         vc_dimension(adj.T, cap=cap)):
                 out[part] = max(out[part], res.dim)

@@ -480,6 +480,13 @@ class IntervalLayering:
         return bitops.extract_bit(
             np.stack([g.rows[:, word:word + 1] for g in self.graphs], axis=1), bit)
 
+    def level_tables(self, part: int) -> np.ndarray:
+        """n x n x t array whose row v is ``level_bits(part, v)``, from
+        one unpack of the t level graphs."""
+        dense = bitops.unpack(np.stack([g.rows for g in self.graphs]), self.n)
+        return np.ascontiguousarray(
+            dense.transpose((1, 2, 0) if part == 0 else (2, 1, 0)))
+
 
 @dataclass(frozen=True)
 class GowersBuild:
@@ -505,6 +512,9 @@ class GowersBuild:
       reads, so a claim that differs in any of them misses.
     - ``("quasirandom", r, delta, draws, seed)``: the (audit, witness)
       pair of level r, which depends on nothing else.
+    - ``("level bits", part)``: ``layering.level_tables(part)``, the
+      level-bit tables of every vertex of the first or second part,
+      from which both keys above take a vertex's bits.
     """
 
     params: GowersParams
@@ -650,7 +660,7 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
 
     # first- or second-part vertex: the other interval side is atomized
     # by the per-level neighborhoods, the layer side is kept as is
-    bits = lay.level_bits(part, v)
+    bits = _level_bits(build, part, v)
     key = ("atoms", bits.tobytes())
     if key not in build._memo:
         build._memo[key] = (
@@ -666,6 +676,15 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
         partitions=LayeredPartition([atoms, layer_part]),
         size_bound=2 ** params.t,
     )
+
+
+def _level_bits(build: GowersBuild, part: int, v: int) -> np.ndarray:
+    """``level_bits(part, v)``, read from the part's tables in the
+    build's memo, which are computed once per build."""
+    key = ("level bits", part)
+    if key not in build._memo:
+        build._memo[key] = build.layering.level_tables(part)
+    return build._memo[key][v]
 
 
 @dataclass(frozen=True)
@@ -739,7 +758,7 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
         link = lay.layer_of(cert.vertex)
         key = ("exact", cert.kind, cert.part, link, cert.partitions)
     else:
-        link = lay.level_bits(cert.part, cert.vertex)
+        link = _level_bits(build, cert.part, cert.vertex)
         key = ("exact", cert.kind, cert.part, link.tobytes(), cert.partitions)
     if key not in build._memo:
         build._memo[key] = _exact_check(lay, cert, link)

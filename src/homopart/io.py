@@ -423,6 +423,15 @@ def _int64s(offset, tokens, count=None, sizes=()):
     return values
 
 
+def _sized(offset, sizes, make):
+    """``make()``, the array that header ``sizes`` call for; sizes too
+    large for one numpy array raise ``FormatError`` at the header."""
+    try:
+        return make()
+    except ValueError:
+        raise FormatError(offset, f"part sizes too large: {tuple(sizes)}") from None
+
+
 def _first(bad: np.ndarray) -> int:
     """The index of the first True of ``bad``, or its length."""
     return int(np.argmax(bad)) if bad.any() else len(bad)
@@ -491,13 +500,14 @@ def read_khg(path) -> KPartiteHypergraph:
     offset, tokens, start, stop = _layout(raw, "a khg")
     if tokens[:1] != ["khg"] or len(tokens) < 2:
         raise FormatError(offset, "expected header 'khg k n_1 ... n_k'")
-    k = _ints(offset, tokens[1:2])[0]
-    sizes = _ints(offset, tokens[2:], count=k)
+    k = _int64s(offset, tokens[1:2])[0]
+    sizes = _int64s(offset, tokens[2:], count=k)
     if k < 2:
         raise FormatError(offset, "need at least two parts")
     if min(sizes) < 1:
         raise FormatError(offset, f"part sizes must be positive: {tuple(sizes)}")
-    words = KPartiteHypergraph.empty(sizes).words.copy()
+    words = _sized(offset, sizes,
+                   lambda: KPartiteHypergraph.empty(sizes).words.copy())
     flat = words.reshape(-1)
 
     def take(at, edges):
@@ -543,10 +553,10 @@ def read_w3g(path) -> WeightedTripartite:
     offset, tokens, start, stop = _layout(raw, "a w3g")
     if tokens[:1] != ["w3g"]:
         raise FormatError(offset, "expected header 'w3g nA nB nC'")
-    sizes = _ints(offset, tokens[1:], count=3)
+    sizes = _int64s(offset, tokens[1:], count=3)
     if min(sizes) < 0:
         raise FormatError(offset, f"part sizes must be nonnegative: {tuple(sizes)}")
-    weights = np.full(sizes, -1.0)
+    weights = _sized(offset, sizes, lambda: np.full(sizes, -1.0))
     flat = weights.reshape(-1)
 
     def parse(at, tokens):

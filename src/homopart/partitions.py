@@ -296,6 +296,9 @@ def block_sums(tensor, parts) -> np.ndarray:
     A ``KPartiteHypergraph`` is counted from its packed fiber rows by
     ``_packed_sums``, with no n^k array built. Its counts are exact
     integers, so sum over volume equals the block's mean bit for bit.
+    When every block of the last part is one vertex, as on the grid of
+    a singleton partition's audit, the counts are the fibers' bits
+    taken in block order, with no one-hot product.
     An array, 0/1 or weighted, is summed by one ``np.bincount`` over
     the cells, keyed by each cell's combined block labels. That is
     exact on 0/1 or dyadic input; on other weights the sums are taken
@@ -317,18 +320,27 @@ def _packed_sums(h: KPartiteHypergraph, parts) -> np.ndarray:
     unpacked and multiplied by a one-hot matrix of the last part's
     labels. The matrix is float32 while every count fits its 24-bit
     significand (n_last < 2^24) and float64 beyond, so the counts are
-    exact. An int64 cumsum over the sorted fibers, differenced at the
-    end of each key's run, gives that key's row; a run that crosses
-    into the next chunk carries its partial sum there. A chunk in
-    which every fiber is a run of its own, as under singleton blocks,
-    writes its counts directly; there the cumsum's int64 passes over
-    the counts would make the count about four times slower.
+    exact. When the last part has n_last blocks of one vertex each,
+    the product is skipped: a fiber's counts are its unpacked bits,
+    taken at the vertex of each block in block order. An int64 cumsum
+    over the sorted fibers, differenced at the end of each key's run,
+    gives that key's row; a run that crosses into the next chunk
+    carries its partial sum there. A chunk in which every fiber is a
+    run of its own, as under singleton blocks, writes its counts
+    directly; there the cumsum's int64 passes over the counts would
+    make the count about four times slower.
     """
     *lead, last = parts
     n_last = h.part_sizes[-1]
-    exact = np.float32 if n_last < 1 << 24 else np.float64
-    onehot = np.zeros((n_last, last.n_blocks), dtype=exact)
-    onehot[np.arange(n_last), last.labels] = 1.0
+    onehot = None
+    if last.n_blocks == n_last and (last.sizes() == 1).all():
+        # one vertex per block: a fiber's counts are its bits in block order
+        vertex_of = np.empty(n_last, dtype=np.int64)
+        vertex_of[last.labels] = np.arange(n_last)
+    else:
+        exact = np.float32 if n_last < 1 << 24 else np.float64
+        onehot = np.zeros((n_last, last.n_blocks), dtype=exact)
+        onehot[np.arange(n_last), last.labels] = 1.0
     lead_shape = tuple(p.n_blocks for p in lead)
     keys = np.ravel_multi_index(np.ix_(*[p.labels for p in lead]),
                                 lead_shape).ravel()
@@ -342,7 +354,8 @@ def _packed_sums(h: KPartiteHypergraph, parts) -> np.ndarray:
     for start in range(0, keys.size, chunk):
         stop = min(start + chunk, keys.size)
         bits = bitops.unpack(rows[order[start:stop]], n_last)
-        counts = bits.astype(exact) @ onehot
+        counts = (bits.take(vertex_of, axis=1) if onehot is None
+                  else bits.astype(exact) @ onehot)
         run_ends = ends[np.searchsorted(ends, start):np.searchsorted(ends, stop)]
         if run_ends.size == stop - start and not carry.any():
             sums[keys[run_ends]] = counts  # every fiber is a run of its own

@@ -919,6 +919,30 @@ class TestSlicewiseVC:
         assert sv["max"] == max(expect.values())
         assert sv["at_cap"] == (sv["max"] >= 8)
 
+    @pytest.mark.parametrize("family, n, distinct", [
+        ("planted-boxes", 18, 3), ("uniform-random", 10, 10),
+    ])
+    def test_each_distinct_link_is_measured_once(self, monkeypatch, family, n,
+                                                 distinct):
+        h = benchmark_instance(family, n)
+        dense = h.to_dense()
+        for part in range(3):
+            slabs = {np.take(dense, v, axis=part).tobytes() for v in range(n)}
+            assert len(slabs) == distinct
+        # charge each vc_dimension call to the part of the last link taken
+        pinned, calls = [], []
+        real_link, real_vc = auditor.link, auditor.vc_dimension
+        monkeypatch.setattr(auditor, "link", lambda h, pins: (
+            pinned.append(pins[0][0]) or real_link(h, pins)))
+        monkeypatch.setattr(auditor, "vc_dimension", lambda adj, **kw: (
+            calls.append(pinned[-1]) or real_vc(adj, **kw)))
+        sv = slicewise_vc(h)
+        assert pinned == [part for part in range(3) for _ in range(n)]
+        assert calls == [part for part in range(3) for _ in range(2 * distinct)]
+        expect = brute_slicewise(h)
+        assert {part: sv[part] for part in range(3)} == expect
+        assert sv["max"] == max(expect.values())
+
     def test_cap_one_sets_at_cap(self):
         h = benchmark_instance("uniform-random", 10)
         expect = brute_slicewise(h)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homopart import (
+    BipartiteGraph,
     KPartiteHypergraph,
     LayeredPartition,
     PartPartition,
@@ -49,6 +50,7 @@ from homopart.errors import (
 from homopart.gowers import (
     BoxCheck,
     GowersParams,
+    IntervalLayering,
     _agreement_excess,
     _item1_violations,
 )
@@ -852,6 +854,35 @@ class TestCertificateMemo:
         assert (check.exact, check.ok, check.worst) == (
             honest.exact, honest.ok, honest.worst)
         assert verify_certificate(shared, cert).kind == cert.kind
+
+    def test_level_tables_hold_every_vertex_level_bits(self, shared):
+        # the tower's level graphs are symmetric, so random ones also
+        # tell the two parts' tables apart
+        rng = np.random.default_rng(4)
+        random = tuple(BipartiteGraph.from_dense(rng.random((self.N, self.N)) < 0.5)
+                       for _ in range(3))
+        for lay in (shared.layering,
+                    dataclasses.replace(shared.layering, graphs=random)):
+            for part in (0, 1):
+                tables = lay.level_tables(part)
+                assert tables.shape == (self.N, self.N, 3)
+                for v in range(self.N):
+                    want = lay.level_bits(part, v)
+                    assert tables[v].tobytes() == want.tobytes(), (part, v)
+
+    def test_level_bits_computed_once_per_part(self, params, monkeypatch):
+        tables = []
+        real = IntervalLayering.level_tables
+        monkeypatch.setattr(IntervalLayering, "level_tables", lambda self, part: (
+            tables.append(part) or real(self, part)))
+        monkeypatch.setattr(IntervalLayering, "level_bits", lambda *args: (
+            pytest.fail("level_bits called per vertex")))
+        build = build_weighted(params, self.N)
+        for _ in range(2):
+            for part in range(3):
+                for v in range(self.N):
+                    verify_certificate(build, link_certificate(build, part, v))
+        assert tables == [0, 1]
 
     def test_equal_level_bits_share_atoms(self, shared):
         lay = shared.layering

@@ -308,6 +308,38 @@ def test_packed_block_sums_match_brute(monkeypatch, shape, fill, chunk_cells):
         assert sums.tobytes() == block_sums(edges, parts).tobytes()
 
 
+@pytest.mark.parametrize("shape", [
+    (9, 70), (6, 130), (5, 4, 70), (3, 4, 130), (3, 3, 4, 70), (3, 3, 3, 130),
+])
+@pytest.mark.parametrize("labels", ["identity", "shuffled", "one-shared"])
+@pytest.mark.parametrize("chunk_cells", [None, 200])
+def test_single_vertex_last_blocks_match_brute(monkeypatch, shape, labels,
+                                               chunk_cells):
+    # a last part of one-vertex blocks is counted by a column take; a
+    # shuffle puts block b on another vertex than b, and "one-shared"
+    # keeps n_last blocks but puts two vertices in one and leaves one
+    # empty, which must not be counted as a take
+    if chunk_cells is not None:
+        monkeypatch.setattr(partitions, "_BLOCK_SUMS_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    edges = rng.random(shape) < 0.4
+    h = KPartiteHypergraph.from_dense(edges)
+    n_last = shape[-1]
+    vertex_labels = (np.arange(n_last) if labels == "identity"
+                     else rng.permutation(n_last))
+    if labels == "one-shared":
+        vertex_labels[vertex_labels == 5] = 9
+    last = PartPartition(vertex_labels, part=len(shape) - 1, n_blocks=n_last)
+    for lead in (blocks_with_gaps(shape, 1)[:-1],
+                 blocks_with_gaps(shape, 2, singleton_lead=True)[:-1]):
+        parts = [*lead, last]
+        sums = block_sums(h, parts)
+        want_sums, _ = brute_block_sums(edges, parts)
+        assert sums.dtype == want_sums.dtype
+        assert sums.tobytes() == want_sums.tobytes()
+        assert sums.tobytes() == block_sums(edges, parts).tobytes()
+
+
 def test_packed_block_sums_exact_past_float32():
     # a one-block last part of 2^24 + 1 vertices: its count lies past
     # the integers float32 holds exactly

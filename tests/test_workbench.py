@@ -1304,6 +1304,46 @@ def test_audit_label_beyond_64_bits_is_a_format_error(tmp_path, raw, offset):
     assert str(err.value) == f"byte {offset}: bad integer: beyond 64 bits"
 
 
+@pytest.mark.parametrize("name, raw, offset, message", [
+    ("khg", b"khg 2 99999999999999999999 2\n", 0, "bad integer: beyond 64 bits"),
+    ("w3g", b"w3g 99999999999999999999 1 1\n", 0, "bad integer: beyond 64 bits"),
+    ("khg", b"# sizes\nkhg 2 9223372036854775807 2\n", 8,
+     "part sizes too large: (9223372036854775807, 2)"),
+    ("khg", b"khg 3 3037000500 3037000500 2\n", 0,
+     "part sizes too large: (3037000500, 3037000500, 2)"),
+    ("w3g", b"\nw3g 2 9223372036854775807 1\n0 0 0 0.5\n", 1,
+     "part sizes too large: (2, 9223372036854775807, 1)"),
+])
+def test_header_sizes_numpy_cannot_hold_are_format_errors(tmp_path, name, raw,
+                                                         offset, message):
+    # refused before any array is allocated; the per-line references
+    # read the header with the unbounded _ints and let numpy's
+    # ValueError out
+    read, reference = FORMATS[name][1:3]
+    with pytest.raises(ValueError) as bare:
+        reference(raw)
+    assert not isinstance(bare.value, FormatError)
+    path = tmp_path / f"f.{name}"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert err.value.offset == offset
+    assert str(err.value) == f"byte {offset}: {message}"
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("khg", b"khg 99999999999999999999 2 2\n0 0\n"),
+    ("w3g", b"w3g 1 1 -99999999999999999999\n"),
+])
+def test_header_field_beyond_64_bits_is_named(tmp_path, name, raw):
+    # the count and sign checks used to see these first
+    path = tmp_path / f"f.{name}"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        FORMATS[name][1](path)
+    assert str(err.value) == "byte 0: bad integer: beyond 64 bits"
+
+
 @pytest.mark.parametrize("name, raw, message", [
     ("khg", b"   \nkhg 3 2 2 2\n0 0 0\n", "expected header 'khg k n_1 ... n_k'"),
     ("w3g", b" \nw3g 2 2 2\n0 0 0 0.5\n", "expected header 'w3g nA nB nC'"),
