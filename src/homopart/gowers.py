@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,9 +100,9 @@ def build_sequence(eps, delta, mode="paper", *, t=None, growth=None, s0=None,
     Paper mode computes everything from (eps, delta) and rejects
     overrides; eps too large for at least one layer is an error that
     points at toy mode. Toy mode requires an explicit layer count and
-    growth rule (an integer means a constant ratio), accepts an
-    ``s0`` override, and drops the delta <= eps coupling if asked to,
-    stamping each relaxation into the result.
+    an integer growth, the constant ratio of each level to the last,
+    accepts an ``s0`` override, and drops the delta <= eps coupling if
+    asked to, stamping each relaxation into the result.
     """
     eps = float(eps)
     delta = float(delta)
@@ -133,11 +133,8 @@ def build_sequence(eps, delta, mode="paper", *, t=None, growth=None, s0=None,
         t = int(t)
         if t < 1:
             raise ValueError(f"need at least one layer, got t={t}")
-        if callable(growth):
-            grow = growth
-        else:
-            ratio = int(growth)
-            grow = lambda m, _ratio=ratio: _ratio
+        ratio = int(growth)
+        grow = lambda m: ratio
         relaxations += ["t", "growth"]
         if s0 is None:
             s0 = coupling_threshold(delta)
@@ -442,9 +439,10 @@ class IntervalLayering:
     ``levels[r]`` equal intervals; each level refines the previous one
     exactly. ``c_layers`` splits the third part into one interval per
     level. ``families[r-1]`` and ``graphs[r-1]`` belong to level r.
-    It counts nothing itself: box sums come from ``box_sums`` on the
-    build's layered ``weighted``, link counts from ``block_sums`` over
-    ``level_bits``.
+    The level graphs are symmetric, so one level-bit table serves
+    vertex v of both parts. It counts nothing itself: box sums come
+    from ``box_sums`` on the build's layered ``weighted``, link counts
+    from ``block_sums`` over ``level_bits``.
     """
 
     n: int
@@ -470,22 +468,16 @@ class IntervalLayering:
         """Weight 2^-r of layer r, for r = 1..t."""
         return 2.0 ** -np.arange(1, self.t + 1)
 
-    def level_bits(self, part: int, v: int) -> np.ndarray:
+    def level_bits(self, v: int) -> np.ndarray:
         """n x t table: bit r-1 of row x says level graph r has the edge
-        (v, x) when ``part`` is 0, or (x, v) when it is 1."""
-        if part == 0:
-            return bitops.unpack(np.stack([g.rows[v] for g in self.graphs]), self.n).T
-        # column v's word of every level, so one extraction reads all t bits
-        word, bit = divmod(v, bitops.WORD_BITS)
-        return bitops.extract_bit(
-            np.stack([g.rows[:, word:word + 1] for g in self.graphs], axis=1), bit)
+        (v, x), which is also the edge (x, v)."""
+        return bitops.unpack(np.stack([g.rows[v] for g in self.graphs]), self.n).T
 
-    def level_tables(self, part: int) -> np.ndarray:
-        """n x n x t array whose row v is ``level_bits(part, v)``, from
-        one unpack of the t level graphs."""
+    def level_tables(self) -> np.ndarray:
+        """n x n x t array whose row v is ``level_bits(v)``, from one
+        unpack of the t level graphs."""
         dense = bitops.unpack(np.stack([g.rows for g in self.graphs]), self.n)
-        return np.ascontiguousarray(
-            dense.transpose((1, 2, 0) if part == 0 else (2, 1, 0)))
+        return np.ascontiguousarray(dense.transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -504,17 +496,18 @@ class GowersBuild:
       n x t table of level bits has the bytes ``bits``. The atoms are
       the Venn atoms of those columns and the layer partition is the
       same for every vertex, so vertices with equal tables share them.
-    - ``("exact", kind, part, link, partitions)``: the
-      ``CertificateCheck`` of an exact claim. ``link`` is the layer r
-      of a third-part vertex, whose link is 2^-r G_r, or the level-bit
-      bytes of a first- or second-part vertex; with the claimed
-      ``partitions``, compared by value, they fix every count the check
-      reads, so a claim that differs in any of them misses.
+    - ``("exact", kind, link, partitions)``: the ``CertificateCheck``
+      of an exact claim. ``link`` is the int layer r of a third-part
+      vertex, whose link is 2^-r G_r, or the level-bit bytes of a
+      first- or second-part vertex, so the two never share a key; with
+      the claimed ``partitions``, compared by value, they fix every
+      count the check reads, so a claim that differs in any of them
+      misses.
     - ``("quasirandom", r, delta, draws, seed)``: the (audit, witness)
       pair of level r, which depends on nothing else.
-    - ``("level bits", part)``: ``layering.level_tables(part)``, the
-      level-bit tables of every vertex of the first or second part,
-      from which both keys above take a vertex's bits.
+    - ``("level bits",)``: ``layering.level_tables()``, the level-bit
+      tables of every vertex, from which both keys above take a
+      first- or second-part vertex's bits.
     """
 
     params: GowersParams
@@ -529,8 +522,10 @@ def level_graph(n: int, family: OrthogonalFamily) -> BipartiteGraph:
 
     A first-part vertex in coarse interval i at fine offset k meets a
     second-part vertex in coarse interval j at fine offset k' exactly
-    when k's side in partition j agrees with k's side in partition i,
-    which realizes the two complete blocks per interval pair.
+    when the side of k in partition j agrees with the side of k' in
+    partition i, which realizes the two complete blocks per interval
+    pair. The rule reads the same with the two vertices swapped, so
+    the graph is symmetric: (a, b) is an edge exactly when (b, a) is.
     """
     n = int(n)
     m, M = family.m, family.M
@@ -539,8 +534,9 @@ def level_graph(n: int, family: OrthogonalFamily) -> BipartiteGraph:
     coarse = np.arange(n) // (n // m)
     fine = (np.arange(n) % (n // m)) // (n // (m * M))
     side = family.x_side
-    return BipartiteGraph.from_dense(
-        side[coarse[None, :], fine[:, None]] == side[coarse[:, None], fine[None, :]])
+    dense = side[coarse[None, :], fine[:, None]] == side[coarse[:, None], fine[None, :]]
+    assert (dense == dense.T).all()
+    return BipartiteGraph.from_dense(dense)
 
 
 def build_weighted(params: GowersParams, n: int) -> GowersBuild:
@@ -660,7 +656,7 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
 
     # first- or second-part vertex: the other interval side is atomized
     # by the per-level neighborhoods, the layer side is kept as is
-    bits = _level_bits(build, part, v)
+    bits = _level_bits(build, v)
     key = ("atoms", bits.tobytes())
     if key not in build._memo:
         build._memo[key] = (
@@ -678,12 +674,12 @@ def link_certificate(build: GowersBuild, part: int, v: int) -> LinkCertificate:
     )
 
 
-def _level_bits(build: GowersBuild, part: int, v: int) -> np.ndarray:
-    """``level_bits(part, v)``, read from the part's tables in the
-    build's memo, which are computed once per build."""
-    key = ("level bits", part)
+def _level_bits(build: GowersBuild, v: int) -> np.ndarray:
+    """``level_bits(v)``, read from the tables in the build's memo,
+    which are computed once per build."""
+    key = ("level bits",)
     if key not in build._memo:
-        build._memo[key] = build.layering.level_tables(part)
+        build._memo[key] = build.layering.level_tables()
     return build._memo[key][v]
 
 
@@ -705,29 +701,30 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
     block pair must carry a single weight value. They are counted from
     the level rows, never from the dense weights. A third-part vertex on
     layer r has the link 2^-r G_r, so a pair A x B is constant exactly
-    when G_r has 0 or |A||B| edges on it, counted by popcount per right
-    block and ``block_sums`` over the left blocks. For a first- or
-    second-part vertex v, ``block_sums`` of its n x t table of level
-    bits against (left blocks, one block per level) counts |A & N_r(v)|;
-    a pair A x C is constant exactly when every layer C meets has a
-    count of 0 or |A|, and every count is 0 where C meets more than one
-    layer. ``worst`` is the first failing pair in (a, b) order with its
-    least and greatest weight, read from the same counts: 0 and 2^-r for
-    a third-part vertex on layer r; otherwise 2^-l over the layers l
-    that C meets and where A has a hit, and 0 where such a layer lacks a
-    hit in A. Quasirandom claims are checked one-sidedly, by the
+    when G_r has 0 or |A||B| edges on it, counted by ``block_sums`` on
+    the packed rows of G_r. For a first- or second-part vertex v,
+    ``block_sums`` of its n x t table of level bits against (left
+    blocks, one block per level) counts |A & N_r(v)|; a pair A x C is
+    constant exactly when every layer C meets has a count of 0 or |A|,
+    and every count is 0 where C meets more than one layer. ``worst``
+    is the first failing pair in (a, b) order with its least and
+    greatest weight, read from the same counts: 0 and 2^-r for a
+    third-part vertex on layer r; otherwise 2^-l over the layers l that
+    C meets and where A has a hit, and 0 where such a layer lacks a hit
+    in A. Quasirandom claims are checked one-sidedly, by the
     quasirandomness audit plus a sampled witness search on the level
     graph; ``ok`` then means no witness surfaced within the budget of
     ``draws`` subsets, which must be at least 1 when the search is
     sampled.
 
     Every check goes through the build's memo (see ``GowersBuild``).
-    An exact check is kept under its kind, part, link (the layer r, or
+    An exact check is kept under its kind, link (the int layer r, or
     the level-bit bytes) and claimed partitions, which fix all the
-    counts above, and a hit returns the stored check. The audit and
-    witness depend only on the level and the search settings, so they
-    run once per (level, delta, draws, seed), and every quasirandom
-    certificate on that level gets the same two objects.
+    counts above, and a hit returns the stored check; vertex v of the
+    first and of the second part share one. The audit and witness
+    depend only on the level and the search settings, so they run once
+    per (level, delta, draws, seed), and every quasirandom certificate
+    on that level gets the same two objects.
     """
     lay = build.layering
     if cert.kind == "quasirandom":
@@ -756,10 +753,10 @@ def verify_certificate(build: GowersBuild, cert: LinkCertificate, *,
 
     if cert.part == 2:
         link = lay.layer_of(cert.vertex)
-        key = ("exact", cert.kind, cert.part, link, cert.partitions)
+        key = ("exact", cert.kind, link, cert.partitions)
     else:
-        link = _level_bits(build, cert.part, cert.vertex)
-        key = ("exact", cert.kind, cert.part, link.tobytes(), cert.partitions)
+        link = _level_bits(build, cert.vertex)
+        key = ("exact", cert.kind, link.tobytes(), cert.partitions)
     if key not in build._memo:
         build._memo[key] = _exact_check(lay, cert, link)
     return build._memo[key]
@@ -771,12 +768,9 @@ def _exact_check(lay: IntervalLayering, cert: LinkCertificate,
     third-part vertex or the level-bit table ``link`` of another."""
     left, right = cert.partitions[0], cert.partitions[1]
     if cert.part == 2:
-        rows = lay.graphs[link - 1].rows
-        masks = bitops.pack(right.labels == np.arange(right.n_blocks)[:, None])
-        per_block = bitops.popcount(rows[:, None, :] & masks, axis=-1)
+        g = lay.graphs[link - 1]
         edges = block_sums(
-            per_block, (left, PartPartition.singletons(right.n_blocks))
-        )
+            KPartiteHypergraph((g.n_left, g.n_right), g.rows), (left, right))
         cells = np.multiply.outer(left.sizes(), right.sizes())
         off = (edges != 0) & (edges != cells)
     else:
@@ -955,13 +949,15 @@ class CascadeReport:
     levels: tuple
 
 
-def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
-                     prev_other, side):
+def _extract_witness(build, fine_part, other_part, third, r, beta_prev, eps,
+                     prev_fine, cur_fine, prev_other):
     """Walk the failed-refinement proof and return a witness, or None.
 
-    ``side`` names which interval family the fine partition refines;
-    the other side supplies the crossing block. All index choices scan
-    in ascending order, so extraction is deterministic. The base,
+    ``fine_part`` failed to refine level r (reports ``prev_fine`` and
+    ``cur_fine``), ``other_part`` (report ``prev_other``) supplies the
+    crossing block and ``third`` the layer block; the witness is side
+    A, its boxes in that part order. All index choices scan in
+    ascending order, so extraction is deterministic. The base,
     complete and empty box means come from one ``box_sums`` call on the
     build's layered weights, exact as dyadic sums; the complete mean
     is asserted to be exactly 2^-r and the empty one 0.
@@ -974,9 +970,6 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
     M = params.ratio(r)
     w_coarse = n // m
     w_fine = n // params.levels[r]
-    fine_part = candidate[0] if side == "A" else candidate[1]
-    other_part = candidate[1] if side == "A" else candidate[0]
-    third = candidate[2]
 
     lost = np.flatnonzero(prev_fine.matched & ~cur_fine.matched)
     for s in lost:
@@ -1035,13 +1028,8 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
             continue
         ell, r_block, rc = chosen_ell
 
-        if side == "A":
-            box = lambda vv: (vv, w_pick, rc)
-            blocks = (fine_part.block_indices(int(s)), other, r_block)
-        else:
-            box = lambda vv: (w_pick, vv, rc)
-            blocks = (other, fine_part.block_indices(int(s)), r_block)
-        boxes = (blocks, box(v_complete), box(v_empty))
+        boxes = ((block, other, r_block), (v_complete, w_pick, rc),
+                 (v_empty, w_pick, rc))
         members = np.zeros((3, n, len(boxes)))
         for j, picks in enumerate(boxes):
             for part, idx in enumerate(picks):
@@ -1053,14 +1041,14 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
         assert d_complete == 2.0 ** -r and d_empty == 0.0
 
         complete = RegularityWitness(
-            subsets=box(v_complete),
+            subsets=boxes[1],
             sub_density=d_complete,
             base_density=base,
             deviation=abs(d_complete - base),
             exact=True,
         )
         empty = RegularityWitness(
-            subsets=box(v_empty),
+            subsets=boxes[2],
             sub_density=d_empty,
             base_density=base,
             deviation=abs(d_empty - base),
@@ -1068,7 +1056,7 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
         )
         return CascadeWitness(
             level=r,
-            side=side,
+            side="A",
             s=int(s),
             u=u,
             ell=ell,
@@ -1079,6 +1067,15 @@ def _extract_witness(build, candidate, r, beta_prev, eps, prev_fine, cur_fine,
             gap=d_complete - d_empty,
         )
     return None
+
+
+def _side_b(wit: CascadeWitness) -> CascadeWitness:
+    """``wit``, found with the first two parts swapped, as side B with
+    its boxes in part order. The level graphs are symmetric, so the
+    weights are too under that swap."""
+    unswap = lambda box: replace(box, subsets=box.subsets[1::-1] + box.subsets[2:])
+    return replace(wit, side="B", complete=unswap(wit.complete),
+                   empty=unswap(wit.empty))
 
 
 def refinement_cascade(build: GowersBuild, candidate: LayeredPartition,
@@ -1138,18 +1135,18 @@ def refinement_cascade(build: GowersBuild, candidate: LayeredPartition,
         if not refines and prev_a is not None and prev_b is not None:
             if not a_rep.refines:
                 wit = _extract_witness(
-                    build, candidate, r, betas[r - 1], eps,
-                    prev_a, a_rep, prev_b, "A",
+                    build, candidate[0], candidate[1], candidate[2], r,
+                    betas[r - 1], eps, prev_a, a_rep, prev_b,
                 )
                 if wit is not None:
                     witnesses.append(wit)
             if not b_rep.refines and not witnesses:
                 wit = _extract_witness(
-                    build, candidate, r, betas[r - 1], eps,
-                    prev_b, b_rep, prev_a, "B",
+                    build, candidate[1], candidate[0], candidate[2], r,
+                    betas[r - 1], eps, prev_b, b_rep, prev_a,
                 )
                 if wit is not None:
-                    witnesses.append(wit)
+                    witnesses.append(_side_b(wit))
         levels.append(CascadeLevel(
             r=r, beta=beta, valid=valid, runnable=True,
             a_report=a_rep, b_report=b_rep, refines=refines,

@@ -630,7 +630,7 @@ def read_part(path) -> LayeredPartition:
     tokens = header.split()
     if tokens[:1] != ["part"] or len(tokens) != 2:
         raise FormatError(offset, "expected header 'part k'")
-    k = _ints(offset, tokens[1:])[0]
+    k = _int64s(offset, tokens[1:])[0]
     if k < 1:
         raise FormatError(offset, "need at least one part")
     if len(data) - 1 != k:
@@ -721,7 +721,7 @@ def read_audit(path) -> HomogeneityReport:
         raise FormatError(offset, f"eps {eps!r} outside [0, 1/2)")
     if tokens[3] not in ("pass", "fail"):
         raise FormatError(offset, f"verdict must be pass or fail, got {tokens[3]!r}")
-    mass = _ints(offset, tokens[4:5])[0]
+    mass = _int64s(offset, tokens[4:5])[0]
     if mass < 0:
         raise FormatError(offset, f"mass {mass} is negative")
     scalars = {"eps": eps, "passed": tokens[3] == "pass", "mass": mass,

@@ -54,6 +54,7 @@ from homopart.gowers import (
     _agreement_excess,
     _item1_violations,
 )
+from homopart import gowers
 from homopart import io as hio
 from homopart.partitions import block_sums
 from homopart.rng import generator
@@ -303,11 +304,12 @@ class TestSequence:
 
     def test_default_growth_overflow_names_the_level(self):
         # level 7 of the default growth is 269,383,296, and e^(m/16)
-        # at that m is past the largest float
-        assert build_sequence(0.3, 0.5, mode="toy", t=7,
-                              growth=growth_function).levels[7] == 269_383_296
+        # at that m is past the largest float; paper mode reaches t=7 at
+        # eps=7^-41 and t=8 at 7^-45, and its s0 stunts no step there
+        assert build_sequence(7.0 ** -41, 7.0 ** -41).levels == (
+            1, 2, 4, 8, 16, 32, 224, 269_383_296)
         with pytest.raises(InfeasibleParamsError, match="level 8"):
-            build_sequence(0.3, 0.5, mode="toy", t=8, growth=growth_function)
+            build_sequence(7.0 ** -45, 7.0 ** -45)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -603,6 +605,18 @@ class TestBuildWeighted:
         c = build_weighted(other, 8)
         assert not np.array_equal(a.weighted.weights, c.weighted.weights)
 
+    @pytest.mark.parametrize("t, n, eps", [
+        (3, 48, 1e-12), (3, 144, 1e-12), (5, 960, 1e-24),
+    ])
+    def test_level_graphs_equal_their_transpose(self, t, n, eps):
+        # the second part reads its level bits and its cascade witnesses
+        # off the first part's on this symmetry
+        params = build_sequence(eps, 0.5, mode="toy", t=t, growth=2, s0=4,
+                                seed=1)
+        for g in build_weighted(params, n).layering.graphs:
+            adj = g.to_dense()
+            assert np.array_equal(adj, adj.T)
+
     def test_level_graph_standalone(self, toy_build):
         fam = toy_build.layering.families[0]
         g = level_graph(8, fam)
@@ -856,25 +870,21 @@ class TestCertificateMemo:
         assert verify_certificate(shared, cert).kind == cert.kind
 
     def test_level_tables_hold_every_vertex_level_bits(self, shared):
-        # the tower's level graphs are symmetric, so random ones also
-        # tell the two parts' tables apart
         rng = np.random.default_rng(4)
         random = tuple(BipartiteGraph.from_dense(rng.random((self.N, self.N)) < 0.5)
                        for _ in range(3))
         for lay in (shared.layering,
                     dataclasses.replace(shared.layering, graphs=random)):
-            for part in (0, 1):
-                tables = lay.level_tables(part)
-                assert tables.shape == (self.N, self.N, 3)
-                for v in range(self.N):
-                    want = lay.level_bits(part, v)
-                    assert tables[v].tobytes() == want.tobytes(), (part, v)
+            tables = lay.level_tables()
+            assert tables.shape == (self.N, self.N, 3)
+            for v in range(self.N):
+                assert tables[v].tobytes() == lay.level_bits(v).tobytes(), v
 
-    def test_level_bits_computed_once_per_part(self, params, monkeypatch):
-        tables = []
+    def test_level_bits_computed_once_per_build(self, params, monkeypatch):
+        calls = []
         real = IntervalLayering.level_tables
-        monkeypatch.setattr(IntervalLayering, "level_tables", lambda self, part: (
-            tables.append(part) or real(self, part)))
+        monkeypatch.setattr(IntervalLayering, "level_tables", lambda self: (
+            calls.append(self) or real(self)))
         monkeypatch.setattr(IntervalLayering, "level_bits", lambda *args: (
             pytest.fail("level_bits called per vertex")))
         build = build_weighted(params, self.N)
@@ -882,11 +892,29 @@ class TestCertificateMemo:
             for part in range(3):
                 for v in range(self.N):
                     verify_certificate(build, link_certificate(build, part, v))
-        assert tables == [0, 1]
+        assert len(calls) == 1
+
+    def test_each_distinct_link_is_checked_once(self, params, monkeypatch):
+        # at n=144 the first and second parts' 288 vertices have 8
+        # distinct level-bit tables between them, and the third part
+        # has 2 shallow layers; the deep layer's claim is quasirandom
+        n = 144
+        calls = []
+        real = gowers._exact_check
+        monkeypatch.setattr(gowers, "_exact_check", lambda lay, cert, link: (
+            calls.append(cert.part) or real(lay, cert, link)))
+        build = build_weighted(params, n)
+        for part in range(3):
+            for v in range(n):
+                assert verify_certificate(build, link_certificate(build, part, v)).ok
+        assert len(calls) == 10 and calls.count(2) == 2
+        for v in (0, n - 1):
+            assert (verify_certificate(build, link_certificate(build, 1, v))
+                    is verify_certificate(build, link_certificate(build, 0, v)))
 
     def test_equal_level_bits_share_atoms(self, shared):
         lay = shared.layering
-        tables = [lay.level_bits(0, v).tobytes() for v in range(self.N)]
+        tables = [lay.level_bits(v).tobytes() for v in range(self.N)]
         same = [v for v in range(1, self.N) if tables[v] == tables[0]]
         other = next(v for v in range(self.N) if tables[v] != tables[0])
         assert same
@@ -1184,6 +1212,39 @@ class TestRefinementCascade:
         assert set(wit.complete.subsets[0].tolist()) <= set(range(8))
         # complete and empty share the second-part subset
         assert np.array_equal(wit.complete.subsets[1], wit.empty.subsets[1])
+
+    @pytest.fixture(scope="class", params=[48, 144], ids=["n48", "n144"])
+    def tower(self, request):
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=1)
+        build = build_weighted(params, request.param)
+        return build, WeightedTripartite(build.weighted.weights)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_coarse_second_part_gets_side_b_witness(self, tower, r):
+        # the first part refines level r and the second only level r-1,
+        # so level r fails on side B alone
+        build, dense = tower
+        n, levels = build.n, build.params.levels
+        candidate = LayeredPartition([
+            PartPartition.intervals(n, levels[r], part=0),
+            PartPartition.intervals(n, levels[r - 1], part=1),
+            PartPartition.intervals(n, levels[r], part=2),
+        ])
+        rep = refinement_cascade(build, candidate)
+        found = [wit for level in rep.levels for wit in level.witnesses]
+        assert len(found) == 1
+        wit = found[0]
+        assert rep.levels[r - 1].witnesses[0] is wit
+        assert (wit.level, wit.side, wit.gap) == (r, "B", 2.0 ** -r)
+        assert (wit.complete.sub_density, wit.empty.sub_density) == (2.0 ** -r, 0.0)
+        for box in (wit.complete, wit.empty):
+            assert verify_witness(dense, box) == box.sub_density
+            # the boxes are in part order: the crossing block u is in the
+            # first part, the block s that failed to refine in the second
+            assert np.isin(box.subsets[0], candidate[0].block_indices(wit.u)).all()
+            assert np.isin(box.subsets[1], candidate[1].block_indices(wit.s)).all()
+            assert np.isin(box.subsets[2], candidate[2].block_indices(wit.ell)).all()
 
     def test_beta_schedule_documents_eps_requirement(self, toy_build):
         rep = refinement_cascade(toy_build, _trivial_candidate(8), eps=1e-4)

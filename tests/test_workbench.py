@@ -1248,6 +1248,8 @@ AUDIT_ROW = b"0 0 0.0 pass\n"
      "normalized mass -1.0 outside [0, 1]"),
     (b"audit block 0.2 pass 0\n#normalized 0.0\n#weighted 7\n" + AUDIT_ROW, 39,
      "#weighted must be 0 or 1, got 7"),
+    (b"audit block 0.2 fail 99999999999999999999\n#normalized 0.5\n#weighted 0\n"
+     b"0 0 0.5 fail\n", 0, "bad integer: beyond 64 bits"),
 ])
 def test_read_audit_refuses_header_values_no_audit_gives(tmp_path, raw, offset,
                                                          message):
@@ -1368,6 +1370,7 @@ def test_header_line_of_blanks_is_a_format_error(tmp_path, name, raw, message):
     ("part", b"   \n0 1\n", 0, "expected header 'part k'"),
     ("links", b"  \nx\n", 0, "expected header 'links r'"),
     ("part", b"part 1\n0 99999999999999999999\n", 7, "bad integer: beyond 64 bits"),
+    ("part", b"part 99999999999999999999\n0 0\n", 0, "bad integer: beyond 64 bits"),
     ("links", b"links 2\n- 0 2 0 0 0 0 99999999999999999999\n", 8,
      "bad integer: beyond 64 bits"),
     ("part", b"part 1\n#meta 0 part=0 exceptional=0 equitable=1 "
@@ -1391,8 +1394,9 @@ def test_header_line_of_blanks_is_a_format_error(tmp_path, name, raw, message):
 def test_part_and_links_readers_raise_format_errors(tmp_path, name, raw, offset,
                                                     message):
     # a header line of blanks raised IndexError, a label or #meta value
-    # beyond 64 bits numpy's OverflowError, and a .links field other than
-    # the labels beyond 64 bits was read as it stood
+    # beyond 64 bits numpy's OverflowError, a .links field other than the
+    # labels beyond 64 bits was read as it stood, and a .part header k
+    # beyond 64 bits was only compared with the count of label lines
     path = tmp_path / f"f.{name}"
     path.write_bytes(raw)
     with pytest.raises(FormatError) as err:
