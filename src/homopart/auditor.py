@@ -6,11 +6,13 @@ densities and disagreement pairs are read off
 ``_counted`` is the one place that turns input into what it counts:
 0/1 graphs and bool arrays become a packed ``KPartiteHypergraph``,
 counted from the fiber words without a dense copy, and other arrays
-and weighted relations take the dense path. The witness searches,
-``verify_witness`` (the independent recheck) and the VC search read
-dense copies. The audited tuples are always the row-major product of
-each part's non-empty blocks, so a ``HomogeneityReport`` names them by
-those block lists alone. Regularity witnesses come from one subset
+and weighted relations take the dense path. ``_as_tensor`` is the one
+dense converter: the witness searches, ``verify_witness`` (the
+independent recheck) and ``gowers.quasirandomness_audit`` take their
+float64 copies from it, and the VC search reads unpacked 0/1 rows.
+The audited tuples are always the row-major product of each part's
+non-empty blocks, so a ``HomogeneityReport`` names them by those
+block lists alone. Regularity witnesses come from one subset
 search: ``_mask_chunks`` enumerates the subsets of the small side (or
 random draws stand in for them), a matmul scores them, and
 ``_prefix_scan`` optimizes the remaining side. VC dimension is found

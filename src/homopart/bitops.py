@@ -4,7 +4,10 @@ Subsets of ``range(n)`` are stored little-endian in uint64 words so that
 intersections, symmetric differences, and cardinalities reduce to
 bitwise ops plus a vectorized popcount. Every graph type in the package
 packs its membership data with these helpers; keeping the layout in one
-place makes the word-parallel identities easy to audit.
+place makes the word-parallel identities easy to audit. ``pack`` and
+``unpack`` convert whole rows; ``locate_bit`` (bit j of a row to its
+word and mask) and ``list_bits`` (the set bits of packed rows) are the
+only code that addresses single bits.
 """
 
 from __future__ import annotations
@@ -60,10 +63,27 @@ def popcount(words: np.ndarray, axis=None):
     return counts.sum(axis=axis, dtype=np.int64)
 
 
+def locate_bit(j):
+    """(word index, uint64 mask) of bit ``j`` of a packed row; ``j`` is
+    an int or an integer array of bit positions."""
+    word, bit = np.divmod(j, WORD_BITS)
+    return word, np.left_shift(np.uint64(1), np.asarray(bit, dtype=np.uint64))
+
+
+def list_bits(rows: np.ndarray) -> tuple:
+    """(row, j) of every set bit of the packed 2-d ``rows``, in
+    row-major order; only nonzero words are unpacked."""
+    row, word = np.nonzero(rows)
+    bits = np.unpackbits(rows[row, word].view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    hit, bit = np.nonzero(bits)
+    return row[hit], word[hit] * WORD_BITS + bit
+
+
 def extract_bit(words: np.ndarray, j: int) -> np.ndarray:
     """Boolean plane of bit ``j`` across an array of packed rows."""
-    word = words[..., j // WORD_BITS]
-    return ((word >> np.uint64(j % WORD_BITS)) & np.uint64(1)).astype(bool)
+    word, mask = locate_bit(j)
+    return (words[..., word] & mask) != 0
 
 
 def symdiff_sizes(rows: np.ndarray, row: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bitops
-from .auditor import RegularityWitness, _mask_chunks, bipartite_regularity_witness
+from .auditor import (RegularityWitness, _as_tensor, _counted, _mask_chunks,
+                      bipartite_regularity_witness)
 from .errors import DivisibilityError, FamilyRejectionError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, _frozen
 from .partitions import (
@@ -768,9 +769,7 @@ def _exact_check(lay: IntervalLayering, cert: LinkCertificate,
     third-part vertex or the level-bit table ``link`` of another."""
     left, right = cert.partitions[0], cert.partitions[1]
     if cert.part == 2:
-        g = lay.graphs[link - 1]
-        edges = block_sums(
-            KPartiteHypergraph((g.n_left, g.n_right), g.rows), (left, right))
+        edges = block_sums(_counted(lay.graphs[link - 1])[0], (left, right))
         cells = np.multiply.outer(left.sizes(), right.sizes())
         off = (edges != 0) & (edges != cells)
     else:
@@ -834,14 +833,15 @@ class QuasirandomnessReport:
 
 def quasirandomness_audit(g, delta, *, b_intervals=None,
                           level_M=None) -> QuasirandomnessReport:
-    if isinstance(g, BipartiteGraph):
-        adj = g.to_dense().astype(np.float64)
-    else:
-        adj = np.asarray(g, dtype=np.float64)
+    delta = float(delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta={delta} out of range (0, 1)")
+    adj, _ = _as_tensor(g)
+    if adj.ndim != 2:
+        raise ValueError(f"the audit needs a 2-d adjacency, got {adj.ndim}-d")
     if adj.shape[0] != adj.shape[1]:
         raise ValueError("the audit needs equal part sizes")
     n = adj.shape[0]
-    delta = float(delta)
     d = float(adj.mean())
 
     degs = adj.sum(axis=0)  # degree of each right-side vertex
@@ -1095,6 +1095,8 @@ def refinement_cascade(build: GowersBuild, candidate: LayeredPartition,
     if candidate.k != 3:
         raise ValueError("the cascade runs on a three-part candidate")
     eps = build.params.eps if eps is None else float(eps)
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps={eps} out of range (0, 1)")
     sizes = np.concatenate([p.sizes() for p in candidate])
     nonzero = sizes[sizes > 0]
     if not nonzero.size:
@@ -1232,16 +1234,14 @@ def sample_unweighted(weighted: WeightedTripartite, seed=0, *, boxes=100,
     # temporaries stay small
     draws = generator(seed, "sample/cells")
     words = np.empty((n0, n1, bitops.n_words(n2)), dtype=np.uint64)
-    sampled = 0
     by_vertex = np.empty((n0, boxes))
     for i in range(n0):
         drawn = draws.random((n1, n2)) < weighted.slab(i)
         words[i] = bitops.pack(drawn)
-        sampled += np.count_nonzero(drawn)
         by_vertex[i] = ((drawn @ members[2]) * members[1]).sum(axis=0)
     graph = KPartiteHypergraph(shape, words)
     weight_sum, variance_sum = weighted.sums()
-    full = _box_verdict(weight_sum, sampled, variance_sum, math.prod(shape))
+    full = _box_verdict(weight_sum, graph.edge_count, variance_sum, math.prod(shape))
 
     box_weights, box_variances = weighted.box_sums(members)
     box_sampled = (by_vertex * members[0]).sum(axis=0)

@@ -16,11 +16,11 @@ Types
     ``weights`` of a layered relation are built only when read.
     ``link`` below builds links of unweighted hypergraphs only.
 
-All objects freeze their arrays after construction; ``link`` below is
-a pure function and safe to share across threads. Block-tuple
-densities are counted by ``partitions.block_sums``, the last-part
-neighborhood of a (k-1)-tuple ``e`` is the packed row ``h.words[e]``,
-and a vertex degree is the popcount of its row.
+All objects freeze their arrays after construction, and ``link`` below
+is a pure function. Block-tuple densities are counted by
+``partitions.block_sums``, the last-part neighborhood of a (k-1)-tuple
+``e`` is the packed row ``h.words[e]``, and a vertex degree is the
+popcount of its row.
 """
 
 from __future__ import annotations
@@ -81,19 +81,6 @@ class BipartiteGraph:
         return f"BipartiteGraph({self.n_left}x{self.n_right}, edges={self.edge_count})"
 
 
-def set_edges(words: np.ndarray, edges: np.ndarray) -> None:
-    """Set the bits of the (E, k) int64 ``edges``, each in range, in the
-    writable packed ``words`` of a k-partite hypergraph; an edge listed
-    twice is set once."""
-    fibers = np.ravel_multi_index(tuple(edges[:, :-1].T), words.shape[:-1])
-    last = edges[:, -1]
-    np.bitwise_or.at(
-        words.reshape(-1),
-        fibers * words.shape[-1] + last // bitops.WORD_BITS,
-        np.uint64(1) << (last % bitops.WORD_BITS).astype(np.uint64),
-    )
-
-
 class KPartiteHypergraph:
     """k-partite k-uniform hypergraph on parts of fixed sizes.
 
@@ -125,25 +112,6 @@ class KPartiteHypergraph:
         return cls(tensor.shape, bitops.pack(tensor))
 
     @classmethod
-    def from_edges(cls, part_sizes, edges):
-        """Hypergraph with the given edges, set bit by bit in the packed
-        words. ``edges`` is an (E, k) integer array or any iterable of
-        k-tuples; an edge listed twice is set once."""
-        h = cls.empty(part_sizes)
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.size == 0:
-            return h
-        if edges.ndim != 2 or edges.shape[1] != h.k:
-            raise ValueError(f"edges must form an (E, {h.k}) array, got {edges.shape}")
-        if np.any((edges < 0) | (edges >= np.asarray(h.part_sizes))):
-            raise ValueError("edge vertex out of range for its part")
-        words = h.words.copy()
-        set_edges(words, edges)
-        return cls(h.part_sizes, words)
-
-    @classmethod
     def empty(cls, part_sizes):
         sizes = tuple(int(s) for s in part_sizes)
         return cls(sizes, np.zeros(sizes[:-1] + (bitops.n_words(sizes[-1]),),
@@ -162,16 +130,11 @@ class KPartiteHypergraph:
 
     def edge_columns(self, start=0, stop=None) -> tuple:
         """Edges as k index columns in row-major order, read from the
-        set bits of the packed words; only nonzero words are unpacked.
-        ``start`` and ``stop`` bound the fibers read, as flat indices
-        into ``fiber_rows()``."""
-        rows = self.fiber_rows()[start:stop]
-        fiber, word = np.nonzero(rows)
-        bits = np.unpackbits(rows[fiber, word].view(np.uint8).reshape(-1, 8),
-                             axis=1, bitorder="little")
-        hit, bit = np.nonzero(bits)
-        last = word[hit] * bitops.WORD_BITS + bit
-        return (*np.unravel_index(start + fiber[hit], self.part_sizes[:-1]), last)
+        set bits of the packed words by ``bitops.list_bits``. ``start``
+        and ``stop`` bound the fibers read, as flat indices into
+        ``fiber_rows()``."""
+        fiber, last = bitops.list_bits(self.fiber_rows()[start:stop])
+        return (*np.unravel_index(start + fiber, self.part_sizes[:-1]), last)
 
     def __eq__(self, other):
         if not isinstance(other, KPartiteHypergraph):

@@ -16,7 +16,9 @@ Formats:
 * ``.w3g``   header ``w3g nA nB nC``, then ``a b c w`` per nonzero
   cell with w a decimal in [0, 1]; absent cells are weight 0.
 * ``.part``  header ``part k``, then per part one line of block
-  labels (label 0 is the exceptional block when flagged).
+  labels (label 0 is the exceptional block when flagged). A
+  ``#meta i ...`` line carries the flags of label line i and stands
+  right before it, with only comments and blank lines between.
 * ``.audit`` header ``audit block <eps> <pass|fail> <mass>``, then
   per block tuple ``labels... density pass|fail``. Readers require
   the second field but ignore its value, which older files may spell
@@ -74,8 +76,8 @@ import tempfile
 
 import numpy as np
 
+from . import bitops
 from .auditor import HomogeneityReport, _passes
-from .bitops import WORD_BITS
 from .errors import FormatError
 from .hypercore import KPartiteHypergraph, WeightedTripartite
 from .partitions import LayeredPartition, PartPartition, homogeneous
@@ -514,10 +516,10 @@ def read_khg(path) -> KPartiteHypergraph:
         vertex = _in_range(edges, sizes)
         fine = _first(vertex[0])
         *fiber, last = (e[:fine] for e in edges)
-        column, bit = np.divmod(last, WORD_BITS)
-        word = np.ravel_multi_index((*fiber, column), words.shape)
-        mask = np.uint64(1) << bit.astype(np.uint64)
-        repeat = ((flat[word] & mask) != 0) | _repeats(word * WORD_BITS + bit)
+        row = np.ravel_multi_index(fiber, sizes[:-1])
+        column, mask = bitops.locate_bit(last)
+        word = row * words.shape[-1] + column
+        repeat = ((flat[word] & mask) != 0) | _repeats(row * sizes[-1] + last)
         _check(at, vertex, (repeat, lambda i: f"duplicate edge {_row(edges, i)}"))
         np.bitwise_or.at(flat, word, mask)
 
@@ -595,8 +597,12 @@ def _meta_line(i: int, p: PartPartition) -> str:
 
 
 def _parse_meta(offset, text):
+    """(index, fields) of a ``#meta`` line: the label line it names and
+    the ``PartPartition`` keywords it carries."""
+    tokens = text.split()
+    index = _int64s(offset, tokens[1:2], count=1)[0]
     fields = {}
-    for token in text.split()[2:]:
+    for token in tokens[2:]:
         key, _, value = token.partition("=")
         fields[key] = value
     try:
@@ -605,12 +611,21 @@ def _parse_meta(offset, text):
             offset, [fields[key] for key in ("exceptional", "equitable", "nblocks")])
     except KeyError as exc:
         raise FormatError(offset, f"bad #meta line: {exc}") from None
-    return {
+    return index, {
         "part": None if part == "-" else _int64s(offset, [part])[0],
         "has_exceptional": bool(exceptional),
         "equitable": bool(equitable),
         "n_blocks": n_blocks,
     }
+
+
+def _partition(offset, labels, **fields) -> PartPartition:
+    """``PartPartition(labels, **fields)``, whose ``ValueError`` becomes
+    a ``FormatError`` at ``offset``."""
+    try:
+        return PartPartition(labels, **fields)
+    except ValueError as exc:
+        raise FormatError(offset, str(exc)) from None
 
 
 def write_part(path, layered: LayeredPartition, *, digest=None):
@@ -636,38 +651,32 @@ def read_part(path) -> LayeredPartition:
     if len(data) - 1 != k:
         raise FormatError(offset, f"expected {k} label lines, found {len(data) - 1}")
 
-    # meta comments attach to the next label line
-    meta_by_offset = {}
-    pending = None
-    for offset, text in lines:
+    # each #meta line describes the label line right after it, and
+    # names that line's index
+    metas, i = {}, 0
+    for at, text in lines:
         if text.startswith("#meta"):
-            pending = _parse_meta(offset, text)
-        elif not text.startswith("#"):
-            if pending is not None:
-                meta_by_offset[offset] = pending
-                pending = None
+            index, fields = _parse_meta(at, text)
+            if i == k:
+                raise FormatError(at, f"#meta {index} has no label line after it")
+            if i in metas:
+                raise FormatError(at, f"#meta {index} is a second #meta "
+                                      f"before label line {i}")
+            if index != i:
+                raise FormatError(at, f"#meta {index} stands before label line {i}")
+            metas[i] = fields
+        elif not text.startswith("#") and at != offset:
+            i += 1
 
     parts = []
     for i, (offset, text) in enumerate(data[1:]):
         labels = _int64s(offset, text.split())
         if any(v < 0 for v in labels):
             raise FormatError(offset, "labels must be nonnegative")
-        meta = meta_by_offset.get(offset)
-        if meta is not None and meta["part"] not in (None, i):
-            raise FormatError(offset, f"label line {i} is marked part {meta['part']}")
-        try:
-            if meta is None:
-                parts.append(PartPartition(labels, part=i))
-            else:
-                parts.append(PartPartition(
-                    labels,
-                    part=meta["part"],
-                    n_blocks=meta["n_blocks"],
-                    has_exceptional=meta["has_exceptional"],
-                    equitable=meta["equitable"],
-                ))
-        except ValueError as exc:
-            raise FormatError(offset, str(exc)) from None
+        fields = metas.get(i, {"part": i})
+        if fields["part"] not in (None, i):
+            raise FormatError(offset, f"label line {i} is marked part {fields['part']}")
+        parts.append(_partition(offset, labels, **fields))
     return LayeredPartition(parts)
 
 
@@ -880,17 +889,9 @@ def read_links(path) -> tuple:
         pins = _parse_pins(offset, tokens[0])
         side, n_blocks, exceptional, equitable = _int64s(offset, tokens[1:5])
         part = None if tokens[5] == "-" else _int64s(offset, tokens[5:6])[0]
-        labels = _int64s(offset, tokens[6:])
-        try:
-            partition = PartPartition(
-                labels,
-                part=part,
-                n_blocks=n_blocks,
-                has_exceptional=bool(exceptional),
-                equitable=bool(equitable),
-            )
-        except ValueError as exc:
-            raise FormatError(offset, str(exc)) from None
+        partition = _partition(
+            offset, _int64s(offset, tokens[6:]), part=part, n_blocks=n_blocks,
+            has_exceptional=bool(exceptional), equitable=bool(equitable))
         key = (pins, side)
         if key in table:
             raise FormatError(offset, f"duplicate entry for pins={pins} side={side}")

@@ -1157,6 +1157,29 @@ class TestQuasirandomnessAudit:
         with pytest.raises(ValueError):
             quasirandomness_audit(np.ones((4, 6), dtype=bool), 0.5)
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 4)])
+    def test_adjacency_must_be_2d(self, shape):
+        # a 3-d array used to pass the square check on its first two axes
+        with pytest.raises(ValueError, match=f"2-d adjacency, got {len(shape)}-d"):
+            quasirandomness_audit(np.ones(shape, dtype=bool), 0.5)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match=rf"delta={delta} out of range \(0, 1\)"):
+            quasirandomness_audit(np.ones((8, 8), dtype=bool), delta)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
+    def test_quasirandom_certificate_check_rejects_bad_delta(self, delta):
+        # these raised ZeroDivisionError, a NaN-to-integer error, and
+        # returned a check for delta=-0.5
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=1)
+        build = build_weighted(params, 48)
+        cert = link_certificate(build, 2, 40)
+        assert cert.kind == "quasirandom"
+        with pytest.raises(ValueError, match=rf"delta={delta} out of range"):
+            verify_certificate(build, cert, delta=delta)
+
 
 def _trivial_candidate(n):
     return LayeredPartition([
@@ -1277,6 +1300,13 @@ class TestRefinementCascade:
         ])
         rep = refinement_cascade(toy_build, padded)
         assert rep.levels[0].runnable
+
+    @pytest.mark.parametrize("eps", [-1e-6, 0.0, 1.0, math.nan, math.inf])
+    def test_eps_outside_unit_interval_rejected(self, toy_build, eps):
+        # eps=-1e-6 turned the betas complex and raised TypeError; eps=nan
+        # gave a report with every level unrunnable
+        with pytest.raises(ValueError, match=rf"eps={eps} out of range \(0, 1\)"):
+            refinement_cascade(toy_build, _trivial_candidate(8), eps=eps)
 
     def test_candidate_shape_validation(self, toy_build):
         with pytest.raises(ValueError, match="three-part"):

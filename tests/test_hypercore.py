@@ -72,6 +72,14 @@ def has_edge(g, x, y):
     return bool(bitops.extract_bit(g.rows[x], y))
 
 
+def hypergraph(sizes, edges):
+    """The hypergraph on parts of ``sizes`` with the given edges."""
+    dense = np.zeros(sizes, dtype=bool)
+    for edge in edges:
+        dense[tuple(edge)] = True
+    return KPartiteHypergraph.from_dense(dense)
+
+
 def random_tensor(shape, p, seed, label):
     rng = generator(seed, label)
     return rng.random(shape) < p
@@ -90,27 +98,8 @@ def test_density_complete_cube():
     assert box_density(h, full_masks(h)) == 1.0
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 130), (2, 3, 2, 65)])
-def test_from_edges_matches_dense(shape):
-    tensor = random_tensor(shape, 0.4, seed=3, label="test/from_edges")
-    edges = np.argwhere(tensor)
-    expected = KPartiteHypergraph.from_dense(tensor)
-    assert KPartiteHypergraph.from_edges(shape, edges) == expected
-    assert KPartiteHypergraph.from_edges(shape, map(tuple, edges.tolist())) == expected
-    # a repeated edge is set once, in any order
-    assert KPartiteHypergraph.from_edges(shape, np.concatenate([edges, edges[::-1]])) == expected
-    assert KPartiteHypergraph.from_edges(shape, []) == KPartiteHypergraph.empty(shape)
-
-
-@pytest.mark.parametrize("edges", [[(0, 0)], [(0, 0, 0, 0)], [(0, 0, 3)],
-                                   [(-1, 0, 0)], [0, 0, 0]])
-def test_from_edges_rejects_bad_edges(edges):
-    with pytest.raises(ValueError):
-        KPartiteHypergraph.from_edges((2, 2, 3), edges)
-
-
 def test_density_single_edge():
-    h = KPartiteHypergraph.from_edges((2, 2, 2), [(0, 1, 0)])
+    h = hypergraph((2, 2, 2), [(0, 1, 0)])
     assert box_density(h, full_masks(h)) == 1 / 8
 
 
@@ -140,13 +129,13 @@ def test_density_matches_scan_on_random_subboxes():
 
 
 def test_link_perfect_matching():
-    h = KPartiteHypergraph.from_edges((1, 2, 2), [(0, 0, 0), (0, 1, 1)])
+    h = hypergraph((1, 2, 2), [(0, 0, 0), (0, 1, 1)])
     g = link(h, [(0, 0)])
     assert g.to_dense().tolist() == [[True, False], [False, True]]
 
 
 def test_link_isolated_pin_is_empty():
-    h = KPartiteHypergraph.from_edges((2, 2, 2), [(0, 0, 0)])
+    h = hypergraph((2, 2, 2), [(0, 0, 0)])
     g = link(h, [(0, 1)])
     assert g.edge_count == 0
 
@@ -254,6 +243,22 @@ def test_pack_matches_padded_bytes(lead, width):
     assert np.array_equal(bitops.unpack(words, width), mask)
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_bit_lister_and_locator_agree_with_pack(width):
+    mask = generator(23, f"bits/{width}").random((6, width)) < 0.3
+    mask[1] = False
+    mask[2] = True
+    words = bitops.pack(mask)
+    row, j = bitops.list_bits(words)
+    want_row, want_j = np.nonzero(mask)
+    assert np.array_equal(row, want_row) and np.array_equal(j, want_j)
+    # every listed bit set through the locator into zeroed words
+    rebuilt = np.zeros_like(words)
+    word, bit = bitops.locate_bit(j)
+    np.bitwise_or.at(rebuilt, (row, word), bit)
+    assert rebuilt.tobytes() == words.tobytes()
+
+
 def test_symdiff_triangle_inequality():
     tensor = random_tensor((5, 5, 7), 0.5, seed=21, label="test/triangle")
     h = KPartiteHypergraph.from_dense(tensor)
@@ -276,8 +281,8 @@ def test_density_monotone_under_adding_edges(data):
     cells = list(itertools.product(*[range(s) for s in shape]))
     base = data.draw(st.sets(st.sampled_from(cells)), label="base")
     extra = data.draw(st.sets(st.sampled_from(cells)), label="extra")
-    h1 = KPartiteHypergraph.from_edges(shape, base)
-    h2 = KPartiteHypergraph.from_edges(shape, base | extra)
+    h1 = hypergraph(shape, base)
+    h2 = hypergraph(shape, base | extra)
     assert box_density(h1, full_masks(h1)) <= box_density(h2, full_masks(h2))
 
 

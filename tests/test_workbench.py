@@ -64,6 +64,20 @@ def test_khg_empty_graph(tmp_path):
     assert hio.read_khg(path) == h
 
 
+@pytest.mark.parametrize("last", [63, 64, 65])
+@pytest.mark.parametrize("lead", [(4,), (2, 3)], ids=["k2", "k3"])
+def test_khg_round_trip_at_word_edges(tmp_path, monkeypatch, lead, last):
+    h = random_hypergraph(lead + (last,), seed=last)
+    path = tmp_path / "g.khg"
+    hio.write_khg(path, h)
+    with token_route(monkeypatch, allow=False):
+        assert hio.read_khg(path) == h
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with token_route(monkeypatch) as runs:
+        assert hio.read_khg(path) == h
+    assert runs
+
+
 def test_w3g_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     w = rng.random((4, 6, 5))
@@ -333,8 +347,40 @@ def test_part_meta_for_another_part_offset(tmp_path):
     assert err.value.offset == 62
 
 
+_META = b"part=0 exceptional=0 equitable=0 nblocks="
+
+
+@pytest.mark.parametrize("raw, offset, message", [
+    (b"part 1\n#meta 7 " + _META + b"1\n0 0\n", 7, "#meta 7 stands before label line 0"),
+    (b"part 2\n0 0\n#meta 0 " + _META + b"1\n0 1\n", 11,
+     "#meta 0 stands before label line 1"),
+    (b"part 1\n0 0\n#meta 0 " + _META + b"9\n", 11, "#meta 0 has no label line after it"),
+    (b"part 1\n#meta 0 " + _META + b"1\n# note\n#meta 0 " + _META + b"2\n0 0\n",
+     65, "#meta 0 is a second #meta before label line 0"),
+], ids=["wrong-index", "index-of-line-above", "no-line-after", "two-before-one"])
+def test_part_meta_names_the_next_label_line(tmp_path, raw, offset, message):
+    # a #meta line used to apply to the next label line whatever index it
+    # named, and one after the last label line was dropped
+    path = tmp_path / "p.part"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        hio.read_part(path)
+    assert err.value.offset == offset
+    assert str(err.value) == f"byte {offset}: {message}"
+
+
+def test_part_meta_applies_past_comments(tmp_path):
+    path = tmp_path / "p.part"
+    path.write_bytes(b"# c\n#meta 0 " + _META + b"3\npart 2\n0 0\n#meta 1 "
+                     + _META.replace(b"part=0", b"part=-") + b"4\n# c\n\n0 1\n")
+    back = hio.read_part(path)
+    assert (back[0].part, back[0].n_blocks) == (0, 3)
+    assert (back[1].part, back[1].n_blocks) == (None, 4)
+
+
 @pytest.mark.parametrize("name, text, offset, message", [
     ("g.khg", b"khg 2 3 3\n0 1\n2 2\n0 1\n", 18, "duplicate edge (0, 1)"),
+    ("g.khg", b"khg 2 2 130\n1 64\n1 127\n1 64\n", 23, "duplicate edge (1, 64)"),
     ("g.w3g", b"w3g 2 2 2\n0 0 0 0.5\n0 0 0 0.25\n", 20, "duplicate cell (0, 0, 0)"),
 ])
 def test_duplicate_rows_rejected(tmp_path, name, text, offset, message):
@@ -478,19 +524,17 @@ def reference_read_khg(raw: bytes) -> KPartiteHypergraph:
         raise FormatError(offset, "need at least two parts")
     if min(sizes) < 1:
         raise FormatError(offset, f"part sizes must be positive: {tuple(sizes)}")
-    edges = []
-    seen = set()
+    dense = np.zeros(sizes, dtype=bool)
     for offset, text in lines[1:]:
         edge = hio._ints(offset, text.split(), count=k)
         for i, v in enumerate(edge):
             if not 0 <= v < sizes[i]:
                 raise FormatError(offset, f"vertex {v} out of range for part {i}")
         key = tuple(edge)
-        if key in seen:
+        if dense[key]:
             raise FormatError(offset, f"duplicate edge {key}")
-        seen.add(key)
-        edges.append(edge)
-    return KPartiteHypergraph.from_edges(sizes, edges)
+        dense[key] = True
+    return KPartiteHypergraph.from_dense(dense)
 
 
 def reference_read_w3g(raw: bytes) -> WeightedTripartite:
