@@ -14,14 +14,15 @@ gamma, r = 0.2, 3
 inst = generate(InstanceSpec(
     k=2, n=(120, 120), family="planted-boxes", r=r, eps_prime=0.0, seed=7,
 ))
-g = inst.bipartite()
+g = inst.h
+n_left, n_right = g.part_sizes
 
 res = similarity_partition(
     g, inst.side_partitions[0], inst.side_partitions[1], gamma, r,
 )
 
 print(f"q={res.q} blocks of size m={res.m}, "
-      f"exceptional={res.partition.exceptional_size()} of {g.n_left}")
+      f"exceptional={res.partition.exceptional_size()} of {n_left}")
 print(f"contract met: {res.contract_met}")
 
 # verify the similarity promise directly: inside any block, two vertices
@@ -34,7 +35,7 @@ for b in range(1, res.partition.n_blocks):
     diff = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
     worst = max(worst, int(diff.max()))
 print(f"largest intra-block neighborhood difference: {worst} "
-      f"(allowed {gamma * g.n_right:.0f})")
+      f"(allowed {gamma * n_right:.0f})")
 
 sizes = res.partition.sizes()
 print(f"block sizes: exceptional={sizes[0]}, "

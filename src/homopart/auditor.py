@@ -4,12 +4,14 @@ Everything here recomputes its verdicts from first principles. Block
 densities and disagreement pairs are read off
 ``partitions.block_sums``, one counting pass over every cell.
 ``_counted`` is the one place that turns input into what it counts:
-0/1 graphs and bool arrays become a packed ``KPartiteHypergraph``,
-counted from the fiber words without a dense copy, and other arrays
-and weighted relations take the dense path. ``_as_tensor`` is the one
-dense converter: the witness searches, ``verify_witness`` (the
-independent recheck) and ``gowers.quasirandomness_audit`` take their
-float64 copies from it, and the VC search reads unpacked 0/1 rows.
+0/1 graphs (a ``BipartiteGraph`` is a ``KPartiteHypergraph``) and
+bool arrays are counted from packed fiber words without a dense copy,
+and other arrays and weighted relations take the dense path.
+``_as_tensor`` is the one dense converter: the witness searches,
+``verify_witness`` (the independent recheck) and
+``gowers.quasirandomness_audit`` take their float64 copies from it,
+and the VC search reads unpacked 0/1 rows. ``_two_part`` is the one
+input check of every bipartite entry point.
 The audited tuples are always the row-major product of each part's
 non-empty blocks, so a ``HomogeneityReport`` names them by those
 block lists alone. Regularity witnesses come from one subset
@@ -34,14 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleParamsError
-from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, link
+from .hypercore import KPartiteHypergraph, WeightedTripartite, link
 from .partitions import LayeredPartition, PartPartition, block_sums, homogeneous
 from .rng import generator
 
 
 def _as_tensor(h) -> tuple[np.ndarray, bool]:
     """Dense weight tensor plus a flag for genuinely weighted input."""
-    if isinstance(h, (KPartiteHypergraph, BipartiteGraph)):
+    if isinstance(h, KPartiteHypergraph):
         return h.to_dense().astype(np.float64), False
     if isinstance(h, WeightedTripartite):
         return np.asarray(h.weights, dtype=np.float64), True
@@ -51,14 +53,20 @@ def _as_tensor(h) -> tuple[np.ndarray, bool]:
     return arr.astype(np.float64), True
 
 
+def _two_part(g, what: str) -> None:
+    """Raise ``ValueError`` unless ``g`` has two parts: a graph with two
+    ``part_sizes`` or a 2-d array. Reads only those; copies nothing."""
+    parts = len(g.part_sizes) if hasattr(g, "part_sizes") else np.ndim(g)
+    if parts != 2:
+        raise ValueError(f"{what} needs a 2-d adjacency, got {parts}-d")
+
+
 def _counted(h) -> tuple:
     """(what ``block_sums`` counts for ``h``, its part sizes, weighted
-    flag): a ``KPartiteHypergraph`` for 0/1 graphs (a ``BipartiteGraph``'s
-    rows are 2-partite fibers) and bool arrays, else ``_as_tensor``."""
+    flag): a ``KPartiteHypergraph`` (a ``BipartiteGraph`` among them) as
+    it is, bool arrays packed into one, else ``_as_tensor``."""
     if isinstance(h, np.ndarray) and h.dtype == bool and h.ndim >= 2:
         h = KPartiteHypergraph.from_dense(h)
-    elif isinstance(h, BipartiteGraph):
-        h = KPartiteHypergraph((h.n_left, h.n_right), h.rows)
     if isinstance(h, KPartiteHypergraph):
         return h, h.part_sizes, False
     tensor, weighted = _as_tensor(h)
@@ -409,6 +417,7 @@ def bipartite_regularity_witness(
     and ``draws < 1`` is a ``ValueError``. The other side is always
     optimized exactly by prefix scan under its size floor.
     """
+    _two_part(g, "bipartite_regularity_witness")
     adj, _ = _as_tensor(g)
     n_a, n_b = adj.shape
     base = float(adj.mean())
@@ -503,7 +512,8 @@ def vc_dimension(g, *, cap: int = 8) -> VCResult:
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    if isinstance(g, BipartiteGraph):
+    _two_part(g, "vc_dimension")
+    if isinstance(g, KPartiteHypergraph):
         rows = g.to_dense()
     else:
         rows = np.asarray(g, dtype=bool)
@@ -573,7 +583,7 @@ def slicewise_vc(h: KPartiteHypergraph, *, cap: int = 8) -> dict:
     measured in both orientations; the report maps each part to its
     maximum and carries the overall value under the key "max". Each
     distinct link of a part is measured once: links are keyed on their
-    packed rows (``n_right``, the rows' shape and bytes), and a vertex
+    part sizes and the bytes of their packed words, and a vertex
     whose link repeats an earlier one of its part adds nothing new.
     """
     if h.k != 3:
@@ -587,7 +597,7 @@ def slicewise_vc(h: KPartiteHypergraph, *, cap: int = 8) -> dict:
         measured = set()
         for v in range(h.part_sizes[part]):
             g = link(h, ((part, v),))
-            key = (g.n_right, g.rows.shape, g.rows.tobytes())
+            key = (g.part_sizes, g.words.tobytes())
             if key in measured:
                 continue
             measured.add(key)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bitops
 from .errors import InfeasibleParamsError
-from .hypercore import BipartiteGraph, KPartiteHypergraph
+from .hypercore import KPartiteHypergraph
 from .partitions import PartPartition
 from .rng import generator
 
@@ -88,11 +88,6 @@ class Instance:
     oracle: PlantedOracle | None
     side_partitions: dict
     exact_links: bool
-
-    def bipartite(self) -> BipartiteGraph:
-        if self.spec.k != 2:
-            raise ValueError("bipartite view needs k=2")
-        return BipartiteGraph(*self.h.part_sizes, self.h.words)
 
 
 def _near_equal_intervals(n: int, blocks: int, part) -> PartPartition:

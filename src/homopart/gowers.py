@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bitops
-from .auditor import (RegularityWitness, _as_tensor, _counted, _mask_chunks,
+from .auditor import (RegularityWitness, _as_tensor, _mask_chunks, _two_part,
                       bipartite_regularity_witness)
 from .errors import DivisibilityError, FamilyRejectionError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, _frozen
@@ -472,12 +472,12 @@ class IntervalLayering:
     def level_bits(self, v: int) -> np.ndarray:
         """n x t table: bit r-1 of row x says level graph r has the edge
         (v, x), which is also the edge (x, v)."""
-        return bitops.unpack(np.stack([g.rows[v] for g in self.graphs]), self.n).T
+        return bitops.unpack(np.stack([g.words[v] for g in self.graphs]), self.n).T
 
     def level_tables(self) -> np.ndarray:
         """n x n x t array whose row v is ``level_bits(v)``, from one
         unpack of the t level graphs."""
-        dense = bitops.unpack(np.stack([g.rows for g in self.graphs]), self.n)
+        dense = bitops.unpack(np.stack([g.words for g in self.graphs]), self.n)
         return np.ascontiguousarray(dense.transpose(1, 2, 0))
 
 
@@ -769,7 +769,7 @@ def _exact_check(lay: IntervalLayering, cert: LinkCertificate,
     third-part vertex or the level-bit table ``link`` of another."""
     left, right = cert.partitions[0], cert.partitions[1]
     if cert.part == 2:
-        edges = block_sums(_counted(lay.graphs[link - 1])[0], (left, right))
+        edges = block_sums(lay.graphs[link - 1], (left, right))
         cells = np.multiply.outer(left.sizes(), right.sizes())
         off = (edges != 0) & (edges != cells)
     else:
@@ -836,9 +836,8 @@ def quasirandomness_audit(g, delta, *, b_intervals=None,
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} out of range (0, 1)")
+    _two_part(g, "the audit")
     adj, _ = _as_tensor(g)
-    if adj.ndim != 2:
-        raise ValueError(f"the audit needs a 2-d adjacency, got {adj.ndim}-d")
     if adj.shape[0] != adj.shape[1]:
         raise ValueError("the audit needs equal part sizes")
     n = adj.shape[0]

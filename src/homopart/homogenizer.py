@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitops
-from .auditor import _counted
+from .auditor import _two_part
 from .errors import CoverageError, InfeasibleParamsError
-from .hypercore import BipartiteGraph, KPartiteHypergraph
+from .hypercore import KPartiteHypergraph
 from .partitions import (
     LayeredPartition,
     PartPartition,
@@ -142,7 +142,7 @@ def _pairwise_symdiff(rows: np.ndarray) -> np.ndarray:
 
 
 def similarity_partition(
-    g: BipartiteGraph,
+    g: KPartiteHypergraph,
     left: PartPartition,
     right: PartPartition,
     gamma: float,
@@ -150,21 +150,24 @@ def similarity_partition(
 ) -> SimilarityResult:
     """Partition the left side into q equal blocks of similar vertices.
 
-    ``left``/``right`` is a homogeneous partition of ``g`` with at most
-    ``r`` left blocks (homogeneity is the caller's contract and is
-    re-detected here only through the good/bad block classification).
-    The returned blocks each have size m = gamma n/(3r); every pair of
-    vertices inside one block has neighborhood symmetric difference at
-    most gamma * n_right, which is asserted by a full popcount scan
-    before returning.
+    ``g`` has two parts, as a ``BipartiteGraph`` does: ``words[x]`` is
+    the packed neighborhood of left vertex ``x``. ``left``/``right`` is
+    a homogeneous partition of ``g`` with at most ``r`` left blocks
+    (homogeneity is the caller's contract and is re-detected here only
+    through the good/bad block classification). The returned blocks
+    each have size m = gamma n/(3r); every pair of vertices inside one
+    block has neighborhood symmetric difference at most gamma times the
+    right side's size, which is asserted by a full popcount scan before
+    returning.
     """
-    if left.n != g.n_left or right.n != g.n_right:
+    _two_part(g, "similarity_partition")
+    n_x, n_y = g.part_sizes
+    if (left.n, right.n) != (n_x, n_y):
         raise ValueError("partition sizes do not match the graph")
     if left.n_body_blocks() > r:
         raise InfeasibleParamsError(
             f"left partition has {left.n_body_blocks()} blocks, allowed r={r}"
         )
-    n_x, n_y = g.n_left, g.n_right
     q = similarity_block_count(gamma, r)
     m = similarity_block_size(n_x, gamma, r)
     if m < 1 or q * m > n_x:
@@ -176,7 +179,7 @@ def similarity_partition(
     # good/bad classification of left blocks by the mass of right
     # blocks forming a non-homogeneous pair with them, counted from the
     # packed rows
-    sums = block_sums(_counted(g)[0], (left, right))
+    sums = block_sums(g, (left, right))
     volumes = np.multiply.outer(left.sizes(), right.sizes())
     mixed = (volumes > 0) & ~homogeneous(sums / np.maximum(volumes, 1),
                                          input_tol)
@@ -195,7 +198,7 @@ def similarity_partition(
         if b in bad:
             exceptional.append(bx)
             continue
-        rows = g.rows[bx]
+        rows = g.words[bx]
         # sum_j |N_i ^ N_j| = sum_c s_c + sum_c x_ic (|bx| - 2 s_c), with
         # x the block's rows and s its column counts
         x = bitops.unpack(rows, n_y)
@@ -233,7 +236,7 @@ def similarity_partition(
     # neighborhood distances
     max_intra, widest = 0, 0
     for b, chunk in enumerate(kept_chunks, 1):
-        spread = int(_pairwise_symdiff(g.rows[chunk]).max())
+        spread = int(_pairwise_symdiff(g.words[chunk]).max())
         if spread > max_intra:
             max_intra, widest = spread, b
     contract_met = shortfall == 0

@@ -2,12 +2,13 @@
 
 Types
 -----
-``BipartiteGraph``
-    Adjacency bit-rows per left vertex.
 ``KPartiteHypergraph``
     k-partite k-uniform edge relation, bit-packed along the last part's
     axis so that fiber neighborhoods and their symmetric differences are
     word-parallel popcounts.
+``BipartiteGraph``
+    The two-part ``KPartiteHypergraph``, for links and level graphs:
+    ``words[x]`` is the packed neighborhood row of left vertex ``x``.
 ``WeightedTripartite``
     [0, 1] weights over three parts, held either as a dense tensor or
     as layers: packed bipartite graphs on the first two parts, one
@@ -35,50 +36,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
-
-
-class BipartiteGraph:
-    """Bipartite graph with packed adjacency rows per left vertex."""
-
-    __slots__ = ("n_left", "n_right", "rows")
-
-    def __init__(self, n_left, n_right, rows):
-        self.n_left = int(n_left)
-        self.n_right = int(n_right)
-        rows = np.asarray(rows, dtype=np.uint64)
-        expected = (self.n_left, bitops.n_words(self.n_right))
-        if rows.shape != expected:
-            raise ValueError(f"row array shape {rows.shape}, expected {expected}")
-        self.rows = _frozen(rows)
-
-    @classmethod
-    def from_dense(cls, adj):
-        adj = np.asarray(adj, dtype=bool)
-        if adj.ndim != 2:
-            raise ValueError("adjacency must be 2-d")
-        return cls(adj.shape[0], adj.shape[1], bitops.pack(adj))
-
-    def to_dense(self) -> np.ndarray:
-        return bitops.unpack(self.rows, self.n_right)
-
-    @property
-    def edge_count(self) -> int:
-        return int(bitops.popcount(self.rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        return (
-            self.n_left == other.n_left
-            and self.n_right == other.n_right
-            and bool(np.array_equal(self.rows, other.rows))
-        )
-
-    def __hash__(self):
-        return hash((self.n_left, self.n_right, self.rows.tobytes()))
-
-    def __repr__(self):
-        return f"BipartiteGraph({self.n_left}x{self.n_right}, edges={self.edge_count})"
 
 
 class KPartiteHypergraph:
@@ -148,7 +105,25 @@ class KPartiteHypergraph:
 
     def __repr__(self):
         sizes = "x".join(str(s) for s in self.part_sizes)
-        return f"KPartiteHypergraph({sizes}, edges={self.edge_count})"
+        return f"{type(self).__name__}({sizes}, edges={self.edge_count})"
+
+
+class BipartiteGraph(KPartiteHypergraph):
+    """A ``KPartiteHypergraph`` of exactly two parts."""
+
+    __slots__ = ()
+
+    def __init__(self, part_sizes, words):
+        part_sizes = tuple(part_sizes)
+        if len(part_sizes) != 2:
+            raise ValueError(
+                f"a bipartite graph has two parts, got {len(part_sizes)}")
+        super().__init__(part_sizes, words)
+
+    # The inherited method, bound in this class's own ``__dict__``:
+    # perfbench/spans.py wraps ``to_dense`` there, per class, for its
+    # ``hypercore.to_dense`` metric.
+    to_dense = KPartiteHypergraph.to_dense
 
 
 class WeightedTripartite:
@@ -181,7 +156,7 @@ class WeightedTripartite:
         scales = np.asarray(scales, dtype=np.float64)
         if not graphs or scales.shape != (len(graphs),):
             raise ValueError("need one scale per layer graph")
-        if len({(g.n_left, g.n_right) for g in graphs}) != 1:
+        if len({g.part_sizes for g in graphs}) != 1:
             raise ValueError("layer graphs differ in shape")
         if labels.ndim != 1 or (labels.size and (
                 labels.min() < 0 or labels.max() >= len(graphs))):
@@ -189,7 +164,7 @@ class WeightedTripartite:
         if scales.min() < 0.0 or scales.max() > 1.0:
             raise ValueError("weights must lie in [0, 1]")
         self = cls.__new__(cls)
-        self.part_sizes = (graphs[0].n_left, graphs[0].n_right, labels.size)
+        self.part_sizes = (*graphs[0].part_sizes, labels.size)
         self._weights = None
         self._layers = (graphs, _frozen(labels), _frozen(scales))
         return self
@@ -201,7 +176,7 @@ class WeightedTripartite:
             graphs, labels, scales = self._layers
             weights = np.zeros(self.part_sizes)
             for j, g in enumerate(graphs):
-                adj = bitops.unpack(g.rows, g.n_right)
+                adj = bitops.unpack(g.words, self.part_sizes[1])
                 weights[:, :, labels == j] = np.where(adj, scales[j], 0.0)[:, :, None]
             self._weights = _frozen(weights)
         return self._weights
@@ -211,7 +186,7 @@ class WeightedTripartite:
         if self._layers is None:
             return self._weights[i]
         graphs, labels, scales = self._layers
-        bits = bitops.unpack(np.stack([g.rows[i] for g in graphs]), self.part_sizes[1])
+        bits = bitops.unpack(np.stack([g.words[i] for g in graphs]), self.part_sizes[1])
         return (bits.T * scales)[:, labels]
 
     def sums(self) -> tuple:
@@ -253,7 +228,7 @@ class WeightedTripartite:
         graphs, labels, scales = self._layers
         right = bitops.pack(m1.T != 0)  # each box's second-part side
         edges = np.array([
-            (bitops.popcount(g.rows[:, None] & right, axis=-1) * m0).sum(axis=0)
+            (bitops.popcount(g.words[:, None] & right, axis=-1) * m0).sum(axis=0)
             for g in graphs])
         cells = edges * np.array([m2[labels == j].sum(axis=0)
                                   for j in range(len(graphs))])
@@ -294,8 +269,8 @@ def link(h: KPartiteHypergraph, pins) -> BipartiteGraph:
         indexer = tuple(
             slice(None) if axis == left else pin_of[axis] for axis in range(h.k - 1)
         )
-        rows = h.words[indexer]
-        return BipartiteGraph(h.part_sizes[left], h.part_sizes[right], rows.copy())
+        return BipartiteGraph((h.part_sizes[left], h.part_sizes[right]),
+                              h.words[indexer].copy())
     indexer = tuple(
         slice(None) if axis in (left, right) else pin_of[axis]
         for axis in range(h.k - 1)

@@ -165,6 +165,12 @@ def _ints(offset, tokens, count=None):
         raise FormatError(offset, f"bad integer: {exc}") from None
 
 
+def _is_key(text, key) -> bool:
+    """Whether ``text`` is a ``key`` comment line: its first token is
+    ``key`` exactly, so ``#metadata ...`` is no ``#meta`` line."""
+    return text.split(maxsplit=1)[:1] == [key]
+
+
 def _comment_value(offset, text, parse):
     """The value of a ``#key value`` comment line, parsed."""
     tokens = text.split()
@@ -655,7 +661,7 @@ def read_part(path) -> LayeredPartition:
     # names that line's index
     metas, i = {}, 0
     for at, text in lines:
-        if text.startswith("#meta"):
+        if _is_key(text, "#meta"):
             index, fields = _parse_meta(at, text)
             if i == k:
                 raise FormatError(at, f"#meta {index} has no label line after it")
@@ -737,12 +743,12 @@ def read_audit(path) -> HomogeneityReport:
                "normalized_mass": 0.0, "weighted": False}
 
     def comment(at, text):
-        if text.startswith("#normalized"):
+        if _is_key(text, "#normalized"):
             value = _comment_value(at, text, float)
             if not 0.0 <= value <= 1.0:
                 raise FormatError(at, f"normalized mass {value!r} outside [0, 1]")
             scalars["normalized_mass"] = value
-        elif text.startswith("#weighted"):
+        elif _is_key(text, "#weighted"):
             value = _comment_value(at, text, int)
             if value not in (0, 1):
                 raise FormatError(at, f"#weighted must be 0 or 1, got {value}")

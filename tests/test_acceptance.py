@@ -16,6 +16,8 @@ meets the cap by construction. The companion test runs the same
 checks at m = 150, where fair coins are accepted.
 """
 
+import hashlib
+import platform
 import statistics
 import time
 from itertools import combinations
@@ -86,7 +88,7 @@ def test_criterion_01_similarity_contract():
             k=2, n=(N_SIM, N_SIM), family="planted-boxes", r=r,
             eps_prime=0.0, seed=case,
         ))
-        g = inst.bipartite()
+        g = inst.h
         res = similarity_partition(
             g, inst.side_partitions[0], inst.side_partitions[1], gamma, r,
         )
@@ -429,7 +431,7 @@ def determinism_blob() -> bytes:
             eps_prime=0.0, seed=case,
         ))
         res = similarity_partition(
-            inst.bipartite(), inst.side_partitions[0],
+            inst.h, inst.side_partitions[0],
             inst.side_partitions[1], gamma, r,
         )
         chunks.append(res.partition.labels.tobytes())
@@ -509,6 +511,12 @@ def determinism_blob() -> bytes:
     return b"\x00".join(chunks)
 
 
+# SHA-256 of determinism_blob(), reproduced on numpy 2.4.6 and Python
+# 3.11.7. A numpy whose random streams differ gives other bytes.
+DETERMINISM_SHA256 = (
+    "e567cc7d8484fbe9220bed052eb58302db9283453b0370cc8dc72421ad36add5")
+
+
 def test_criterion_10_rerun_determinism():
     t0 = time.perf_counter()
     blobs = [determinism_blob() for _ in range(3)]
@@ -517,3 +525,7 @@ def test_criterion_10_rerun_determinism():
     report(10, "rerun-determinism", identical, elapsed,
            f"blob_bytes={len(blobs[0])}")
     assert identical
+    assert hashlib.sha256(blobs[0]).hexdigest() == DETERMINISM_SHA256, (
+        "determinism_blob() changed; its digest was reproduced on numpy "
+        f"2.4.6 and Python 3.11.7, this is numpy {np.__version__} and "
+        f"Python {platform.python_version()}")

@@ -21,6 +21,8 @@ from homopart import (
     disagreement_threshold,
     generate,
     homogeneity_audit,
+    quasirandomness_audit,
+    similarity_partition,
     slicewise_vc,
     vc_dimension,
     verify_witness,
@@ -839,6 +841,49 @@ class TestVCDimension:
             vc_dimension(np.eye(4, dtype=bool), cap=cap)
         with pytest.raises(ValueError, match="cap"):
             slicewise_vc(KPartiteHypergraph.empty((2, 2, 2)), cap=cap)
+
+
+# Each bipartite entry point, called on ``g`` with valid other arguments.
+TWO_PART_ENTRY_POINTS = {
+    "vc_dimension": vc_dimension,
+    "bipartite_regularity_witness":
+        lambda g: bipartite_regularity_witness(g, 0.3),
+    "similarity_partition": lambda g: similarity_partition(
+        g, PartPartition.trivial(3), PartPartition.trivial(3), 0.3, 1),
+    "quasirandomness_audit": lambda g: quasirandomness_audit(g, 0.5),
+}
+
+
+class TestTwoPartInput:
+    @pytest.mark.parametrize("name", TWO_PART_ENTRY_POINTS)
+    @pytest.mark.parametrize("make, parts", [
+        (lambda: np.ones(4, dtype=bool), 1),
+        (lambda: np.ones((3, 3, 3), dtype=bool), 3),
+        (lambda: np.ones((3, 3, 3)), 3),
+        (lambda: KPartiteHypergraph.from_dense(np.ones((3, 3, 3), dtype=bool)), 3),
+        (lambda: WeightedTripartite(np.full((3, 3, 3), 0.5)), 3),
+    ], ids=["1-d", "3-d-bool", "3-d-float", "3-part", "weighted"])
+    def test_other_part_counts_rejected(self, monkeypatch, name, make, parts):
+        # input other than two parts used to fail with IndexError or
+        # "too many values to unpack", or to pass a check on two axes
+        g = make()
+
+        def to_dense(self):
+            raise AssertionError("the check made a dense copy")
+
+        monkeypatch.setattr(KPartiteHypergraph, "to_dense", to_dense)
+        with pytest.raises(ValueError, match=f"2-d adjacency, got {parts}-d"):
+            TWO_PART_ENTRY_POINTS[name](g)
+
+    def test_two_part_hypergraph_is_a_bipartite_graph(self):
+        dense = np.random.default_rng(8).random((12, 12)) < 0.5
+        g = BipartiteGraph.from_dense(dense)
+        h = KPartiteHypergraph.from_dense(dense)
+        assert vc_dimension(h) == vc_dimension(g) == vc_dimension(dense)
+        assert (quasirandomness_audit(h, 0.5) == quasirandomness_audit(g, 0.5)
+                == quasirandomness_audit(dense, 0.5))
+        witnesses = [bipartite_regularity_witness(x, 0.3) for x in (h, g, dense)]
+        assert len({(w.deviation, *map(bytes, w.subsets)) for w in witnesses}) == 1
 
 
 def benchmark_instance(family, n):

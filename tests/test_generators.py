@@ -86,6 +86,6 @@ def test_generate_matches_dense_reference(family, shape, r):
 def test_bipartite_view_wraps_the_words():
     inst = generate(InstanceSpec(k=2, n=(63, 130), family="planted-boxes",
                                  r=3, eps_prime=0.1, seed=4))
-    g = inst.bipartite()
-    assert (g.n_left, g.n_right) == (63, 130)
+    g = inst.h
+    assert g.part_sizes == (63, 130)
     assert np.array_equal(g.to_dense(), inst.h.to_dense())

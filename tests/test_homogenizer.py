@@ -147,7 +147,7 @@ class TestSimilarityPartition:
             k=2, n=(120, 120), family="planted-boxes", r=r, eps_prime=0.0, seed=17
         )
         inst = generate(spec)
-        g = inst.bipartite()
+        g = inst.h
         res = similarity_partition(
             g, inst.side_partitions[0], inst.side_partitions[1], gamma, r
         )
@@ -163,7 +163,7 @@ class TestSimilarityPartition:
         inst = generate(spec)
         with pytest.raises(InfeasibleParamsError):
             similarity_partition(
-                inst.bipartite(),
+                inst.h,
                 inst.side_partitions[0],
                 inst.side_partitions[1],
                 0.1,

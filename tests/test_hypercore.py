@@ -69,7 +69,7 @@ def full_masks(h):
 
 def has_edge(g, x, y):
     """Bit (x, y) of a bipartite graph's packed rows."""
-    return bool(bitops.extract_bit(g.rows[x], y))
+    return bool(bitops.extract_bit(g.words[x], y))
 
 
 def hypergraph(sizes, edges):
@@ -169,6 +169,48 @@ def test_link_4graph_pinned_last_axis():
     for x in range(3):
         for y in range(3):
             assert has_edge(g, x, y) == bool(tensor[2, x, y, 1])
+
+
+def test_link_is_the_two_part_hypergraph_of_its_slab():
+    tensor = random_tensor((4, 5, 6), 0.5, seed=9, label="test/link-slab")
+    h = KPartiteHypergraph.from_dense(tensor)
+    for part in range(3):
+        for v in range(h.part_sizes[part]):
+            g = link(h, [(part, v)])
+            assert type(g) is BipartiteGraph
+            assert g == KPartiteHypergraph.from_dense(np.take(tensor, v, axis=part))
+
+
+# -------------------------------------------------------- bipartite graph
+
+
+def test_bipartite_graph_is_a_two_part_hypergraph():
+    dense = np.zeros((3, 4), dtype=bool)
+    dense[[0, 0, 1, 2, 2], [0, 3, 1, 2, 3]] = True
+    g = BipartiteGraph.from_dense(dense)
+    h = KPartiteHypergraph((3, 4), g.words)
+    assert isinstance(g, KPartiteHypergraph)
+    assert g == h and h == g and hash(g) == hash(h)
+    assert (g.part_sizes, g.edge_count) == ((3, 4), 5)
+    assert repr(g) == "BipartiteGraph(3x4, edges=5)"
+    assert repr(h) == "KPartiteHypergraph(3x4, edges=5)"
+    assert np.array_equal(g.to_dense(), dense)
+    # the benchmark's tracer wraps to_dense in each class's own __dict__
+    assert "to_dense" in vars(BipartiteGraph)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_bipartite_graph_needs_two_parts(shape):
+    words = bitops.pack(np.ones(shape, dtype=bool))
+    for build in (lambda: BipartiteGraph.from_dense(np.ones(shape, dtype=bool)),
+                  lambda: BipartiteGraph(shape, words)):
+        with pytest.raises(ValueError, match=f"two parts, got {len(shape)}"):
+            build()
+
+
+def test_bipartite_graph_refuses_an_empty_side():
+    with pytest.raises(ValueError, match="positive"):
+        BipartiteGraph((0, 3), np.zeros((0, 1), dtype=np.uint64))
 
 
 # ----------------------------------------------------------- neighborhood

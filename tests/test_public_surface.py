@@ -10,8 +10,8 @@ strings of ``__all__`` do not count.
 
 The check is by name only: a method counts as used when any attribute
 or variable of that name is read anywhere, on any object. So it cannot
-flag a method named like something else in use: a ``rows`` method
-beside the ``rows`` array of ``BipartiteGraph``, a ``complete``
+flag a method named like something else in use: a ``words`` method
+beside the ``words`` array of ``KPartiteHypergraph``, a ``complete``
 constructor beside a witness's ``complete`` box, or an ``edges``
 method beside a local ``edges`` array. Such members need a grep for
 their qualified names.

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -253,6 +254,47 @@ def test_audit_bad_comment_value_offset(tmp_path, line):
     with pytest.raises(FormatError) as err:
         hio.read_audit(path)
     assert err.value.offset == 23
+
+
+@pytest.mark.parametrize("name, comment", [
+    ("p.part", b"#metadata written by hand"),
+    ("r.audit", b"#weightedness is not a key"),
+    ("r.audit", b"#normalizedish note"),
+], ids=["metadata", "weightedness", "normalizedish"])
+def test_comment_starting_like_a_key_is_skipped(tmp_path, name, comment):
+    # a key is the comment's whole first token, not a prefix of it
+    h = random_hypergraph((6, 6, 6), seed=5)
+    layered = LayeredPartition([
+        PartPartition([0, 0, 1, 1, 2, 2], part=i, has_exceptional=True)
+        for i in range(3)])
+    if name.endswith(".part"):
+        write, read, value = hio.write_part, hio.read_part, layered
+    else:
+        write, read = hio.write_audit, hio.read_audit
+        value = homogeneity_audit(h, layered, 0.2)
+    path = tmp_path / name
+    write(path, value)
+    header, body = path.read_bytes().split(b"\n", 1)
+    commented = tmp_path / f"commented-{name}"
+    commented.write_bytes(header + b"\n" + comment + b"\n" + body)
+    assert read(commented) == read(path) == value
+
+
+@pytest.mark.parametrize("raw, read, message", [
+    (b"audit block 0.2 pass 0\n#normalized x\n", hio.read_audit,
+     "byte 23: bad #normalized line"),
+    (b"audit block 0.2 pass 0\n#weighted 2\n", hio.read_audit,
+     "byte 23: #weighted must be 0 or 1, got 2"),
+    (b"part 1\n#meta 0 part=0 exceptional=0 equitable=0\n0 0\n", hio.read_part,
+     "byte 7: bad #meta line: 'nblocks'"),
+], ids=["normalized", "weighted", "meta"])
+def test_comment_key_with_bad_value_keeps_its_message(tmp_path, raw, read,
+                                                       message):
+    path = tmp_path / "f"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert str(err.value) == message
 
 
 def test_links_bad_pin_offset(tmp_path):
@@ -1735,6 +1777,32 @@ def test_cli_audit_agrees_with_homogenize(tmp_path, capsys):
     assert code == 0
     assert hio.read_audit(audit_out / "report.audit") == \
         hio.read_audit(hom_out / "report.audit")
+
+
+def test_cli_artifact_digests_are_pinned(tmp_path, capsys):
+    # the README's gen/homogenize/audit chain, then certificates at n=144
+    out = tmp_path / "out"
+    for argv in (
+        ["gen", "--family", "product", "--n", 60, "--seed", 7, "--out", out],
+        ["homogenize", out / "instance.khg", "--links", out / "instance.links",
+         "--eps", 0.2, "--out", out / "hom"],
+        ["audit", out / "instance.khg", out / "hom" / "partition.part",
+         "--eps", 0.2, "--out", out / "audit"],
+        ["gowers", "links", "--toy", "--t", 3, "--n", 144, "--seed", 1,
+         "--out", out / "links"],
+    ):
+        assert run_cli(argv) == 0, argv
+    pinned = {
+        "audit/report.audit":
+            "6ddb4976388458bc881a2e0c144aa92ed1498a16c7d2f92735b251c7176d7699",
+        "links/certificates.links":
+            "8f552ce1ef7d9b40d35b37fbb09cd37579c64172fabf9e18cf98c567efcf43a3",
+    }
+    for name, digest in pinned.items():
+        assert file_digest(out / name) == digest, (
+            f"{name} changed; its digest was reproduced on numpy 2.4.6 and "
+            f"Python 3.11.7, this is numpy {np.__version__} and Python "
+            f"{platform.python_version()}")
 
 
 def test_cli_audit_failure_exits_one(tmp_path, capsys):
