@@ -16,6 +16,12 @@ tower benchmark draws, (m, M) = (30, 2000) on the code path and
 one JSON line: seconds per stage and ``ru_maxrss`` in MB after it.
 Run one size per process, since peak RSS never falls.
 
+``witness_tracemalloc_mb`` is the ``tracemalloc`` peak, in MiB, of the
+regularity-witness search that backs the quasirandom certificates of
+the deepest level (2000 draws, seed 0), run once more after the
+stages. It counts the search's own numpy and Python allocations,
+whatever the BLAS build.
+
 ``distinct_links`` is the number of links the build certifies once
 each: the distinct level-bit tables, which vertex v of the first part
 shares with vertex v of the second because the level graphs are
@@ -29,6 +35,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 
 
 def peak_mb() -> float:
@@ -75,6 +82,11 @@ def main(argv=None) -> int:
         family = stage(f"family{m}x2000",
                        lambda: hp.orthogonal_family(m, 2000, seed=1))
         out[f"family{m}x2000_attempts"] = family.attempts
+    tracemalloc.start()
+    hp.bipartite_regularity_witness(lay.graphs[-1], params.delta, draws=2000)
+    out["witness_tracemalloc_mb"] = round(
+        tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    tracemalloc.stop()
     print(json.dumps(out))
     return 0
 

@@ -16,8 +16,15 @@ The audited tuples are always the row-major product of each part's
 non-empty blocks, so a ``HomogeneityReport`` names them by those
 block lists alone. Regularity witnesses come from one subset
 search: ``_mask_chunks`` enumerates the subsets of the small side (or
-random draws stand in for them), a matmul scores them, and
-``_prefix_scan`` optimizes the remaining side. VC dimension is found
+``_drawn_masks`` draws them), a matmul scores them, and
+``_prefix_scan`` optimizes the remaining side. The search works
+``_SCAN_CELLS`` (2^15) score cells at a time, so its memory does not
+grow with the number of subsets: 0/1 input is enumerated or drawn,
+scored (a float32 product, exact on integer scores) and scanned a
+block at a time, and weighted input, whose float64 scores BLAS may
+round differently over fewer rows, is scored by one product per scan
+and scanned in blocks. Within a scan the first maximum wins; see
+``_prefix_scan`` for the tie rule. VC dimension is found
 by hereditary search: the shattered d-sets are grown only from
 shattered (d-1)-sets whose every (d-1)-subset is shattered, each
 tested with one ``np.bincount`` of per-row codes, and the search stops
@@ -30,7 +37,9 @@ flagged as the extension they are.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,10 +301,14 @@ def weak_regularity_witness(
     subset of the smallest at a time, and the third side is optimized
     by a prefix scan, which loses nothing. Otherwise ``draws`` random
     subset pairs are scored the same way, and ``draws < 1`` is a
-    ``ValueError``. Returns None when no witness is found (a
-    certificate of weak eps-regularity only in exact mode).
+    ``ValueError``. The scores of one subset of the smallest block are
+    formed and scanned ``_SCAN_CELLS`` cells at a time on 0/1 input;
+    weighted input is scored by one product, as in
+    ``bipartite_regularity_witness``, and scanned in blocks.
+    Returns None when no witness is found (a certificate of weak
+    eps-regularity only in exact mode).
     """
-    tensor, _ = _as_tensor(h)
+    tensor, weighted = _as_tensor(h)
     if tensor.ndim != 3:
         raise ValueError("weak regularity runs on tripartite input")
     blocks = tuple(np.asarray(b, dtype=np.int64) for b in blocks)
@@ -312,26 +325,33 @@ def weak_regularity_witness(
     n_a, n_b, n_c = moved.shape
     flat = moved.reshape(n_a, n_b * n_c)
     if exact:
-        ys = next(_mask_chunks(n_b, 1, chunk_bits=n_b))
-        pairs = ((x, ys) for chunk in _mask_chunks(n_a, 1) for x in chunk)
+        _, ys = next(_mask_chunks(n_b, 1, 1 << n_b, chunk_bits=n_b))
+        pairs = ((x, ys) for _, chunk in _mask_chunks(n_a, 1, 1 << 16)
+                 for x in chunk)
     else:
         if draws < 1:
             raise ValueError(f"a sampled search needs draws >= 1, got {draws}")
         # row r holds draw r's A coins, then its B coins: the same
         # stream, in the same order, as separate A and B draws
         rng = generator(seed, "weak-witness")
-        coins = (rng.random((draws, n_a + n_b)) < 0.5).astype(np.float64)
+        coins = rng.random((draws, n_a + n_b)) < 0.5
         coins = coins[coins[:, :n_a].any(axis=1) & coins[:, n_a:].any(axis=1)]
         pairs = ((row[:n_a], row[None, n_a:]) for row in coins)
 
+    step = max(1, _SCAN_CELLS // n_c)
     best = None
     for x, ys in pairs:
-        # third-side sums of x times every ys row, by one matmul
-        scores = ys @ (x @ flat).reshape(n_b, n_c)
-        hit = _prefix_scan(scores, base, x.sum() * ys.sum(axis=1), 1)
+        # third-side sums of x times every ys row, by one matmul a block
+        right = (x.astype(np.float64) @ flat).reshape(n_b, n_c)
+        size = int(x.sum())
+        yblocks = ([ys] if weighted else
+                   (ys[lo:lo + step] for lo in range(0, len(ys), step)))
+        hit = _prefix_scan(
+            ((y, y.astype(np.float64) @ right, size * y.sum(axis=1))
+             for y in yblocks), base, 1)
         if hit and (best is None or hit[2] > best[2]):
-            row, ic, dev, d = hit
-            best = (x, ys[row], dev, d, ic)
+            y, ic, dev, d = hit
+            best = (x, y, dev, d, ic)
     if best is None:
         return None
     x, y, dev, d, ic = best
@@ -356,49 +376,85 @@ def verify_witness(h, witness: RegularityWitness) -> float:
     return float(sub.mean())
 
 
-def _mask_chunks(n: int, min_size: int, chunk_bits: int = 16):
-    """All subsets of range(n) with at least min_size elements, as 0/1
-    pattern matrices in mask order, chunked for memory."""
+# Score cells (candidate subsets x scanned columns) that the subset
+# searches form and scan at a time; ``gowers`` sizes the blocks of its
+# family checks by it too.
+_SCAN_CELLS = 1 << 15
+
+
+def _mask_chunks(n: int, min_size: int, rows: int, chunk_bits: int = 16):
+    """All subsets of range(n) with at least min_size elements, in mask
+    order, as (chunk, bool pattern block) pairs: the masks are taken in
+    chunks of 2^chunk_bits, ``chunk`` is the first mask of the block's
+    chunk, and each chunk comes in blocks of at most ``rows`` rows."""
     total = 1 << n
     step = 1 << min(chunk_bits, n)
     bit = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint64)
-        patterns = ((masks[:, None] >> bit[None, :]) & 1).astype(np.float64)
-        keep = patterns.sum(axis=1) >= min_size
-        if keep.any():
-            yield patterns[keep]
+    for chunk in range(0, total, step):
+        for start in range(chunk, chunk + step, rows):
+            masks = np.arange(start, min(start + rows, chunk + step),
+                              dtype=np.uint64)
+            patterns = ((masks[:, None] >> bit[None, :]) & 1).astype(bool)
+            keep = patterns.sum(axis=1) >= min_size
+            if keep.any():
+                yield chunk, patterns[keep]
 
 
-def _prefix_scan(scores: np.ndarray, base: float, scales: np.ndarray,
-                 min_size: int):
+def _drawn_masks(rng, draws: int, n: int, min_size: int, rows: int):
+    """``draws`` fair-coin subsets of range(n) with at least min_size
+    elements, as bool pattern blocks of at most ``rows`` draws: the
+    coins of one ``rng.random((draws, n)) < 0.5``, in the same order,
+    drawn a block at a time."""
+    for start in range(0, draws, rows):
+        coins = rng.random((min(rows, draws - start), n)) < 0.5
+        yield coins[coins.sum(axis=1) >= min_size]
+
+
+def _prefix_scan(blocks, base: float, min_size: int):
     """Prefix-scan response for many candidate subsets at once.
 
-    Row r of ``scores`` holds per-column sums for candidate r; the best
-    deviation over prefixes (ascending or descending, length at least
-    ``min_size``) of every row is found in one pass. Returns (row,
-    column indices, deviation, density) or None.
+    ``blocks`` yields (candidates, scores, scales): row r of ``scores``
+    holds the per-column sums of candidate r, and ``scales[r]`` its
+    size. Each row's columns are ordered by score (stable argsort), and
+    every prefix of at least ``min_size`` columns of the ascending and
+    of the descending order is scored by its deviation from ``base``.
+    A block is scanned ``_SCAN_CELLS`` cells at a time, so every work
+    array is at most that many cells. Integer scores are summed in
+    float64, exact for 0/1 input; int16 scores sort by numpy's radix
+    sort into the order float scores of the same values get.
+
+    Ties: within a direction the first maximum in row-major order over
+    all the blocks wins, by exact float comparison; then the
+    descending direction replaces the ascending one only when it is
+    larger by more than 1e-15. Returns (candidate, column indices,
+    deviation, density) or None.
     """
-    c, n = scores.shape
-    if c == 0 or n < min_size:
-        return None
-    order = np.argsort(scores, axis=1, kind="stable")
-    js = np.arange(1, n + 1, dtype=np.float64)
-    best = None
-    for idx in (order, order[:, ::-1]):
-        sorted_scores = np.take_along_axis(scores, idx, axis=1)
-        dens = np.cumsum(sorted_scores, axis=1) / (scales[:, None] * js[None, :])
-        dev = np.abs(dens - base)
-        dev[:, : min_size - 1] = -1.0
-        r, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        if best is None or dev[r, j] > best[2] + 1e-15:
-            best = (
-                int(r),
-                np.sort(idx[r, : j + 1]),
-                float(dev[r, j]),
-                float(dens[r, j]),
-            )
-    return best
+    best = [None, None]  # per direction: (candidate, columns, dev, dens)
+    for candidates, scores, scales in blocks:
+        c, n = scores.shape
+        if n < min_size:
+            continue
+        js = np.arange(1, n + 1, dtype=np.float64)
+        step = max(1, _SCAN_CELLS // n)
+        for lo in range(0, c, step):
+            part = scores[lo:lo + step]
+            order = np.argsort(part, axis=1, kind="stable")
+            ordered = np.take_along_axis(part, order, axis=1)
+            volumes = scales[lo:lo + step, None] * js[None, :]
+            for side, (idx, sums) in enumerate(
+                    ((order, ordered), (order[:, ::-1], ordered[:, ::-1]))):
+                dens = np.cumsum(sums, axis=1, dtype=np.float64)
+                dens /= volumes
+                dev = np.abs(dens - base)
+                dev[:, : min_size - 1] = -1.0
+                r, j = divmod(int(np.argmax(dev)), n)
+                if best[side] is None or dev[r, j] > best[side][2]:
+                    best[side] = (candidates[lo + r], np.sort(idx[r, : j + 1]),
+                                  float(dev[r, j]), float(dens[r, j]))
+    ascending, descending = best
+    if descending is not None and descending[2] > ascending[2] + 1e-15:
+        return descending
+    return ascending
 
 
 def bipartite_regularity_witness(
@@ -416,9 +472,21 @@ def bipartite_regularity_witness(
     ``exact_bits`` bits; otherwise ``draws`` random subsets are tried,
     and ``draws < 1`` is a ``ValueError``. The other side is always
     optimized exactly by prefix scan under its size floor.
+
+    On 0/1 input the search holds ``_SCAN_CELLS`` score cells at a
+    time: the subsets are enumerated, or drawn from the one stream in
+    order, a block of rows at a time, scored by a float32 product,
+    whose integer scores are exact below 2^24, and scanned with int16
+    keys. Weighted input is scored in float64 by one product per scan,
+    since a BLAS product over fewer rows can round a score differently
+    in its last bit, and scanned in blocks. One scan covers all the
+    draws, or one chunk of 2^16 enumerated masks; within it the first
+    maximum wins (see ``_prefix_scan``), and a later chunk replaces
+    the best so far only when its deviation is larger by more than
+    1e-15.
     """
     _two_part(g, "bipartite_regularity_witness")
-    adj, _ = _as_tensor(g)
+    adj, weighted = _as_tensor(g)
     n_a, n_b = adj.shape
     base = float(adj.mean())
     min_a = max(1, math.ceil(delta * n_a - 1e-9))
@@ -430,27 +498,36 @@ def bipartite_regularity_witness(
         min_a, min_b = min_b, min_a
 
     exact = n_a <= exact_bits
+    rows = max(1, _SCAN_CELLS // n_b)
     if exact:
-        masks_iter = _mask_chunks(n_a, min_a)
+        scans = (map(operator.itemgetter(1), chunk) for _, chunk in
+                 itertools.groupby(_mask_chunks(n_a, min_a, rows),
+                                   key=operator.itemgetter(0)))
     else:
         if draws < 1:
             raise ValueError(f"a sampled search needs draws >= 1, got {draws}")
         rng = generator(seed, "bipartite-witness")
-        draws_m = (rng.random((draws, n_a)) < 0.5)
-        draws_m = draws_m[draws_m.sum(axis=1) >= min_a]
-        masks_iter = [draws_m.astype(np.float64)]
+        scans = [_drawn_masks(rng, draws, n_a, min_a, rows)]
 
+    # 0/1 scores are integers of at most n_a: exact in float32, and
+    # within int16 below 2^15
+    integer_scores = not weighted and n_a < 1 << 15
+    right = adj.astype(np.float32) if integer_scores else adj
     best = None
-    for patterns in masks_iter:
-        scales = patterns.sum(axis=1)
-        per_b = patterns @ adj  # (chunk, n_b) column scores per subset
-        hit = _prefix_scan(per_b, base, scales, min_b)
+    for scan in scans:
+        if integer_scores:
+            blocks = ((p, (p.astype(np.float32) @ right).astype(np.int16),
+                       p.sum(axis=1)) for p in scan)
+        else:
+            p = np.concatenate(list(scan))
+            blocks = [(p, p.astype(np.float64) @ right, p.sum(axis=1))]
+        hit = _prefix_scan(blocks, base, min_b)
         if hit and (best is None or hit[2] > best[2] + 1e-15):
-            row, ib, dev, d = hit[0], hit[1], hit[2], hit[3]
-            best = (np.flatnonzero(patterns[row] > 0), ib, dev, d)
+            best = hit
     if best is None or best[2] <= delta:
         return None
-    ia, ib, dev, d = best
+    pattern, ib, dev, d = best
+    ia = np.flatnonzero(pattern)
     if flip:
         ia, ib = ib, ia
     subsets = (ia, ib)  # both sorted: flatnonzero and _prefix_scan
@@ -519,7 +596,14 @@ def vc_dimension(g, *, cap: int = 8) -> VCResult:
         rows = np.asarray(g, dtype=bool)
     if rows.shape[0] == 0 or rows.shape[1] == 0:
         return VCResult(0, False, ())
-    rows = np.unique(rows, axis=0)
+    # the distinct rows, in the order of their packed bytes (nothing
+    # below depends on the order), by one sort: under numpy 2.4
+    # ``np.unique(rows, axis=0)`` imports ``numpy.ma``
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    rows = rows[order[np.concatenate(([True], keys[1:] != keys[:-1]))]]
     n_rows, n_b = rows.shape
     bits = rows.T.astype(np.intp)
     # A code below 2^d <= n_rows fits the smallest type holding n_rows.

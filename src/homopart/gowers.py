@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bitops
-from .auditor import (RegularityWitness, _as_tensor, _mask_chunks, _two_part,
-                      bipartite_regularity_witness)
+from .auditor import (_SCAN_CELLS, RegularityWitness, _as_tensor, _mask_chunks,
+                      _two_part, bipartite_regularity_witness)
 from .errors import DivisibilityError, FamilyRejectionError, InfeasibleParamsError
 from .hypercore import BipartiteGraph, KPartiteHypergraph, WeightedTripartite, _frozen
 from .partitions import (
@@ -203,14 +203,15 @@ class OrthogonalFamily:
 def _item1_violations(side: np.ndarray) -> int:
     m, M = side.shape
     band = M ** (2.0 / 3.0)
-    s = side.astype(np.float64)
-    sizes = s.sum(axis=1)
+    sizes = side.sum(axis=1).astype(np.float64)
     bad = int((np.abs(sizes - M / 2.0) > band).sum())
     bad += int((np.abs((M - sizes) - M / 2.0) > band).sum())
     # one Gram matrix G = |X_i & X_j| gives the other two intersections:
     # |X_i & Y_j| = |X_i| - G_ij and |Y_i & Y_j| = M - |X_i| - |X_j| + G_ij,
-    # all small exact integers
-    gram = s @ s.T
+    # all integers of at most M, so a float32 product is exact below
+    # 2^24; the bands are compared in float64
+    s = side.astype(np.float32 if M < 1 << 24 else np.float64)
+    gram = (s @ s.T).astype(np.float64)
     off = ~np.eye(m, dtype=bool)
     for inter in (gram, sizes[:, None] - gram,
                   M - sizes[:, None] - sizes[None, :] + gram):
@@ -223,15 +224,16 @@ def _agreement_excess(side: np.ndarray, cap: float) -> tuple:
     partitions, the most agreements of any such pair).
 
     The +-1 Gram entry of a pair is agreements minus disagreements. It
-    is formed 256 rows at a time, over the pairs right of the diagonal
-    only, so no M x M array is built. Every entry is an integer of size
-    at most m, exact in float32.
+    is formed ``_SCAN_CELLS // M`` rows at a time (at least one, at
+    most M), over the pairs right of the diagonal only, so no M x M
+    array is built. Every entry is an integer of size at most m, exact
+    in float32.
     """
     m, M = side.shape
     s = np.where(side.T, np.float32(1.0), np.float32(-1.0))
     # agreements exceed the cap exactly when the entry exceeds 2 cap - m
     limit, over, worst = 2.0 * cap - m, 0, -m
-    block = 256
+    block = min(M, max(1, _SCAN_CELLS // M))
     below = np.tri(block, dtype=bool)
     for lo in range(0, M, block):
         rows = s[lo:lo + block]
@@ -262,6 +264,16 @@ def _family_construction(m: int, M: int) -> str:
     s = (m - 1).bit_length()
     dim = 1 + s + math.comb(s, 2) - (2 ** s - m)
     return "code" if dim >= 0 and 2 ** dim >= M else "coins"
+
+
+def _coin_sides(rng, m: int, M: int) -> np.ndarray:
+    """Fair-coin sides, the bits of one ``rng.random((m, M)) < 0.5``
+    drawn ``_SCAN_CELLS // M`` rows at a time (at least one)."""
+    side = np.empty((m, M), dtype=bool)
+    step = max(1, _SCAN_CELLS // M)
+    for lo in range(0, m, step):
+        side[lo:lo + step] = rng.random((min(step, m - lo), M)) < 0.5
+    return side
 
 
 def _gf2_left_kernel(a: np.ndarray) -> np.ndarray:
@@ -327,6 +339,14 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
     cap, and finds the worst agreement, from the Gram entries of the
     +-1 sides formed a block of rows at a time over the upper triangle
     (see ``_agreement_excess``), so no M x M array is built.
+
+    Memory stays within a fixed number of cells per step: the coins are
+    drawn ``auditor._SCAN_CELLS // M`` rows at a time from the attempt's
+    stream (the bits of one ``rng.random((m, M)) < 0.5``), the band
+    check forms its m x m Gram matrix in float32 while M < 2^24, where
+    every entry is an exact integer, and the agreement check takes
+    blocks of the same budget. Every result is the one a single draw
+    and float64 checks give.
     """
     m, M = int(m), int(M)
     if m < 1:
@@ -342,7 +362,7 @@ def orthogonal_family(m, M, seed=0, max_attempts=64) -> OrthogonalFamily:
         if construction == "code":
             side = _code_sides(rng, m, M)
         else:
-            side = rng.random((m, M)) < 0.5
+            side = _coin_sides(rng, m, M)
         item1_bad = _item1_violations(side) if check_item1 else 0
         event_bad, worst = _agreement_excess(side, cap)
         if item1_bad == 0 and event_bad == 0:
@@ -856,7 +876,8 @@ def quasirandomness_audit(g, delta, *, b_intervals=None,
         mode = "exact"
         min_size = max(1, math.ceil(delta * n - 1e-9))
         worst = -math.inf
-        for pat in _mask_chunks(n, min_size):
+        for _, pat in _mask_chunks(n, min_size, 1 << 16):
+            pat = pat.astype(np.float64)
             sizes = pat.sum(axis=1)
             s = ((pat @ f) * pat).sum(axis=1)
             margin = s - (delta ** 3 / 2.0) * n * sizes ** 2

@@ -151,7 +151,8 @@ def similarity_partition(
     """Partition the left side into q equal blocks of similar vertices.
 
     ``g`` has two parts, as a ``BipartiteGraph`` does: ``words[x]`` is
-    the packed neighborhood of left vertex ``x``. ``left``/``right`` is
+    the packed neighborhood of left vertex ``x``. A 2-d array of 0s and
+    1s is packed into one first. ``left``/``right`` is
     a homogeneous partition of ``g`` with at most ``r`` left blocks
     (homogeneity is the caller's contract and is re-detected here only
     through the good/bad block classification). The returned blocks
@@ -161,6 +162,11 @@ def similarity_partition(
     returning.
     """
     _two_part(g, "similarity_partition")
+    if not isinstance(g, KPartiteHypergraph):
+        g = np.asarray(g)
+        if not ((g == 0) | (g == 1)).all():
+            raise ValueError("similarity_partition needs a 0/1 adjacency")
+        g = KPartiteHypergraph.from_dense(g)
     n_x, n_y = g.part_sizes
     if (left.n, right.n) != (n_x, n_y):
         raise ValueError("partition sizes do not match the graph")

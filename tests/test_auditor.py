@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from homopart import (
     weak_regularity_witness,
 )
 from homopart import auditor
+from homopart.auditor import RegularityWitness
 from homopart import io as hio
 from homopart.errors import InfeasibleParamsError
 from homopart.partitions import block_sums, homogeneous
+from homopart.rng import generator
 
 
 def interval_layers(sizes, blocks):
@@ -704,6 +707,241 @@ class TestBipartiteWitness:
         assert disagreement_pairs(g, layers) == disagreement_pairs(dense, layers)
 
 
+# --- the single-shot witness searches, kept as references ----------------
+
+
+def reference_masks(n, min_size, chunk_bits=16):
+    """Every subset of range(n) with at least min_size elements, as
+    float64 0/1 rows in mask order, 2^chunk_bits masks to a chunk."""
+    total = 1 << n
+    step = 1 << min(chunk_bits, n)
+    bit = np.arange(n, dtype=np.uint64)
+    for start in range(0, total, step):
+        masks = np.arange(start, min(start + step, total), dtype=np.uint64)
+        patterns = ((masks[:, None] >> bit[None, :]) & 1).astype(np.float64)
+        keep = patterns.sum(axis=1) >= min_size
+        if keep.any():
+            yield patterns[keep]
+
+
+def reference_prefix_scan(scores, base, scales, min_size):
+    """(row, columns, deviation, density) of the best prefix, from one
+    float64 grid over every row per direction."""
+    c, n = scores.shape
+    if c == 0 or n < min_size:
+        return None
+    order = np.argsort(scores, axis=1, kind="stable")
+    js = np.arange(1, n + 1, dtype=np.float64)
+    best = None
+    for idx in (order, order[:, ::-1]):
+        sorted_scores = np.take_along_axis(scores, idx, axis=1)
+        dens = np.cumsum(sorted_scores, axis=1) / (scales[:, None] * js[None, :])
+        dev = np.abs(dens - base)
+        dev[:, : min_size - 1] = -1.0
+        r, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        if best is None or dev[r, j] > best[2] + 1e-15:
+            best = (int(r), np.sort(idx[r, : j + 1]), float(dev[r, j]),
+                    float(dens[r, j]))
+    return best
+
+
+def reference_bipartite_witness(g, delta, *, exact_bits=22, draws=4000,
+                                seed=0):
+    """The search scoring every draw, or every chunk of 2^16 masks, by
+    one float64 product and one ``reference_prefix_scan``."""
+    adj, _ = auditor._as_tensor(g)
+    n_a, n_b = adj.shape
+    base = float(adj.mean())
+    min_a = max(1, math.ceil(delta * n_a - 1e-9))
+    min_b = max(1, math.ceil(delta * n_b - 1e-9))
+    flip = n_b < n_a
+    if flip:
+        adj, n_a, n_b, min_a, min_b = adj.T, n_b, n_a, min_b, min_a
+    exact = n_a <= exact_bits
+    if exact:
+        chunks = reference_masks(n_a, min_a)
+    else:
+        coins = generator(seed, "bipartite-witness").random((draws, n_a)) < 0.5
+        chunks = [coins[coins.sum(axis=1) >= min_a].astype(np.float64)]
+    best = None
+    for patterns in chunks:
+        hit = reference_prefix_scan(patterns @ adj, base,
+                                    patterns.sum(axis=1), min_b)
+        if hit and (best is None or hit[2] > best[2] + 1e-15):
+            best = (np.flatnonzero(patterns[hit[0]] > 0), *hit[1:])
+    if best is None or best[2] <= delta:
+        return None
+    ia, ib, dev, d = best
+    if flip:
+        ia, ib = ib, ia
+    return RegularityWitness((ia, ib), d, base, dev, exact)
+
+
+def reference_weak_witness(h, blocks, eps, *, exact_bits=16, draws=2000,
+                           seed=0):
+    """The weak search scoring all subsets of the middle block against
+    one subset of the smallest by one float64 product."""
+    tensor, _ = auditor._as_tensor(h)
+    blocks = tuple(np.asarray(b, dtype=np.int64) for b in blocks)
+    sizes = [b.size for b in blocks]
+    sub = tensor[np.ix_(*blocks)]
+    base = float(sub.mean())
+    a, b, c = np.argsort(sizes, kind="stable")
+    exact = sizes[a] + sizes[b] <= exact_bits
+    moved = np.moveaxis(sub, (a, b, c), (0, 1, 2))
+    n_a, n_b, n_c = moved.shape
+    flat = moved.reshape(n_a, n_b * n_c)
+    if exact:
+        ys = next(reference_masks(n_b, 1, chunk_bits=n_b))
+        pairs = ((x, ys) for chunk in reference_masks(n_a, 1) for x in chunk)
+    else:
+        rng = generator(seed, "weak-witness")
+        coins = (rng.random((draws, n_a + n_b)) < 0.5).astype(np.float64)
+        coins = coins[coins[:, :n_a].any(axis=1) & coins[:, n_a:].any(axis=1)]
+        pairs = ((row[:n_a], row[None, n_a:]) for row in coins)
+    best = None
+    for x, ys in pairs:
+        scores = ys @ (x @ flat).reshape(n_b, n_c)
+        hit = reference_prefix_scan(scores, base, x.sum() * ys.sum(axis=1), 1)
+        if hit and (best is None or hit[2] > best[2]):
+            best = (x, ys[hit[0]], hit[2], hit[3], hit[1])
+    if best is None or best[2] <= eps:
+        return None
+    x, y, dev, d, ic = best
+    picks = [None, None, None]
+    picks[a], picks[b], picks[c] = np.flatnonzero(x), np.flatnonzero(y), ic
+    return RegularityWitness(tuple(blocks[i][picks[i]] for i in range(3)),
+                             d, base, dev, exact)
+
+
+def witness_bits(w):
+    """Every field of a witness, the subsets as raw bytes."""
+    if w is None:
+        return None
+    return (tuple((s.dtype.str, s.tobytes()) for s in w.subsets),
+            w.sub_density, w.base_density, w.deviation, w.exact)
+
+
+def near_tie(n):
+    """Weights 0.7 on one corner block, 0.3 on the opposite one, 0.5
+    elsewhere: the best deviations of the two scan directions, 0.7 -
+    0.5 and 0.5 - 0.3, differ in their last bits."""
+    w = np.full((n, n), 0.5)
+    w[: n // 2, : n // 2] = 0.7
+    w[n // 2:, n // 2:] = 0.3
+    return w
+
+
+def random_01(shape, seed, p=0.5):
+    return np.random.default_rng(seed).random(shape) < p
+
+
+BIPARTITE_CASES = {
+    "01-exact": (lambda: random_01((12, 40), 1), 0.2, {}),
+    "01-exact-two-chunks": (lambda: random_01((17, 21), 2), 0.25, {}),
+    "01-sampled": (lambda: np.tri(60, 80, 10, dtype=bool)
+                   ^ random_01((60, 80), 3, 0.05), 0.2,
+                   {"exact_bits": 10, "draws": 2000, "seed": 4}),
+    "01-flipped": (lambda: BipartiteGraph.from_dense(random_01((50, 9), 5)),
+                   0.3, {}),
+    "01-half-graph": (lambda: np.tri(40, 40, -1, dtype=bool), 0.3,
+                      {"exact_bits": 8, "draws": 700, "seed": 2}),
+    "weighted-exact": (lambda: np.random.default_rng(6).random((10, 30)),
+                       0.1, {}),
+    "weighted-sampled": (lambda: np.random.default_rng(7).random((40, 50)),
+                         0.1, {"exact_bits": 8, "draws": 1500, "seed": 8}),
+    "near-tie-exact": (lambda: near_tie(12), 0.1, {}),
+    "near-tie-sampled": (lambda: near_tie(40), 0.1,
+                         {"exact_bits": 4, "draws": 900, "seed": 9}),
+}
+
+WEAK_CASES = {
+    "01-exact": (lambda: random_01((3, 4, 5), 10), {}),
+    "01-exact-long-third": (lambda: random_01((4, 7, 300), 11), {}),
+    "01-sampled": (lambda: random_01((10, 12, 9), 12),
+                   {"exact_bits": 4, "draws": 300, "seed": 13}),
+    "weighted-exact": (lambda: np.random.default_rng(14).random((3, 4, 6)), {}),
+    "weighted-sampled": (lambda: np.random.default_rng(15).random((9, 8, 7)),
+                         {"exact_bits": 4, "draws": 300, "seed": 16}),
+}
+
+
+class TestBlockedWitnessSearch:
+    """The witness searches score and scan ``_SCAN_CELLS`` cells at a
+    time; each gives the single-shot reference's witness bit for bit,
+    with the budget at its default and cut to a few rows."""
+
+    @pytest.mark.parametrize("cells", [None, 97], ids=["default", "cut"])
+    @pytest.mark.parametrize("case", BIPARTITE_CASES)
+    def test_bipartite_matches_single_shot(self, monkeypatch, case, cells):
+        make, delta, kwargs = BIPARTITE_CASES[case]
+        if cells is not None:
+            monkeypatch.setattr(auditor, "_SCAN_CELLS", cells)
+        g = make()
+        want = reference_bipartite_witness(g, delta, **kwargs)
+        assert want is not None
+        assert witness_bits(bipartite_regularity_witness(g, delta, **kwargs)) \
+            == witness_bits(want)
+
+    @pytest.mark.parametrize("cells", [None, 97], ids=["default", "cut"])
+    @pytest.mark.parametrize("case", WEAK_CASES)
+    def test_weak_matches_single_shot(self, monkeypatch, case, cells):
+        make, kwargs = WEAK_CASES[case]
+        if cells is not None:
+            monkeypatch.setattr(auditor, "_SCAN_CELLS", cells)
+        h = make()
+        blocks = tuple(np.arange(n) for n in h.shape)
+        want = reference_weak_witness(h, blocks, 0.05, **kwargs)
+        assert want is not None
+        assert witness_bits(weak_regularity_witness(h, blocks, 0.05, **kwargs)) \
+            == witness_bits(want)
+
+    def test_near_tie_keeps_the_first_direction(self):
+        # ascending, the scan reaches density 0.3, deviation 0.2;
+        # descending, its float sums reach 0.7000000000000001, deviation
+        # 0.20000000000000007. That is within 1e-15, so the ascending
+        # direction, scanned first, stands
+        wit = bipartite_regularity_witness(near_tie(12), 0.1)
+        assert (wit.sub_density, wit.deviation) == (0.3, 0.2)
+        assert witness_bits(wit) == witness_bits(
+            reference_bipartite_witness(near_tie(12), 0.1))
+
+    def test_level_graph_search_in_bounded_memory(self):
+        # the tower's deepest level graph at n=144, searched with the
+        # certificate check's 2000 draws; the single-shot search peaked
+        # at 10 MB
+        import tracemalloc
+
+        from homopart import build_sequence, build_weighted
+
+        params = build_sequence(1e-12, 0.5, mode="toy", t=3, growth=2, s0=4,
+                                seed=1)
+        g = build_weighted(params, 144).layering.graphs[-1]
+        tracemalloc.start()
+        try:
+            wit = bipartite_regularity_witness(g, 0.5, draws=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wit is None
+        assert peak < 8 * 2**20
+
+    def test_exhaustive_search_in_bounded_memory(self):
+        # all 2^14 subsets of the small side against 144 columns; the
+        # single-shot search held 2^14 x 144 float64 grids, 124 MB
+        import tracemalloc
+
+        g = random_01((14, 144), 17)
+        tracemalloc.start()
+        try:
+            wit = bipartite_regularity_witness(g, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wit is not None and wit.exact
+        assert peak < 16 * 2**20
+
+
 def brute_shattered(rows, combo):
     seen = set()
     for r in rows:
@@ -884,6 +1122,26 @@ class TestTwoPartInput:
                 == quasirandomness_audit(dense, 0.5))
         witnesses = [bipartite_regularity_witness(x, 0.3) for x in (h, g, dense)]
         assert len({(w.deviation, *map(bytes, w.subsets)) for w in witnesses}) == 1
+
+    def test_similarity_partition_takes_arrays(self):
+        # a 2-d array passed _two_part and then failed on ``part_sizes``
+        rng = np.random.default_rng(9)
+        left = PartPartition(np.repeat([0, 1], 60), n_blocks=2)
+        dense = np.zeros((120, 120), dtype=bool)
+        dense[:60, rng.permutation(120)[:90]] = True
+        dense ^= rng.random(dense.shape) < 0.02
+        trivial = PartPartition.trivial(120)
+        results = [similarity_partition(x, left, trivial, 0.3, 2)
+                   for x in (BipartiteGraph.from_dense(dense), dense,
+                             dense.astype(np.float64), dense.astype(np.int8))]
+        assert len({(r.partition.labels.tobytes(), r.q, r.m, r.bad_blocks,
+                     r.evicted, r.max_intra_symdiff) for r in results}) == 1
+        ones = similarity_partition(np.ones((120, 120), dtype=bool), trivial,
+                                    trivial, 0.3, 1)
+        assert (ones.q, ones.m, ones.bad_blocks) == (7, 12, ())
+        with pytest.raises(ValueError, match="0/1 adjacency"):
+            similarity_partition(np.full((120, 120), 0.5), trivial, trivial,
+                                 0.3, 1)
 
 
 def benchmark_instance(family, n):

@@ -327,6 +327,16 @@ class TestSequence:
             assert params.ratio(r) <= max(ratio, params.s0)
 
 
+# coins at (150, 2000), (100, 700), (40, 100) and (6, 3); the (40, 100)
+# coins break the cap about 1.7 times per attempt, so seed 4 takes
+# several attempts. A Reed-Muller code at (30, 2000), (28, 1000) and
+# (64, 500)
+FAMILY_REFERENCE_CASES = [
+    (150, 2000, 1), (100, 700, 2), (40, 100, 4), (6, 3, 5),
+    (30, 2000, 1), (28, 1000, 2), (64, 500, 3),
+]
+
+
 class TestOrthogonalFamily:
     def test_trivial_split(self):
         fam = orthogonal_family(1, 2, seed=0)
@@ -414,11 +424,14 @@ class TestOrthogonalFamily:
         assert _item1_violations(side) == want
         assert (want > 0) == bad
 
-    # the check takes 256 rows at a time
+    # the check takes _SCAN_CELLS // M rows at a time, at most M: 181
+    # rows at M = 181 (one block), 180 at M = 182 (one row over), 127 at
+    # M = 257 and 16 at M = 2000
     @pytest.mark.parametrize("m,M", [
         (5, 2), (12, 50), (9, 257), (8, 300), (16, 512), (8, 2000),
+        (6, 181), (6, 182),
     ], ids=["M2", "under-one-block", "one-row-over", "ragged", "two-blocks",
-            "infeasible-8x2000"])
+            "infeasible-8x2000", "budget-one-block", "budget-one-row-over"])
     def test_blocked_agreement_matches_table(self, m, M):
         side = generator(7, f"agree/{m}x{M}").random((m, M)) < 0.5
         cap = 0.75 * m
@@ -430,6 +443,33 @@ class TestOrthogonalFamily:
         fam = orthogonal_family(30, 2000, seed=1, max_attempts=3)
         pairs = _agreement_counts(fam.x_side)[np.triu_indices(2000, 1)]
         assert _agreement_excess(fam.x_side, 22.5) == (0, int(pairs.max()))
+
+    @pytest.mark.parametrize("m,M,seed", FAMILY_REFERENCE_CASES)
+    def test_matches_single_draw_reference(self, m, M, seed):
+        # the coins were drawn by one rng.random((m, M)) and checked with
+        # float64 tables over all M^2 pairs; the blocked draws and checks
+        # accept the same family on the same attempt
+        check_item1 = M >= math.log(4.0 * m * m) ** 3
+        construction = gowers._family_construction(m, M)
+        for attempt in range(64):
+            rng = generator(seed, f"orthogonal/{m}x{M}/attempt{attempt}")
+            if construction == "code":
+                side = gowers._code_sides(rng, m, M)
+            else:
+                side = rng.random((m, M)) < 0.5
+            pairs = _agreement_counts(side)[np.triu_indices(M, 1)]
+            if ((not check_item1 or three_matmul_item1(side) == 0)
+                    and not (pairs > 0.75 * m).any()):
+                break
+        fam = orthogonal_family(m, M, seed=seed)
+        assert (fam.construction, fam.attempts, fam.item1_checked) == (
+            construction, attempt + 1, check_item1)
+        assert np.array_equal(fam.x_side, side)
+
+    def test_reference_covers_both_constructions(self):
+        kinds = {gowers._family_construction(m, M)
+                 for m, M, _ in FAMILY_REFERENCE_CASES}
+        assert kinds == {"coins", "code"}
 
     def test_no_attempts_carry_no_stats(self):
         with pytest.raises(FamilyRejectionError) as info:
