@@ -8,16 +8,16 @@ is the negative control: its neighborhoods are pairwise far apart, so
 the anchor budget runs out and the run reports the uncovered mass.
 """
 
-from homopart import InstanceSpec, ToleranceParams, generate, tuple_partition
+from homopart import InstanceSpec, generate, tuple_partition
 from homopart.errors import CoverageError
 
 n = 60
-params = ToleranceParams(eps=0.2, k=3, r=3)
+eps = 0.2
 
 inst = generate(InstanceSpec(
     k=3, n=(n, n, n), family="product", r=3, eps_prime=0.0, seed=1,
 ))
-tp = tuple_partition(inst.h, params, seed=1)
+tp = tuple_partition(inst.h, eps, seed=1)
 print(f"product: {tp.n_classes} classes cover "
       f"{n * n - tp.exceptional_count()} of {n * n} tuples "
       f"(threshold {tp.threshold:.1f})")
@@ -38,7 +38,7 @@ random_inst = generate(InstanceSpec(
     k=3, n=(n, n, n), family="uniform-random", r=2, eps_prime=0.0, seed=1,
 ))
 try:
-    tuple_partition(random_inst.h, params, seed=1, max_anchors=64)
+    tuple_partition(random_inst.h, eps, seed=1, max_anchors=64)
     print("uniform-random: covered (unexpected at this size)")
 except CoverageError as err:
     print(f"uniform-random: coverage fails, {err.uncovered} tuples "

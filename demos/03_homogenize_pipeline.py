@@ -3,8 +3,7 @@
 The pipeline composes tuple covering and the Venn atoms of class
 neighborhoods into one partition per part; the audit then checks
 every block tuple for density in [0, eps] or [1 - eps, 1] and reports
-the mass sitting in non-homogeneous tuples. Of the link hypothesis the
-pipeline reads only r, the bound on blocks per side.
+the mass sitting in non-homogeneous tuples.
 """
 
 from homopart import (
@@ -20,8 +19,7 @@ inst = generate(InstanceSpec(
 ))
 
 partition, rep = homogeneous_partition(inst.h, inst.oracle, eps, seed=4)
-print(f"r={inst.oracle.r}: mode={rep.mode} inner_eps={rep.inner_eps:.4g} "
-      f"p={rep.p} budget={rep.budget:.0f}")
+print(f"inner_eps={rep.inner_eps:.4g} p={rep.p} budget={rep.budget:.0f}")
 print(f"block counts per part: {partition.block_counts()}")
 
 audit = homogeneity_audit(inst.h, partition, eps)

@@ -60,7 +60,7 @@ assert io.read_digest(out1 / "instance.khg") == man.digest()
 out2 = work / "run-homog"
 code = main(["homogenize", str(out1 / "instance.khg"),
              "--links", str(out1 / "instance.links"),
-             "--eps", "0.2", "--r", "2", "--out", str(out2)])
+             "--eps", "0.2", "--out", str(out2)])
 print(f"homogenize exit {code} "
       f"(0 means the emitted partition passed its own audit)")
 

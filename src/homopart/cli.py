@@ -23,7 +23,7 @@ import time
 from . import io as hio
 from .auditor import homogeneity_audit, slicewise_vc, vc_dimension
 from .errors import CoverageError, FamilyRejectionError
-from .generators import FAMILIES, InstanceSpec, PlantedOracle, generate
+from .generators import FAMILIES, InstanceSpec, generate
 from .gowers import (
     build_sequence,
     build_weighted,
@@ -98,23 +98,23 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_homogenize(args) -> int:
-    eps, mode = args.eps, args.mode
-    # the pipeline reads only r; a links file is still parsed in full
-    r = hio.read_links(args.links)[1] if args.links else args.r
+    eps = args.eps
+    # the pipeline reads nothing of a links file; it is still parsed in full
+    if args.links:
+        hio.read_links(args.links)
     run = _Run(args, "homogenize",
-               {"eps": eps, "r": r, "max_anchors": args.max_anchors},
-               mode, {"instance": args.instance, "links": args.links})
+               {"eps": eps, "max_anchors": args.max_anchors},
+               inputs={"instance": args.instance, "links": args.links})
     h = hio.read_khg(args.instance)
-    partition, report = homogeneous_partition(
-        h, PlantedOracle({}, r), eps, args.seed, mode=mode,
-        max_anchors=args.max_anchors,
+    partition, _ = homogeneous_partition(
+        h, None, eps, args.seed, max_anchors=args.max_anchors,
     )
     audit = homogeneity_audit(h, partition, eps)
     run.write("partition.part", hio.write_part, partition)
     run.write("report.audit", hio.write_audit, audit)
     run.finish()
     verdict = "pass" if audit.passed else "fail"
-    print(f"homogenize eps={eps} mode={mode} blocks="
+    print(f"homogenize eps={eps} blocks="
           f"{partition.block_counts()} mass={audit.mass} "
           f"normalized={audit.normalized_mass:.6g} {verdict}")
     return 0 if audit.passed else 1
@@ -333,12 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homogenize", parents=[seeded],
                        help="run the partition pipeline on a .khg instance")
     p.add_argument("instance")
-    p.add_argument("--mode", choices=("practical", "paper"),
-                   default="practical")
     p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--links", help="link table written by gen; only its r is "
-                                   "read, and it overrides --r")
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--links", help="link table written by gen; it is checked "
+                                   "and digested, but the pipeline reads "
+                                   "nothing of it")
     p.add_argument("--max-anchors", type=_positive_int, default=512)
     p.set_defaults(func=_cmd_homogenize)
 

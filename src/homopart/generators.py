@@ -6,7 +6,7 @@ planted-boxes on three parts with a trivial third partition, so every
 third-part link equals one fixed planted bipartite graph. Both carry
 ground-truth partitions that make every link 0-homogeneous with at
 most r blocks per side, and a PlantedOracle holding them with that r;
-``homogeneous_partition`` reads only the r. ``interval-threshold``
+``homogeneous_partition`` reads nothing of it. ``interval-threshold``
 plants interval partitions that are only approximately homogeneous,
 and ``uniform-random`` is the negative control with no usable link
 structure. Every instance is built straight into the packed words of

@@ -14,10 +14,6 @@ homogeneous partition of a bipartite graph into an equipartition of
 the left side whose blocks have pairwise-similar neighborhoods. The
 acceptance tests check its contract; ``homogeneous_partition`` does
 not call it.
-
-Paper-mode constants are implemented exactly and fail loudly when they
-exceed desk scale; practical mode keeps every structural step and
-replaces the astronomically large anchor count with adaptive coverage.
 """
 
 from __future__ import annotations
@@ -40,8 +36,6 @@ from .partitions import (
     homogeneous,
 )
 from .rng import derive, generator
-
-MODES = ("paper", "practical")
 
 
 def similarity_block_count(gamma: float, r: int) -> int:
@@ -71,47 +65,6 @@ def similarity_block_size(n: int, gamma: float, r: int) -> int:
     """
     q = similarity_block_count(gamma, r)
     return math.ceil((1.0 - gamma) * n / q - 1e-9)
-
-
-@dataclass(frozen=True)
-class ToleranceParams:
-    """Tolerance cascade tying the target homogeneity to the links'.
-
-    ``gamma`` is the similarity tolerance handed to the bipartite
-    stage; ``similarity_input_tolerance(gamma)`` is the homogeneity
-    that stage expects of its input partition, which is also what the
-    link hypothesis assumes. Both follow the fixed formulas in every
-    mode.
-    """
-
-    eps: float
-    k: int
-    r: int
-    mode: str = "practical"
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 0.5:
-            raise InfeasibleParamsError(f"eps={self.eps} outside (0, 1/2)")
-        if self.k < 2:
-            raise InfeasibleParamsError(f"k={self.k} must be at least 2")
-        if self.r < 1:
-            raise InfeasibleParamsError(f"r={self.r} must be at least 1")
-        if self.mode not in MODES:
-            raise InfeasibleParamsError(f"unknown mode {self.mode!r}")
-
-    @property
-    def gamma(self) -> float:
-        return self.eps / (6.0 * self.k)
-
-    @property
-    def q(self) -> int:
-        return similarity_block_count(self.gamma, self.r)
-
-    def paper_anchor_count(self) -> int:
-        """Anchor count (q/gamma)^(k-1) log(2/eps) of the sampling step."""
-        return math.ceil(
-            (self.q / self.gamma) ** (self.k - 1) * math.log(2.0 / self.eps)
-        )
 
 
 @dataclass(frozen=True)
@@ -291,7 +244,6 @@ class TuplePartition:
     representative_rows: np.ndarray
     threshold: float
     eps: float
-    mode: str
     uncovered: int
     budget: float
 
@@ -365,7 +317,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
 
 def tuple_partition(
     h: KPartiteHypergraph,
-    params: ToleranceParams,
+    eps: float,
     seed: int,
     *,
     target_part: int | None = None,
@@ -373,29 +325,27 @@ def tuple_partition(
 ) -> TuplePartition:
     """Cover the (k-1)-tuple product by neighborhood-similarity classes.
 
-    Anchors are drawn with the given seed; every tuple is assigned to
-    the lowest-index anchor whose target-part neighborhood is within
-    eps*n/2 of its own, remaining tuples form class 0. In paper mode
-    the anchor count follows the fixed formula and is drawn uniformly
-    from all tuples, so an anchor may already be covered and its class
-    may be empty; in practical mode anchors are drawn uniformly from
-    the still-uncovered tuples until the uncovered mass drops to
+    Every tuple is assigned to the lowest-index anchor whose target-part
+    neighborhood is within eps*n/2 of its own, remaining tuples form
+    class 0. Anchors are drawn with the given seed, uniformly from the
+    still-uncovered tuples, until the uncovered mass drops to
     eps * (number of tuples), or ``max_anchors`` is hit, in which case
     a CoverageError carrying the achieved mass is raised.
 
     The neighborhoods are read from the packed words without
     permuting the hypergraph and deduplicated once. An anchor compares
     only the still-open distinct neighborhoods and covers every tuple
-    of a near one; the uncovered tuples, from which practical mode
-    draws, are kept as one ascending array of flat indices, compacted
+    of a near one; the uncovered tuples, from which anchors are
+    drawn, are kept as one ascending array of flat indices, compacted
     through the dedup inverse after each anchor. Before returning,
     every covered tuple is checked against its anchor's neighborhood
     from its own row.
 
     Link partitions do not appear here: the assignment needs only
-    neighborhoods and anchors. The link hypothesis enters through
-    ``params.r``, which sets paper mode's anchor count.
+    neighborhoods and anchors.
     """
+    if not 0.0 < eps < 0.5:
+        raise InfeasibleParamsError(f"eps={eps} outside (0, 1/2)")
     k = h.k
     if target_part is None:
         target_part = k - 1
@@ -407,20 +357,8 @@ def tuple_partition(
     n_tuples = math.prod(source_sizes)
     rows = _target_rows(h, target_part)
     distinct, inverse = _distinct_rows(rows)
-    threshold = params.eps * n_target / 2.0
-    budget = params.eps * n_tuples
-
-    if params.mode == "paper":
-        t = params.paper_anchor_count()
-        if t > max_anchors:
-            raise InfeasibleParamsError(
-                f"paper-mode anchor count t={t} exceeds the cap {max_anchors}; "
-                "use practical mode"
-            )
-        rng = generator(seed, f"tuple/{target_part}/anchors")
-        anchor_flat = rng.integers(0, n_tuples, size=t)
-    else:
-        anchor_flat = None  # drawn adaptively below
+    threshold = eps * n_target / 2.0
+    budget = eps * n_tuples
 
     # Tuples with one row are at one distance from every anchor, so a
     # distinct row is covered with all its tuples or not at all.
@@ -438,15 +376,11 @@ def tuple_partition(
         anchors.append(tuple(np.unravel_index(flat_idx, source_sizes)))
         anchor_rows.append(row)
 
-    if params.mode == "paper":
-        for a in anchor_flat:
-            place(int(a))
-    else:
-        rng = generator(seed, f"tuple/{target_part}/anchors")
-        open_idx = np.arange(n_tuples)  # uncovered flat indices, ascending
-        while open_idx.size > budget and len(anchors) < max_anchors:
-            place(int(open_idx[rng.integers(open_idx.size)]))
-            open_idx = open_idx[row_label[inverse[open_idx]] == 0]
+    rng = generator(seed, f"tuple/{target_part}/anchors")
+    open_idx = np.arange(n_tuples)  # uncovered flat indices, ascending
+    while open_idx.size > budget and len(anchors) < max_anchors:
+        place(int(open_idx[rng.integers(open_idx.size)]))
+        open_idx = open_idx[row_label[inverse[open_idx]] == 0]
     labels = row_label[inverse]
 
     uncovered = int(np.count_nonzero(labels == 0))
@@ -465,8 +399,7 @@ def tuple_partition(
         ),
         representative_rows=rows[first[classes > 0]],
         threshold=threshold,
-        eps=params.eps,
-        mode=params.mode,
+        eps=eps,
         uncovered=uncovered,
         budget=budget,
     )
@@ -480,7 +413,6 @@ class PipelineReport:
 
     eps: float
     inner_eps: float
-    mode: str
     p: int
     block_size: tuple
     budget: float
@@ -493,7 +425,6 @@ def homogeneous_partition(
     eps: float,
     seed: int,
     *,
-    mode: str = "practical",
     max_anchors: int = 512,
 ) -> tuple[LayeredPartition, PipelineReport]:
     """Equipartition of every part, homogeneous at tolerance eps.
@@ -508,22 +439,20 @@ def homogeneous_partition(
     authority on whether the output meets eps; this function
     guarantees structure, not the verdict.
 
-    ``oracle.r``, the per-side block bound of the link hypothesis, is
-    all this function reads of ``oracle``; only paper mode's constants
-    depend on it. An instance generated with r = 0 has no oracle
-    (None), which is rejected like any r below 1.
+    Nothing of ``oracle`` is read: the link partitions and their bound
+    r enter no step, so any value, None included, gives the same
+    result. The argument stays only because the ``perfbench`` workloads
+    and tests pass it by position.
     """
     if not 0.0 < eps < 0.5:
         raise InfeasibleParamsError(f"eps={eps} outside (0, 1/2)")
     k = h.k
     inner_eps = eps**2 / (8.0 * k)
-    r = 0 if oracle is None else oracle.r
-    params = ToleranceParams(eps=inner_eps, k=k, r=r, mode=mode)
     passes = []
     for target in range(k):
         tp = tuple_partition(
             h,
-            params,
+            inner_eps,
             derive_pass_seed(seed, target),
             target_part=target,
             max_anchors=max_anchors,
@@ -550,7 +479,6 @@ def homogeneous_partition(
     report = PipelineReport(
         eps=eps,
         inner_eps=inner_eps,
-        mode=mode,
         p=p,
         block_size=tuple(sizes),
         budget=budget,

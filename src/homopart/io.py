@@ -896,7 +896,7 @@ def write_links(path, table: dict, r: int, *, digest=None):
 def read_links(path) -> tuple:
     """(table, r) as ``write_links`` stored them.
 
-    The whole file is validated; ``homogenize --links`` uses only r.
+    The whole file is validated; ``homogenize --links`` uses none of it.
     """
     lines = _data_lines(_read_ascii(path))
     if not lines:

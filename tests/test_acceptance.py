@@ -30,7 +30,6 @@ from homopart import (
     KPartiteHypergraph,
     LayeredPartition,
     PartPartition,
-    ToleranceParams,
     beta_refines,
     build_sequence,
     build_weighted,
@@ -122,8 +121,7 @@ def test_criterion_02_tuple_classes():
                 k=3, n=(n, n, n), family=family, r=3, eps_prime=0.0,
                 seed=seed,
             ))
-            params = ToleranceParams(eps=0.2, k=3, r=3)
-            tp = tuple_partition(inst.h, params, seed=seed)
+            tp = tuple_partition(inst.h, 0.2, seed=seed)
             if tp.exceptional_count() > 0.2 * n * n:
                 violations.append((family, seed, "uncovered",
                                    tp.exceptional_count()))
@@ -444,9 +442,7 @@ def determinism_blob() -> bytes:
                 k=3, n=(60, 60, 60), family=family, r=3, eps_prime=0.0,
                 seed=seed,
             ))
-            tp = tuple_partition(
-                inst.h, ToleranceParams(eps=0.2, k=3, r=3), seed=seed,
-            )
+            tp = tuple_partition(inst.h, 0.2, seed=seed)
             chunks.append(tp.labels.tobytes())
             chunks.append(repr((tp.anchors, tp.uncovered)).encode())
 

@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homopart import (
+    FAMILIES,
     BipartiteGraph,
     InstanceSpec,
     KPartiteHypergraph,
     PartPartition,
     PlantedOracle,
-    ToleranceParams,
     generate,
+    homogeneity_audit,
     homogeneous_partition,
     similarity_block_count,
     similarity_block_size,
@@ -76,26 +77,6 @@ def brute_block_checks(adj, result, gamma):
                 worst = max(worst, len(ni ^ nj))
     assert worst <= gamma * adj.shape[1] + 1e-9
     return worst
-
-
-class TestToleranceParams:
-    def test_derived_tolerances(self):
-        p = ToleranceParams(eps=0.2, k=3, r=2)
-        assert p.gamma == pytest.approx(0.2 / 18.0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(eps=0.0, k=3, r=2),
-            dict(eps=0.5, k=3, r=2),
-            dict(eps=0.2, k=1, r=2),
-            dict(eps=0.2, k=3, r=0),
-            dict(eps=0.2, k=3, r=2, mode="exact"),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(InfeasibleParamsError):
-            ToleranceParams(**kwargs)
 
 
 class TestSimilarityConstants:
@@ -248,16 +229,21 @@ class TestTuplePartition:
             k=3, n=(8, 8, 8), family="product", r=2, eps_prime=0.0, seed=42
         )
         inst = generate(spec)
-        params = ToleranceParams(eps=0.2, k=3, r=2)
-        tp = tuple_partition(inst.h, params, seed=42)
+        tp = tuple_partition(inst.h, 0.2, seed=42)
         assert tp.n_classes == 2
         assert tp.exceptional_count() == 0
 
     def test_empty_graph_single_class(self):
         h = KPartiteHypergraph.empty((6, 6, 6))
-        tp = tuple_partition(h, ToleranceParams(eps=0.2, k=3, r=1), seed=0)
+        tp = tuple_partition(h, 0.2, seed=0)
         assert tp.n_classes == 1
         assert tp.exceptional_count() == 0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, 0.6, math.nan])
+    def test_eps_validation(self, eps):
+        h = KPartiteHypergraph.empty((4, 4, 4))
+        with pytest.raises(InfeasibleParamsError, match="outside"):
+            tuple_partition(h, eps, seed=0)
 
     @pytest.mark.parametrize(
         "family,n,eps,seed",
@@ -272,8 +258,7 @@ class TestTuplePartition:
             k=3, n=(n, n, n), family=family, r=2, eps_prime=0.0, seed=seed
         )
         inst = generate(spec)
-        params = ToleranceParams(eps=eps, k=3, r=2)
-        tp = tuple_partition(inst.h, params, seed=seed)
+        tp = tuple_partition(inst.h, eps, seed=seed)
         dense = inst.h.to_dense()
         expect = brute_assignment(dense, tp.anchors, tp.threshold)
         assert np.array_equal(tp.labels, expect)
@@ -284,9 +269,7 @@ class TestTuplePartition:
             k=3, n=(8, 8, 8), family="planted-boxes", r=3, eps_prime=0.0, seed=6
         )
         inst = generate(spec)
-        tp = tuple_partition(
-            inst.h, ToleranceParams(eps=0.25, k=3, r=3), seed=6
-        )
+        tp = tuple_partition(inst.h, 0.25, seed=6)
         for i, a in enumerate(tp.anchors):
             assert tp.labels[a] == i + 1
 
@@ -295,8 +278,7 @@ class TestTuplePartition:
             k=4, n=(5, 6, 5, 4), family="planted-boxes", r=2, eps_prime=0.0, seed=8
         )
         inst = generate(spec)
-        params = ToleranceParams(eps=0.3, k=4, r=2)
-        tp = tuple_partition(inst.h, params, seed=8, target_part=1)
+        tp = tuple_partition(inst.h, 0.3, seed=8, target_part=1)
         assert tp.source_parts == (0, 2, 3)
         assert tp.labels.shape == (5, 5, 4)
         dense = np.moveaxis(inst.h.to_dense(), 1, -1)
@@ -308,21 +290,10 @@ class TestTuplePartition:
             k=3, n=(12, 12, 12), family="uniform-random", r=2, eps_prime=0.0, seed=3
         )
         inst = generate(spec)
-        params = ToleranceParams(eps=0.2, k=3, r=2)
         with pytest.raises(CoverageError) as err:
-            tuple_partition(inst.h, params, seed=3, max_anchors=32)
+            tuple_partition(inst.h, 0.2, seed=3, max_anchors=32)
         assert err.value.n_anchors == 32
         assert err.value.uncovered > err.value.budget
-
-    def test_paper_anchor_count_and_infeasibility(self):
-        # eps=0.3, k=3, r=2 gives q=354 at gamma=1/60, hence the
-        # (354*60)^2 log(2/0.3) sample size that rules paper mode out
-        params = ToleranceParams(eps=0.3, k=3, r=2, mode="paper")
-        expect = math.ceil((354 * 60) ** 2 * math.log(2.0 / 0.3))
-        assert params.paper_anchor_count() == expect
-        h = KPartiteHypergraph.empty((4, 4, 4))
-        with pytest.raises(InfeasibleParamsError):
-            tuple_partition(h, params, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -337,8 +308,7 @@ class TestTuplePartition:
             k=3, n=(5, 5, 5), family=family, r=2, eps_prime=0.0, seed=seed
         )
         inst = generate(spec)
-        params = ToleranceParams(eps=eps, k=3, r=2)
-        tp = tuple_partition(inst.h, params, seed=seed)
+        tp = tuple_partition(inst.h, eps, seed=seed)
         dense = inst.h.to_dense()
         assert np.array_equal(
             tp.labels, brute_assignment(dense, tp.anchors, tp.threshold)
@@ -399,13 +369,8 @@ class TestHomogeneousPartition:
             inst = generate(spec)
             lp1, _ = homogeneous_partition(inst.h, inst.oracle, eps=0.25, seed=4)
             lp2, _ = homogeneous_partition(inst.h, inst.oracle, eps=0.25, seed=4)
-            # the pipeline reads only r, so an oracle without the planted
-            # partitions gives the same labels
-            bare = PlantedOracle({}, inst.oracle.r)
-            lp3, _ = homogeneous_partition(inst.h, bare, eps=0.25, seed=4)
             for i in range(3):
                 assert np.array_equal(lp1[i].labels, lp2[i].labels), family
-                assert np.array_equal(lp1[i].labels, lp3[i].labels), family
 
     def test_uniform_random_fails_coverage(self):
         spec = InstanceSpec(
@@ -418,14 +383,33 @@ class TestHomogeneousPartition:
             )
         assert err.value.uncovered > err.value.budget
 
-    def test_instance_without_link_hypothesis_rejected(self):
+    def test_instance_without_link_hypothesis_runs(self):
         # uniform-random at r=0 plants nothing, so generate gives no oracle
         inst = generate(InstanceSpec(
             k=3, n=(6, 6, 6), family="uniform-random", r=0, eps_prime=0.0, seed=1
         ))
         assert inst.oracle is None
-        with pytest.raises(InfeasibleParamsError, match="r=0"):
-            homogeneous_partition(inst.h, inst.oracle, 0.2, 1)
+        lp, _ = homogeneous_partition(inst.h, inst.oracle, 0.2, 1)
+        assert lp.block_counts() == (7, 7, 7)
+        assert homogeneity_audit(inst.h, lp, 0.2).passed
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_oracle_is_not_read(self, family):
+        # the planted partitions, a bare oracle and None give one result
+        inst = generate(InstanceSpec(
+            k=3, n=(9, 8, 10), family=family, r=2, eps_prime=0.0, seed=9
+        ))
+        want_lp, want = homogeneous_partition(inst.h, inst.oracle, 0.25, 4)
+        for oracle in (PlantedOracle({}, inst.oracle.r), None):
+            lp, got = homogeneous_partition(inst.h, oracle, 0.25, 4)
+            for i in range(3):
+                assert np.array_equal(lp[i].labels, want_lp[i].labels)
+            assert repr(got) == repr(want)
+            for tp, tp_want in zip(got.passes, want.passes):
+                assert tp.labels.tobytes() == tp_want.labels.tobytes()
+                assert tp.anchors == tp_want.anchors
+                assert (tp.representative_rows.tobytes()
+                        == tp_want.representative_rows.tobytes())
 
     def test_eps_validation(self):
         h = KPartiteHypergraph.from_dense(np.ones((6, 6, 6), dtype=bool))
@@ -444,7 +428,7 @@ class TestHomogeneousPartition:
 # as the reference they must match field by field.
 
 
-def reference_tuple_partition(h, params, seed, target_part, max_anchors=512):
+def reference_tuple_partition(h, eps, seed, target_part, max_anchors=512):
     """(labels, anchors, anchor_rows, uncovered) from the covered-mask loop:
     every anchor rescans all tuples for the uncovered ones."""
     k = h.k
@@ -453,8 +437,8 @@ def reference_tuple_partition(h, params, seed, target_part, max_anchors=512):
         np.transpose(h.to_dense(), sources + (target_part,))).fiber_rows()
     source_sizes = tuple(h.part_sizes[p] for p in sources)
     n_tuples = math.prod(source_sizes)
-    threshold = params.eps * h.part_sizes[target_part] / 2.0
-    budget = params.eps * n_tuples
+    threshold = eps * h.part_sizes[target_part] / 2.0
+    budget = eps * n_tuples
     rng = generator(seed, f"tuple/{target_part}/anchors")
     labels = np.zeros(n_tuples, dtype=np.int64)
     covered = np.zeros(n_tuples, dtype=bool)
@@ -471,14 +455,10 @@ def reference_tuple_partition(h, params, seed, target_part, max_anchors=512):
         anchors.append(tuple(np.unravel_index(flat_idx, source_sizes)))
         anchor_rows.append(row)
 
-    if params.mode == "paper":
-        for a in rng.integers(0, n_tuples, size=params.paper_anchor_count()):
-            place(int(a))
-    else:
-        while (int(np.count_nonzero(~covered)) > budget
-               and len(anchors) < max_anchors):
-            open_idx = np.flatnonzero(~covered)
-            place(int(open_idx[rng.integers(open_idx.size)]))
+    while (int(np.count_nonzero(~covered)) > budget
+           and len(anchors) < max_anchors):
+        open_idx = np.flatnonzero(~covered)
+        place(int(open_idx[rng.integers(open_idx.size)]))
     uncovered = int(np.count_nonzero(~covered))
     if uncovered > budget + 1e-9:
         raise CoverageError(uncovered, budget, len(anchors))
@@ -517,9 +497,9 @@ def reference_venn_inputs(h, tp):
     return sets
 
 
-def assert_matches_reference(h, tp, params, seed, max_anchors=512):
+def assert_matches_reference(h, tp, eps, seed):
     labels, anchors, anchor_rows, uncovered = reference_tuple_partition(
-        h, params, seed, tp.target_part, max_anchors)
+        h, eps, seed, tp.target_part)
     assert tp.labels.dtype == labels.dtype
     assert tp.labels.tobytes() == labels.tobytes()
     assert tp.labels.shape == labels.shape
@@ -558,41 +538,33 @@ class TestReferenceScans:
         spec = InstanceSpec(k=3, n=(14, 12, 16), family=family, r=3,
                             eps_prime=0.0, seed=seed)
         h = generate(spec).h
-        params = ToleranceParams(eps=0.3, k=3, r=3)
-        tp = tuple_partition(h, params, seed, target_part=target)
-        assert_matches_reference(h, tp, params, seed)
+        tp = tuple_partition(h, 0.3, seed, target_part=target)
+        assert_matches_reference(h, tp, 0.3, seed)
 
     @pytest.mark.parametrize("family", [
         "interval-threshold", "planted-boxes", "uniform-random",
     ])
     @pytest.mark.parametrize("target", [0, 1])
-    def test_paper_tuple_partition_with_empty_classes(self, family, target):
-        # k = 2 is the only arity whose paper-mode anchor count fits a
-        # test: 3064 anchors drawn from 9 or 11 tuples, so most of them
-        # are drawn already covered and their classes stay empty
-        n = (9, 11)
-        spec = InstanceSpec(k=2, n=n, family=family, r=2, eps_prime=0.0,
-                            seed=4)
+    def test_k2_tuple_partition(self, family, target):
+        # at k = 2 a pass's tuples are the 9 or 11 vertices of the one
+        # source part
+        spec = InstanceSpec(k=2, n=(9, 11), family=family, r=2,
+                            eps_prime=0.0, seed=4)
         h = generate(spec).h
-        params = ToleranceParams(eps=0.45, k=2, r=1, mode="paper")
-        tp = tuple_partition(h, params, 5, target_part=target,
-                             max_anchors=4000)
-        assert tp.n_classes == params.paper_anchor_count()
-        sizes = np.bincount(tp.labels.ravel(), minlength=tp.n_classes + 1)
-        assert (sizes[1:] == 0).any()
-        assert_matches_reference(h, tp, params, 5, max_anchors=4000)
+        tp = tuple_partition(h, 0.45, 5, target_part=target)
+        assert tp.labels.shape == (spec.n[1 - target],)
+        assert_matches_reference(h, tp, 0.45, 5)
 
     def test_coverage_error_matches_reference(self):
         spec = InstanceSpec(k=3, n=(12, 12, 12), family="uniform-random",
                             r=2, eps_prime=0.0, seed=3)
         h = generate(spec).h
-        params = ToleranceParams(eps=0.2, k=3, r=2)
         for target in range(3):
             with pytest.raises(CoverageError) as got:
-                tuple_partition(h, params, 3, target_part=target,
+                tuple_partition(h, 0.2, 3, target_part=target,
                                 max_anchors=32)
             with pytest.raises(CoverageError) as want:
-                reference_tuple_partition(h, params, 3, target, 32)
+                reference_tuple_partition(h, 0.2, 3, target, 32)
             assert ((got.value.uncovered, got.value.budget,
                      got.value.n_anchors)
                     == (want.value.uncovered, want.value.budget,
@@ -608,9 +580,25 @@ class TestReferenceScans:
         lp, rep, venn = venn_inputs_of(monkeypatch, inst.h, inst.oracle,
                                        0.45, seed)
         for target, tp in enumerate(rep.passes):
-            params = ToleranceParams(eps=rep.inner_eps, k=3, r=inst.oracle.r)
             assert_matches_reference(
-                inst.h, tp, params, homogenizer.derive_pass_seed(seed, target))
+                inst.h, tp, rep.inner_eps,
+                homogenizer.derive_pass_seed(seed, target))
+            assert_same_sets(venn[target], reference_venn_inputs(inst.h, tp))
+
+    @pytest.mark.parametrize("family", [
+        "interval-threshold", "planted-boxes", "uniform-random",
+    ])
+    def test_k2_venn_inputs(self, monkeypatch, family):
+        spec = InstanceSpec(k=2, n=(9, 11), family=family, r=2,
+                            eps_prime=0.0, seed=4)
+        inst = generate(spec)
+        lp, rep, venn = venn_inputs_of(monkeypatch, inst.h, inst.oracle,
+                                       0.2, 6)
+        assert len(rep.passes) == 2
+        for target, tp in enumerate(rep.passes):
+            assert_matches_reference(
+                inst.h, tp, rep.inner_eps,
+                homogenizer.derive_pass_seed(6, target))
             assert_same_sets(venn[target], reference_venn_inputs(inst.h, tp))
 
     @pytest.mark.parametrize("family,seed", [
@@ -625,10 +613,10 @@ class TestReferenceScans:
         spec = InstanceSpec(k=3, n=(14, 12, 16), family=family, r=3,
                             eps_prime=0.0, seed=seed)
         inst = generate(spec)
-        loose = ToleranceParams(eps=0.3, k=3, r=inst.oracle.r)
+        loose = 0.3
         real = homogenizer.tuple_partition
 
-        def loose_pass(h, params, seed, **kwargs):
+        def loose_pass(h, eps, seed, **kwargs):
             return real(h, loose, seed, **kwargs)
 
         monkeypatch.setattr(homogenizer, "tuple_partition", loose_pass)
@@ -645,35 +633,12 @@ class TestReferenceScans:
                          for i in range(1, tp.n_classes + 1))
         assert mixed or family == "planted-boxes"
 
-    def test_paper_venn_inputs_skip_empty_classes(self, monkeypatch):
-        # homogeneous_partition's own paper-mode anchor count is out of
-        # reach at any k, so its passes are run with the k = 2 paper
-        # parameters above, which leave most classes empty
-        spec = InstanceSpec(k=2, n=(9, 11), family="planted-boxes", r=2,
-                            eps_prime=0.0, seed=4)
-        inst = generate(spec)
-        paper = ToleranceParams(eps=0.45, k=2, r=1, mode="paper")
-        real = homogenizer.tuple_partition
-
-        def paper_pass(h, params, seed, **kwargs):
-            return real(h, paper, seed, **kwargs)
-
-        monkeypatch.setattr(homogenizer, "tuple_partition", paper_pass)
-        lp, rep, venn = venn_inputs_of(monkeypatch, inst.h, inst.oracle,
-                                       0.2, 6, max_anchors=4000)
-        for target, tp in enumerate(rep.passes):
-            sizes = np.bincount(tp.labels.ravel(), minlength=tp.n_classes + 1)
-            assert (sizes[1:] == 0).any()
-            want = reference_venn_inputs(inst.h, tp)
-            assert len(want) == np.count_nonzero(sizes[1:])
-            assert_same_sets(venn[target], want)
-
 
 # --- tuple classes from deduplicated rows --------------------------------
 #
 # ``tuple_partition`` builds each target's rows from the packed words and
 # compares an anchor with the distinct rows only. These cases span few
-# and all-distinct rows, rows of two words, paper mode and a middle
+# and all-distinct rows, rows of two words at k = 2 and a middle
 # target, each against the covered-mask reference.
 
 
@@ -691,9 +656,8 @@ class TestDistinctRows:
         h = generate(spec).h
         rows = reference_rows(h, target)
         assert np.unique(rows, axis=0).shape[0] <= 2 ** 3
-        params = ToleranceParams(eps=0.3, k=3, r=3)
-        tp = tuple_partition(h, params, 8, target_part=target)
-        assert_matches_reference(h, tp, params, 8)
+        tp = tuple_partition(h, 0.3, 8, target_part=target)
+        assert_matches_reference(h, tp, 0.3, 8)
 
     @pytest.mark.parametrize("target", [0, 2])
     def test_every_row_distinct(self, target):
@@ -702,22 +666,19 @@ class TestDistinctRows:
         h = generate(spec).h
         rows = reference_rows(h, target)
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
-        params = ToleranceParams(eps=0.3, k=3, r=2)
-        tp = tuple_partition(h, params, 9, target_part=target)
+        tp = tuple_partition(h, 0.3, 9, target_part=target)
         assert tp.n_classes > 100
-        assert_matches_reference(h, tp, params, 9)
+        assert_matches_reference(h, tp, 0.3, 9)
 
     @pytest.mark.parametrize("family", ["planted-boxes", "uniform-random"])
     @pytest.mark.parametrize("target", [0, 1])
-    def test_paper_mode_two_word_rows(self, family, target):
+    def test_two_word_rows_at_k2(self, family, target):
         spec = InstanceSpec(k=2, n=(70, 9), family=family, r=2,
                             eps_prime=0.0, seed=10)
         h = generate(spec).h
-        params = ToleranceParams(eps=0.45, k=2, r=1, mode="paper")
-        tp = tuple_partition(h, params, 11, target_part=target,
-                             max_anchors=4000)
-        assert tp.n_classes == params.paper_anchor_count()
-        assert_matches_reference(h, tp, params, 11, max_anchors=4000)
+        tp = tuple_partition(h, 0.45, 11, target_part=target)
+        assert tp.anchor_rows.shape[1] == (2 if target == 0 else 1)
+        assert_matches_reference(h, tp, 0.45, 11)
 
     @pytest.mark.parametrize("family", ["planted-boxes", "interval-threshold"])
     @pytest.mark.parametrize("target", [1, 2])
@@ -725,16 +686,15 @@ class TestDistinctRows:
         spec = InstanceSpec(k=4, n=(5, 6, 7, 66), family=family, r=2,
                             eps_prime=0.0, seed=12)
         h = generate(spec).h
-        params = ToleranceParams(eps=0.3, k=4, r=2)
-        tp = tuple_partition(h, params, 12, target_part=target)
+        tp = tuple_partition(h, 0.3, 12, target_part=target)
         assert tp.source_parts == tuple(p for p in range(4) if p != target)
-        assert_matches_reference(h, tp, params, 12)
+        assert_matches_reference(h, tp, 0.3, 12)
 
     def test_verifier_raises_on_a_tuple_off_its_anchor(self):
         spec = InstanceSpec(k=3, n=(8, 9, 70), family="uniform-random", r=2,
                             eps_prime=0.0, seed=13)
         h = generate(spec).h
-        tp = tuple_partition(h, ToleranceParams(eps=0.3, k=3, r=2), 13)
+        tp = tuple_partition(h, 0.3, 13)
         rows = h.fiber_rows()
         homogenizer._verify_tuple_partition(tp, rows)
         dist = np.bitwise_count(rows ^ tp.anchor_rows[0]).sum(axis=-1)
@@ -753,11 +713,10 @@ class TestDistinctRows:
         # strips assert statements, keeps them
         code = (
             "import dataclasses, numpy as np\n"
-            "from homopart import InstanceSpec, ToleranceParams, generate, "
-            "homogenizer\n"
+            "from homopart import InstanceSpec, generate, homogenizer\n"
             "h = generate(InstanceSpec(k=3, n=(8, 9, 70), family='uniform-random',"
             " r=2, eps_prime=0.0, seed=13)).h\n"
-            "tp = homogenizer.tuple_partition(h, ToleranceParams(eps=0.3, k=3, r=2), 13)\n"
+            "tp = homogenizer.tuple_partition(h, 0.3, 13)\n"
             "rows = h.fiber_rows()\n"
             "far = int(np.argmax(np.bitwise_count(rows ^ tp.anchor_rows[0]).sum(axis=-1)))\n"
             "labels = tp.labels.copy()\n"

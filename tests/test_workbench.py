@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -1784,16 +1785,16 @@ def test_cli_homogenize_passes_on_planted(tmp_path, capsys):
     assert homogeneity_audit(h, partition, 0.2).passed
 
 
-def test_cli_links_file_contributes_only_r(tmp_path, capsys):
+def test_cli_links_file_changes_only_the_stamps(tmp_path, capsys):
     gen_out = tmp_path / "gen"
     run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--r", 3,
              "--seed", 3, "--out", gen_out])
-    with_links, with_r = tmp_path / "links", tmp_path / "r"
+    with_links, without = tmp_path / "links", tmp_path / "bare"
     assert run_cli(["homogenize", gen_out / "instance.khg",
                     "--links", gen_out / "instance.links",
                     "--out", with_links]) == 0
-    assert run_cli(["homogenize", gen_out / "instance.khg", "--r", 3,
-                    "--out", with_r]) == 0
+    assert run_cli(["homogenize", gen_out / "instance.khg",
+                    "--out", without]) == 0
 
     def split(path):
         lines = path.read_text().splitlines()
@@ -1802,20 +1803,24 @@ def test_cli_links_file_contributes_only_r(tmp_path, capsys):
 
     for name in ("partition.part", "report.audit"):
         rows_links, stamp_links = split(with_links / name)
-        rows_r, stamp_r = split(with_r / name)
-        assert rows_links == rows_r
+        rows_bare, stamp_bare = split(without / name)
+        assert rows_links == rows_bare
         # the manifests list different inputs, so only the stamps differ
-        assert stamp_links != stamp_r
+        assert stamp_links != stamp_bare
 
 
-def test_cli_homogenize_records_the_links_files_r(tmp_path, capsys):
+def test_cli_homogenize_manifest_records_params_and_links_digest(tmp_path,
+                                                                 capsys):
     gen_out, hom_out = tmp_path / "gen", tmp_path / "hom"
     run_cli(["gen", "--family", "planted-boxes", "--n", 24, "--r", 5,
              "--seed", 3, "--out", gen_out])
     assert run_cli(["homogenize", gen_out / "instance.khg",
                     "--links", gen_out / "instance.links",
                     "--out", hom_out]) == 0
-    assert RunManifest.read(hom_out / "manifest.json").params["r"] == 5
+    man = RunManifest.read(hom_out / "manifest.json")
+    assert man.params == {"eps": 0.2, "max_anchors": 512}
+    assert man.mode == "-"
+    assert man.inputs["links"] == file_digest(gen_out / "instance.links")
 
 
 def test_cli_audit_agrees_with_homogenize(tmp_path, capsys):
@@ -1850,7 +1855,7 @@ def test_cli_artifact_digests_are_pinned(tmp_path, capsys):
         assert run_cli(argv) == 0, argv
     pinned = {
         "audit/report.audit":
-            "6ddb4976388458bc881a2e0c144aa92ed1498a16c7d2f92735b251c7176d7699",
+            "bfa0fc513ce08c7a4098f69c655e554e85d3031f296458e87356c1b69aa1d12a",
         "links/certificates.links":
             "8f552ce1ef7d9b40d35b37fbb09cd37579c64172fabf9e18cf98c567efcf43a3",
     }
@@ -1859,6 +1864,12 @@ def test_cli_artifact_digests_are_pinned(tmp_path, capsys):
             f"{name} changed; its digest was reproduced on numpy 2.4.6 and "
             f"Python 3.11.7, this is numpy {np.__version__} and Python "
             f"{platform.python_version()}")
+    # without its manifest stamps the audit pins content alone, so a
+    # change that moves only a manifest leaves this digest as it is
+    lines = (out / "audit" / "report.audit").read_bytes().splitlines(True)
+    content = b"".join(ln for ln in lines if not ln.startswith(b"# manifest "))
+    assert hashlib.sha256(content).hexdigest() == (
+        "f50628cca2e0b890f84754b03d8649a395341c7abc769e8b3496734d236b93ff")
 
 
 NUMPY_MA_PROBE = """
@@ -1954,7 +1965,7 @@ def test_cli_coverage_negative_control(tmp_path, capsys):
     run_cli(["gen", "--family", "uniform-random", "--n", 10, "--seed", 3,
              "--out", gen_out])
     code = run_cli(["homogenize", gen_out / "instance.khg", "--eps", 0.2,
-                    "--r", 2, "--max-anchors", 8, "--out", tmp_path / "hom"])
+                    "--max-anchors", 8, "--out", tmp_path / "hom"])
     assert code == 1
     err = capsys.readouterr().err
     assert "uncovered" in err
@@ -2018,9 +2029,11 @@ def test_cli_removed_options_are_usage_errors(tmp_path, capsys):
     out = ["--out", tmp_path / "out"]
     assert run_cli(["audit", "g.khg", "p.part", "--kind", "x", *out]) == 2
     assert run_cli(["homogenize", "g.khg", "--eps-prime", 0.1, *out]) == 2
+    assert run_cli(["homogenize", "g.khg", "--mode", "practical", *out]) == 2
+    assert run_cli(["homogenize", "g.khg", "--r", 3, *out]) == 2
     assert run_cli(["gowers", "cascade", "--toy", "--n", 8,
                     "--search-draws", 5, *out]) == 2
-    assert capsys.readouterr().err.count("unrecognized arguments") == 3
+    assert capsys.readouterr().err.count("unrecognized arguments") == 5
     assert not (tmp_path / "out").exists()
 
 
